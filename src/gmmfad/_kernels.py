@@ -1,34 +1,21 @@
-"""Hot numerical kernels: numba-compiled with a pure-numpy fallback.
+"""Hot numerical kernels over the weighted data, in plain numpy.
 
 Three loop-bound kernels dominate the fit at large p: the
 weighted-covariance matrix-vector product, the Lanczos basis-growth cycle
 that strings those products together with reorthogonalization (one call per
 restart instead of one per column keeps interpreter overhead off the hot
 path), and the fused weighted first/second moment pass (one read of the
-data per CM step per component).  Each gets an ``@njit`` version and a
-numpy version with identical semantics.
-
-Backend selection happens once at import from the ``GMMFAD_BACKEND``
-environment variable:
-
-* ``auto`` (default): numba when importable, numpy otherwise,
-* ``numba``: require numba, raise if unavailable,
-* ``numpy``: force the fallback.
-
-The numba kernels avoid ``prange`` deliberately: results must be
-bit-reproducible regardless of thread count, so all reductions are
-fixed-order.  Everything BLAS-shaped (densities, eigendecompositions) stays
-in numpy where a GEMM beats a jitted loop anyway.
+data per CM step per component).  Each is a few GEMV-shaped numpy calls
+over the data; everything BLAS-shaped beyond them (densities,
+eigendecompositions) lives with its callers.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numpy_wcov_matvec(y, w, center, v, weight_sum):
+def wcov_matvec(y, w, center, v, weight_sum):
     # sum_i w_i (y_i - c)((y_i - c) . v) / weight_sum, no n x p temporary
     c = y @ v - center @ v
     wc = w * c
@@ -38,7 +25,7 @@ def _numpy_wcov_matvec(y, w, center, v, weight_sum):
     return r
 
 
-def _numpy_weighted_stats(y, w):
+def weighted_stats(y, w):
     # (weight_sum, weighted mean, weighted raw second moment), one logical pass
     weight_sum = float(np.sum(w))
     mean = (w @ y) / weight_sum
@@ -46,15 +33,15 @@ def _numpy_weighted_stats(y, w):
     return weight_sum, mean, m2
 
 
-# basis-extension breakdown thresholds shared by every implementation:
-# a direction whose norm is below BREAKDOWN_ABS carries no information, and
-# one reduced below BREAKDOWN_REL by reorthogonalization lies in the span
+# basis-extension breakdown thresholds shared with linops: a direction whose
+# norm is below BREAKDOWN_ABS carries no information, and one reduced below
+# BREAKDOWN_REL by reorthogonalization lies in the span
 BREAKDOWN_ABS = 1e-12
 BREAKDOWN_REL = 1e-6
 
 
-def _numpy_lanczos_grow(y, w, center, scale, weight_sum, basis, images, start,
-                        next_dir):
+def lanczos_grow(y, w, center, scale, weight_sum, basis, images, start,
+                 next_dir):
     """Grow basis/images in place from column ``start``; return fill count.
 
     Each step twice projects the pending direction off the current basis,
@@ -89,153 +76,6 @@ def _numpy_lanczos_grow(y, w, center, scale, weight_sum, basis, images, start,
     return j
 
 
-_HAS_NUMBA = False
-_numba_wcov_matvec = None
-_numba_weighted_stats = None
-_numba_lanczos_grow = None
-
-try:  # pragma: no cover - import guard exercised via subprocess test
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _numba_wcov_matvec(y, w, center, v, weight_sum):  # noqa: F811
-        n, p = y.shape
-        mu_dot_v = 0.0
-        for j in range(p):
-            mu_dot_v += center[j] * v[j]
-        r = np.zeros(p)
-        s = 0.0
-        for i in range(n):
-            t = 0.0
-            for j in range(p):
-                t += y[i, j] * v[j]
-            c = w[i] * (t - mu_dot_v)
-            s += c
-            for j in range(p):
-                r[j] += c * y[i, j]
-        for j in range(p):
-            r[j] = (r[j] - s * center[j]) / weight_sum
-        return r
-
-    @njit(cache=True)
-    def _numba_lanczos_grow(y, w, center, scale, weight_sum, basis, images,
-                            start, next_dir):  # noqa: F811
-        n, p = y.shape
-        m = basis.shape[1]
-        v = next_dir.copy()
-        j = start
-        while j < m:
-            s0 = 0.0
-            for i in range(p):
-                s0 += v[i] * v[i]
-            nrm = np.sqrt(s0)
-            if nrm <= BREAKDOWN_ABS:
-                return j
-            for i in range(p):
-                v[i] /= nrm
-            for _ in range(2):
-                for k in range(j):
-                    dot = 0.0
-                    for i in range(p):
-                        dot += basis[i, k] * v[i]
-                    for i in range(p):
-                        v[i] -= dot * basis[i, k]
-            s1 = 0.0
-            for i in range(p):
-                s1 += v[i] * v[i]
-            nrm = np.sqrt(s1)
-            if nrm <= BREAKDOWN_REL:
-                return j
-            for i in range(p):
-                v[i] /= nrm
-                basis[i, j] = v[i]
-            # image of the new column under D Y' W Y D / weight_sum
-            u = np.empty(p)
-            mu_dot_u = 0.0
-            for i in range(p):
-                u[i] = scale[i] * v[i]
-                mu_dot_u += center[i] * u[i]
-            r = np.zeros(p)
-            s = 0.0
-            for i in range(n):
-                t = 0.0
-                for jj in range(p):
-                    t += y[i, jj] * u[jj]
-                ci = w[i] * (t - mu_dot_u)
-                s += ci
-                for jj in range(p):
-                    r[jj] += ci * y[i, jj]
-            for jj in range(p):
-                r[jj] = (r[jj] - s * center[jj]) / weight_sum * scale[jj]
-                images[jj, j] = r[jj]
-                v[jj] = r[jj]
-            j += 1
-        return j
-
-    @njit(cache=True)
-    def _numba_weighted_stats(y, w):  # noqa: F811
-        n, p = y.shape
-        weight_sum = 0.0
-        mean = np.zeros(p)
-        m2 = np.zeros(p)
-        for i in range(n):
-            wi = w[i]
-            weight_sum += wi
-            for j in range(p):
-                yij = y[i, j]
-                mean[j] += wi * yij
-                m2[j] += wi * yij * yij
-        for j in range(p):
-            mean[j] /= weight_sum
-            m2[j] /= weight_sum
-        return weight_sum, mean, m2
-
-
-def _resolve_backend() -> str:
-    requested = os.environ.get("GMMFAD_BACKEND", "auto").strip().lower()
-    if requested not in {"auto", "numba", "numpy"}:
-        raise ValueError(
-            f"GMMFAD_BACKEND must be auto, numba or numpy, got {requested!r}"
-        )
-    if requested == "numpy":
-        return "numpy"
-    if requested == "numba":
-        if not _HAS_NUMBA:
-            raise ImportError("GMMFAD_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if _HAS_NUMBA else "numpy"
-
-
-BACKEND = _resolve_backend()
-
-if BACKEND == "numba":
-    wcov_matvec = _numba_wcov_matvec
-    weighted_stats = _numba_weighted_stats
-    lanczos_grow = _numba_lanczos_grow
-else:
-    wcov_matvec = _numpy_wcov_matvec
-    weighted_stats = _numpy_weighted_stats
-    lanczos_grow = _numpy_lanczos_grow
-
-
 def backend_name() -> str:
-    """Active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return BACKEND
-
-
-def available_backends() -> dict:
-    """Both implementations keyed by name, for benchmarks and cross-checks."""
-    impls = {
-        "numpy": (_numpy_wcov_matvec, _numpy_weighted_stats,
-                  _numpy_lanczos_grow),
-    }
-    if _HAS_NUMBA:
-        impls["numba"] = (_numba_wcov_matvec, _numba_weighted_stats,
-                          _numba_lanczos_grow)
-    return impls
+    """Kernel implementation in use; always ``"numpy"``."""
+    return "numpy"

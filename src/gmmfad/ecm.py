@@ -198,7 +198,6 @@ def cm_step(
     factor_spec,
     current: MixtureModel,
     *,
-    dense_threshold: int = linops.DENSE_THRESHOLD,
     eig_tol: float = 1e-8,
     max_inner_iter: int = profileopt.MAX_INNER_ITER,
 ) -> MixtureModel:
@@ -235,7 +234,6 @@ def cm_step(
             n_eff=mass,
             q=qs[k],
             eig_tol=eig_tol,
-            dense_threshold=dense_threshold,
             warm_vectors=warm,
         )
         psi_hat = profileopt.optimize_psi(

@@ -34,7 +34,6 @@ from scipy.linalg import solve_triangular
 from . import _kernels
 
 DENSE_THRESHOLD = 64
-_BREAKDOWN = 1e-12
 
 
 class LinopsError(Exception):
@@ -288,7 +287,7 @@ def _orthonormalize_against(v, basis, ncols, rng):
     """Project v off the first ncols of basis twice; random restart on breakdown."""
     for _ in range(3):
         scale = math.sqrt(float(v @ v))
-        if scale <= _BREAKDOWN:
+        if scale <= _kernels.BREAKDOWN_ABS:
             v = rng.standard_normal(v.shape[0])
             scale = math.sqrt(float(v @ v))
         v = v / scale
@@ -296,7 +295,7 @@ def _orthonormalize_against(v, basis, ncols, rng):
             if ncols:
                 v -= basis[:, :ncols] @ (basis[:, :ncols].T @ v)
         nrm = math.sqrt(float(v @ v))
-        if nrm > 1e-6:
+        if nrm > _kernels.BREAKDOWN_REL:
             return v / nrm
         v = rng.standard_normal(v.shape[0])
     raise NoConvergence("could not extend the Krylov basis")

@@ -60,7 +60,6 @@ class ProfileObjective:
         q: int,
         *,
         eig_tol: float = 1e-8,
-        max_restarts: int = 200,
         dense_threshold: int = linops.DENSE_THRESHOLD,
         warm_vectors: np.ndarray | None = None,
     ):
@@ -75,7 +74,6 @@ class ProfileObjective:
         self.p = p
         self.scov_diag = np.maximum(np.asarray(scov.diag(), dtype=np.float64), 0.0)
         self.eig_tol = eig_tol
-        self.max_restarts = max_restarts
         self.dense_threshold = dense_threshold
         self.eig_cache: linops.EigPairs | None = None
         if warm_vectors is not None:
@@ -103,7 +101,6 @@ class ProfileObjective:
                 op,
                 self.q,
                 tol=self.eig_tol,
-                max_restarts=self.max_restarts,
                 dense_threshold=self.dense_threshold,
                 v0=v0,
             )

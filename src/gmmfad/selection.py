@@ -25,6 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ecm import AllStartsFailed, EmptyCluster, FitConfig, fit, fit_baseline_aecm
+from .linops import NoConvergence
 from .model import ComponentParams, DataMatrix, FitReport, MixtureModel, max_admissible_q
 
 BIC_TIE_TOL = 1e-6
@@ -116,7 +117,7 @@ def _run_cell(data, config, engine, threads, initial_model=None):
         kwargs["initial_model"] = initial_model
     try:
         report = _fitter(engine)(data, config, **kwargs)
-    except (AllStartsFailed, EmptyCluster, ValueError) as exc:
+    except (AllStartsFailed, EmptyCluster, NoConvergence, ValueError) as exc:
         row = BicRow(
             K=config.n_components,
             q_spec=config.factor_vector(),

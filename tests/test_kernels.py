@@ -1,13 +1,10 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+import gmmfad
 from gmmfad import _kernels
 
-from .helpers import dense_weighted_cov, make_rng
+from .helpers import dense_weighted_cov
 
 
 def _instances(rng, cases=((7, 3), (40, 12), (13, 60))):
@@ -23,36 +20,25 @@ def _instances(rng, cases=((7, 3), (40, 12), (13, 60))):
 def test_wcov_matvec_matches_dense_loop_oracle(rng):
     for y, w, center, v in _instances(rng):
         want = dense_weighted_cov(y, w, center) @ v
-        got = _kernels._numpy_wcov_matvec(y, w, center, v, w.sum())
+        got = _kernels.wcov_matvec(y, w, center, v, w.sum())
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_weighted_stats_matches_direct_formulas(rng):
     for y, w, _, _ in _instances(rng):
-        ws, mean, m2 = _kernels._numpy_weighted_stats(y, w)
+        ws, mean, m2 = _kernels.weighted_stats(y, w)
         assert ws == pytest.approx(w.sum())
         np.testing.assert_allclose(mean, (w @ y) / w.sum(), rtol=1e-12)
         np.testing.assert_allclose(m2, (w @ y**2) / w.sum(), rtol=1e-12)
 
 
-@pytest.mark.skipif(not _kernels._HAS_NUMBA, reason="numba not importable")
-def test_backends_agree_bitwise_tolerance(rng):
-    for y, w, center, v in _instances(rng):
-        a = _kernels._numpy_wcov_matvec(y, w, center, v, w.sum())
-        b = _kernels._numba_wcov_matvec(y, w, center, v, w.sum())
-        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-13)
-        sa = _kernels._numpy_weighted_stats(y, w)
-        sb = _kernels._numba_weighted_stats(y, w)
-        assert sa[0] == pytest.approx(sb[0], rel=1e-13)
-        np.testing.assert_allclose(sa[1], sb[1], rtol=1e-12)
-        np.testing.assert_allclose(sa[2], sb[2], rtol=1e-12)
-
-
-def _grow_once(fn, y, w, center, v, m):
+def _grow_once(y, w, center, v, m):
     p = y.shape[1]
     basis = np.zeros((p, m), order="F")
     images = np.zeros((p, m), order="F")
-    filled = fn(y, w, center, np.ones(p), w.sum(), basis, images, 0, v.copy())
+    filled = _kernels.lanczos_grow(
+        y, w, center, np.ones(p), w.sum(), basis, images, 0, v.copy()
+    )
     return filled, basis, images
 
 
@@ -60,9 +46,7 @@ def test_lanczos_grow_builds_orthonormal_krylov_columns(rng):
     for y, w, center, v in _instances(rng):
         p = y.shape[1]
         m = min(p - 1, 6)
-        filled, basis, images = _grow_once(
-            _kernels._numpy_lanczos_grow, y, w, center, v, m
-        )
+        filled, basis, images = _grow_once(y, w, center, v, m)
         assert filled == m
         np.testing.assert_allclose(
             basis.T @ basis, np.eye(m), rtol=0, atol=1e-10
@@ -78,46 +62,11 @@ def test_lanczos_grow_stops_on_dependent_direction(rng):
     images = np.zeros((p, 3), order="F")
     basis[:, 0] = np.eye(p)[0]
     images[:, 0] = dense_weighted_cov(y, w, center)[:, 0]
-    filled = _kernels._numpy_lanczos_grow(
+    filled = _kernels.lanczos_grow(
         y, w, center, np.ones(p), w.sum(), basis, images, 1, basis[:, 0].copy()
     )
     assert filled == 1  # the pending direction already lies in the span
 
 
-@pytest.mark.skipif(not _kernels._HAS_NUMBA, reason="numba not importable")
-def test_lanczos_grow_backends_agree(rng):
-    for y, w, center, v in _instances(rng):
-        m = min(y.shape[1] - 1, 6)
-        fa, ba, ia = _grow_once(_kernels._numpy_lanczos_grow, y, w, center, v, m)
-        fb, bb, ib = _grow_once(_kernels._numba_lanczos_grow, y, w, center, v, m)
-        assert fa == fb
-        np.testing.assert_allclose(ba, bb, rtol=1e-12, atol=1e-13)
-        np.testing.assert_allclose(ia, ib, rtol=1e-12, atol=1e-13)
-
-
-def test_available_backends_lists_active():
-    table = _kernels.available_backends()
-    assert "numpy" in table
-    assert _kernels.backend_name() in table
-
-
-def _backend_in_subprocess(value):
-    env = dict(os.environ, GMMFAD_BACKEND=value)
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from gmmfad import _kernels; print(_kernels.backend_name())"],
-        capture_output=True, text=True, env=env,
-    )
-    return out
-
-
-def test_env_flag_forces_numpy_backend():
-    out = _backend_in_subprocess("numpy")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_unknown_value():
-    out = _backend_in_subprocess("cuda")
-    assert out.returncode != 0
-    assert "GMMFAD_BACKEND" in out.stderr
+def test_backend_name_is_numpy():
+    assert gmmfad.backend_name() == "numpy"

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from gmmfad import profileopt
 from gmmfad.ecm import AllStartsFailed, FitConfig, fit
+from gmmfad.linops import NoConvergence
 from gmmfad.model import DataMatrix
 from gmmfad.selection import (
     BIC_TABLE_COLUMNS,
@@ -12,6 +14,7 @@ from gmmfad.selection import (
     SearchGrid,
     _adapt_factor_dim,
     _better,
+    _run_cell,
     format_q_spec,
     select_common_q,
     select_per_cluster_q,
@@ -114,6 +117,22 @@ def test_all_cells_failed_raises():
     grid = SearchGrid(k_values=(301,), q_max=1, fit_config=_cfg())
     with pytest.raises(AllStartsFailed):
         select_common_q(data, grid)
+
+
+def test_warm_cell_eigensolve_failure_records_infinite_bic(monkeypatch):
+    # a warm refit skips the start protocol, so the cell itself must catch
+    # the eigensolver's failure instead of aborting the whole search
+    data, _ = small_dataset(seed=103)
+    warm = fit(data, _cfg()).model
+
+    def no_convergence(obj, psi_hat):
+        raise NoConvergence("forced")
+
+    monkeypatch.setattr(profileopt, "recover_loadings", no_convergence)
+    report, row, exc = _run_cell(data, _cfg(), "gmmfad", 1, initial_model=warm)
+    assert report is None
+    assert math.isinf(row.bic)
+    assert isinstance(exc, NoConvergence)
 
 
 # ---------------------------------------------------------------- per-cluster
