@@ -1,13 +1,14 @@
 """Hot numerical kernels over the weighted data, in plain numpy.
 
-Three loop-bound kernels dominate the fit at large p: the
-weighted-covariance matrix-vector product, the Lanczos basis-growth cycle
-that strings those products together with reorthogonalization (one call per
-restart instead of one per column keeps interpreter overhead off the hot
-path), and the fused weighted first/second moment pass (one read of the
-data per CM step per component).  Each is a few GEMV-shaped numpy calls
-over the data; everything BLAS-shaped beyond them (densities,
-eigendecompositions) lives with its callers.
+Four kernels dominate the fit at large p: the weighted-covariance
+matrix-vector product and its p x b block form (two GEMMs over the data,
+which the block eigensolver and the warm-start seeds use), the Lanczos
+basis-growth cycle that strings single products together with
+reorthogonalization (one call per restart instead of one per column keeps
+interpreter overhead off the hot path), and the fused weighted first/second
+moment pass (one read of the data per CM step per component).
+Everything BLAS-shaped beyond them (densities, eigendecompositions) lives
+with its callers.
 """
 
 from __future__ import annotations
@@ -22,6 +23,20 @@ def wcov_matvec(y, w, center, v, weight_sum):
     r = y.T @ wc
     r -= wc.sum() * center
     r /= weight_sum
+    return r
+
+
+def wcov_matmat(y, w, center, scale, V, weight_sum):
+    # D S D V for a p x b block, D = diag(scale): wcov_matvec's product with
+    # GEMMs in place of GEMVs, and no n x p temporary
+    u = scale[:, None] * V
+    c = y @ u
+    c -= center @ u
+    c *= w[:, None]
+    r = y.T @ c
+    r -= np.outer(center, c.sum(axis=0))
+    r /= weight_sum
+    r *= scale[:, None]
     return r
 
 

@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from . import linops, profileopt
-from ._kernels import weighted_stats
+from . import _kernels, linops, profileopt
 from .model import (
     PSI_MAX,
     PSI_MIN,
@@ -280,7 +279,7 @@ def _aecm_step(data, resp, factor_spec, current):
         floor = _cluster_floor(comp.n_factors)
         if mass < floor:
             raise EmptyCluster(k, mass, floor)
-        _, mean, _ = weighted_stats(y, w)
+        _, mean, _ = _kernels.weighted_stats(y, w)
         masses.append(mass)
         mid.append((mean, comp))
     total = math.fsum(masses)

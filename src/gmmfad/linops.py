@@ -1,4 +1,4 @@
-"""Matrix-free weighted-covariance operators and a thick-restart Lanczos.
+"""Matrix-free weighted-covariance operators and their leading eigenpairs.
 
 The CM step never needs the weighted scatter matrix itself, only its action
 on vectors and its diagonal.  For responsibilities w and weighted mean mu,
@@ -10,12 +10,22 @@ two GEMV-shaped passes over the data and a rank-one correction, O(np) time
 and O(n + p) extra memory.  The whitened operator D S D with
 D = diag(psi^{-1/2}) composes the same way.
 
-Leading eigenpairs come from a thick-restart Lanczos (Wu & Simon 2000) with
-full reorthogonalization; below ``dense_threshold`` the operator is
-materialized and handed to LAPACK instead.  Restarts keep a few Ritz vectors
-beyond the requested q and continue along the dominant residual direction,
-and a warm-start subspace can be supplied, which the uniqueness solver uses
-to make successive eigensolves nearly free.
+Below ``dense_threshold`` the operator is materialized and handed to
+LAPACK.  Above it there are two regimes, chosen by the shape of the data
+behind a scatter operator and nothing else:
+
+* n > p: a warm-started block Rayleigh-Ritz subspace iteration (Halko,
+  Martinsson & Tropp 2011).  Each iteration applies the operator to a whole
+  p x b block in one GEMM-shaped kernel call, so the cost per column is
+  BLAS-3 rather than a Python-level loop of GEMVs.
+* n <= p, and any operator that is not a weighted scatter: a thick-restart
+  Lanczos (Wu & Simon 2000) with full reorthogonalization.  Restarts keep a
+  few Ritz vectors beyond the requested q and continue along the dominant
+  residual direction.
+
+Both take a warm-start subspace, which the uniqueness solver uses to make
+successive eigensolves nearly free, and both stop on the same true-residual
+test.
 
 A scoped allocation guard lets callers assert that nothing in a region
 materializes a dense matrix wider than a given limit; the only routines that
@@ -45,7 +55,7 @@ class InvalidRank(LinopsError, ValueError):
 
 
 class NoConvergence(LinopsError, RuntimeError):
-    """Lanczos restarts exhausted before residuals met tolerance."""
+    """Restarts (block iterations) exhausted before residuals met tolerance."""
 
     def __init__(self, msg, n_restarts=None, residuals=None):
         super().__init__(msg)
@@ -301,18 +311,34 @@ def _orthonormalize_against(v, basis, ncols, rng):
     raise NoConvergence("could not extend the Krylov basis")
 
 
-def _fused_grow_fn(op):
-    """Kernel-backed basis growth for the scatter operators, else None."""
+def _scatter_parts(op):
+    """(WeightedCovOperator, scale) behind a scatter operator, else None."""
     if isinstance(op, WeightedCovOperator):
-        base, scale = op, None
-    elif isinstance(op, ScaledCovOperator) and isinstance(
+        return op, np.ones(op.p)
+    if isinstance(op, ScaledCovOperator) and isinstance(
         op.base, WeightedCovOperator
     ):
-        base, scale = op.base, op.scale
-    else:
+        return op.base, op.scale
+    return None
+
+
+def _block_images(op, block):
+    """A @ block; one GEMM-shaped kernel call for the scatter operators."""
+    parts = _scatter_parts(op)
+    if parts is None:
+        return np.column_stack([op.matvec(col) for col in block.T])
+    base, scale = parts
+    return _kernels.wcov_matmat(
+        base._y, base._w, base.center, scale, block, base.weight_sum
+    )
+
+
+def _fused_grow_fn(op):
+    """Kernel-backed basis growth for the scatter operators, else None."""
+    parts = _scatter_parts(op)
+    if parts is None:
         return None
-    if scale is None:
-        scale = np.ones(base.p)
+    base, scale = parts
 
     def grow(basis, images, start, next_dir):
         return _kernels.lanczos_grow(
@@ -357,6 +383,54 @@ def _dense_eigpairs(op, q: int) -> EigPairs:
     )
 
 
+def _warm_block(v0, p: int) -> np.ndarray:
+    # a start vector or a p x j subspace, as p x j columns
+    v0 = np.atleast_2d(np.asarray(v0, dtype=np.float64))
+    return v0.T if v0.shape[0] != p else v0
+
+
+def _block_eigpairs(op, q, tol, max_restarts, v0, rng) -> EigPairs:
+    """Warm block Rayleigh-Ritz subspace iteration, one GEMM product a step.
+
+    The b = min(p - 1, 2q + 10) columns start from ``v0`` padded with random
+    columns.  Each iteration applies the operator to the whole block, solves
+    the b x b Rayleigh-Ritz problem, tests the true residuals of the leading
+    q Ritz pairs and, short of convergence, moves the block to qr(A V S).
+    """
+    p = op.shape[0]
+    b = min(p - 1, 2 * q + 10)
+    start = np.empty((p, b))
+    j = 0
+    if v0 is not None:
+        warm = _warm_block(v0, p)[:, :b]
+        j = warm.shape[1]
+        start[:, :j] = warm
+    if j < b:
+        start[:, j:] = rng.standard_normal((p, b - j))
+    basis = np.linalg.qr(start)[0]
+    res_norms = None
+    for _ in range(max_restarts):
+        images = _block_images(op, basis)
+        h = basis.T @ images
+        theta, s = np.linalg.eigh(0.5 * (h + h.T))
+        theta = theta[::-1]
+        s = s[:, ::-1]
+        ritz_images = images @ s
+        ritz = basis @ s[:, :q]
+        res_norms = np.linalg.norm(ritz_images[:, :q] - ritz * theta[:q], axis=0)
+        if bool(np.all(res_norms <= tol * max(1.0, abs(theta[0])))):
+            return EigPairs(
+                values=np.ascontiguousarray(theta[:q]),
+                vectors=_canonical_signs(np.ascontiguousarray(ritz)),
+            )
+        basis = np.linalg.qr(ritz_images)[0]
+    raise NoConvergence(
+        f"block subspace iteration did not converge in {max_restarts} iterations",
+        n_restarts=max_restarts,
+        residuals=res_norms,
+    )
+
+
 def top_eigenpairs(
     op,
     q: int,
@@ -370,16 +444,21 @@ def top_eigenpairs(
     """Leading q eigenpairs of a symmetric PSD operator.
 
     Below ``dense_threshold`` the operator is materialized and solved
-    densely.  Otherwise a thick-restart Lanczos runs with a basis of
-    min(p, 2q + 10) vectors, full reorthogonalization, and true residual
-    checks ||A y_j - theta_j y_j|| <= tol * max(1, theta_1) on every
-    requested pair (theta_1 sets the operator scale; an absolute floor of
-    tol protects near-null directions of rank-deficient scatters).  ``v0``
-    may be a single start vector or a p x j warm-start subspace (typically
-    the previous solve's Ritz vectors).
+    densely.  Above it, a scatter operator (``WeightedCovOperator``, or a
+    ``ScaledCovOperator`` over one) whose data has more rows than columns
+    (n > p) goes to a warm block Rayleigh-Ritz subspace iteration on a block
+    of min(p - 1, 2q + 10) columns, one GEMM-shaped product per iteration.
+    Every other operator, and n <= p data, runs a thick-restart Lanczos with
+    a basis of min(p, 2q + 10) vectors and full reorthogonalization.  Both
+    check true residuals ||A y_j - theta_j y_j|| <= tol * max(1, theta_1)
+    on every requested pair (theta_1 sets the operator scale; an absolute
+    floor of tol protects near-null directions of rank-deficient scatters).
+    ``v0`` may be a single start vector or a p x j warm-start subspace
+    (typically the previous solve's Ritz vectors).
 
-    Raises NoConvergence when ``max_restarts`` cycles do not reach the
-    tolerance, and InvalidRank unless 1 <= q < p.
+    Raises NoConvergence when ``max_restarts`` restarts (block iterations
+    on the n > p path) do not reach the tolerance, and InvalidRank unless
+    1 <= q < p.
     """
     p = op.shape[0]
     if not 1 <= q < p:
@@ -387,7 +466,11 @@ def top_eigenpairs(
     if p <= dense_threshold:
         return _dense_eigpairs(op, q)
 
-    rng = _LazyRng(seed)  # touched only on cold starts and basis breakdowns
+    rng = _LazyRng(seed)  # Lanczos draws only on cold starts and breakdowns
+    parts = _scatter_parts(op)
+    if parts is not None and parts[0]._y.shape[0] > p:
+        return _block_eigpairs(op, q, tol, max_restarts, v0, rng)
+
     m = min(p, 2 * q + 10)
     keep = min(q + 3, m - 2)
     # F-order keeps the column slices used by every projection contiguous
@@ -397,10 +480,7 @@ def top_eigenpairs(
     # seed the basis: warm subspace if given, else a single start vector
     ncols = 0
     if v0 is not None:
-        v0 = np.atleast_2d(np.asarray(v0, dtype=np.float64))
-        if v0.shape[0] != p:
-            v0 = v0.T
-        block = v0[:, : m - 1]
+        block = _warm_block(v0, p)[:, : m - 1]
         qf, rf = np.linalg.qr(block)
         full_rank = bool(
             np.all(np.abs(np.diag(rf)) > 1e-8 * max(1.0, abs(rf[0, 0])))
@@ -408,14 +488,14 @@ def top_eigenpairs(
         if full_rank and qf.shape[1]:
             ncols = qf.shape[1]
             basis[:, :ncols] = qf
-            for j in range(ncols):
-                images[:, j] = op.matvec(basis[:, j])
-        else:  # degenerate warm block: fall back to one column at a time
+        else:  # degenerate warm block: orthonormalize one column at a time
             for j in range(block.shape[1]):
-                vec = _orthonormalize_against(block[:, j].copy(), basis, ncols, rng)
-                basis[:, ncols] = vec
-                images[:, ncols] = op.matvec(vec)
+                basis[:, ncols] = _orthonormalize_against(
+                    block[:, j].copy(), basis, ncols, rng
+                )
                 ncols += 1
+        if ncols:
+            images[:, :ncols] = _block_images(op, basis[:, :ncols])
     if ncols == 0:
         vec = _orthonormalize_against(rng.standard_normal(p), basis, 0, rng)
         basis[:, 0] = vec
@@ -461,8 +541,7 @@ def top_eigenpairs(
             ).T
         else:  # defensive: rebuild images directly on a degenerate restart
             basis[:, :keep] = kq
-            for j in range(keep):
-                images[:, j] = op.matvec(basis[:, j])
+            images[:, :keep] = _block_images(op, kq)
         ncols = keep
         first_bad = int(np.argmin(ok))
         next_dir = resid[:, first_bad].copy()

@@ -33,7 +33,7 @@ matvecs.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, minimize
 
 from . import linops
 from .model import PSI_MAX, PSI_MIN
@@ -50,7 +50,7 @@ class ProfileObjective:
     n_eff (the component's responsibility sum), the factor count q, and the
     eigenpair cache reused across evaluations.  Dense-path operators are
     materialized once and whitened per call; large-p operators go through
-    the matrix-free Lanczos.
+    the matrix-free eigensolver in linops.
     """
 
     def __init__(
@@ -157,7 +157,8 @@ def optimize_psi(
         return np.clip(obj.scov_diag, lo, hi)
     psi_init = np.asarray(psi_init, dtype=np.float64)
     u0 = np.log(np.clip(psi_init, lo, hi))
-    bounds = [(np.log(lo), np.log(hi))] * obj.p
+    # arrays, not a list of pairs: scipy converts a list entry by entry
+    bounds = Bounds(np.full(obj.p, np.log(lo)), np.full(obj.p, np.log(hi)))
 
     best = {"u": u0, "f": None}
 

@@ -24,6 +24,19 @@ def test_wcov_matvec_matches_dense_loop_oracle(rng):
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
+def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
+    for y, w, center, _ in _instances(rng):
+        p = y.shape[1]
+        block = rng.standard_normal((p, 4))
+        scale = rng.uniform(0.5, 2.0, p)
+        want = np.column_stack([
+            scale * _kernels.wcov_matvec(y, w, center, scale * v, w.sum())
+            for v in block.T
+        ])
+        got = _kernels.wcov_matmat(y, w, center, scale, block, w.sum())
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+
+
 def test_weighted_stats_matches_direct_formulas(rng):
     for y, w, _, _ in _instances(rng):
         ws, mean, m2 = _kernels.weighted_stats(y, w)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmmfad import linops
+from gmmfad import _kernels, linops
 from gmmfad.linops import (
     DegenerateWeights,
     DenseAllocationError,
@@ -139,14 +139,28 @@ def test_random_spd_matches_dense_oracle(rng):
         assert subspace_angle(pairs.vectors, want_vecs) < 1e-6
 
 
-def test_weighted_cov_eigs_match_dense_assembly_p150(rng):
-    n, p, q = 80, 150, 4
+def _scatter(rng, n, p, factors=0):
+    # weighted scatter of n rows; ``factors`` plants that many strong
+    # directions over unit noise
     y = rng.standard_normal((n, p))
-    w = rng.uniform(0.05, 1.0, n)
-    op = WeightedCovOperator(y, w)
-    pairs = top_eigenpairs(op, q, dense_threshold=0, tol=1e-10)
-    dense_vals = np.linalg.eigvalsh(dense_weighted_cov(y, w, op.center))[::-1][:q]
-    np.testing.assert_allclose(pairs.values, dense_vals, atol=1e-6)
+    if factors:
+        loadings = 3.0 * rng.standard_normal((factors, p))
+        y += rng.standard_normal((n, factors)) @ loadings
+    return WeightedCovOperator(y, rng.uniform(0.05, 1.0, n))
+
+
+def test_weighted_cov_eigs_match_dense_assembly_p150(rng):
+    # n <= p runs the Lanczos, n > p the block subspace iteration
+    q = 4
+    for n, p in ((80, 150), (300, 150)):
+        op = _scatter(rng, n, p)
+        scaled = ScaledCovOperator(op, rng.uniform(0.5, 2.0, p))
+        for which in (op, scaled):
+            pairs = top_eigenpairs(which, q, dense_threshold=0, tol=1e-10)
+            dense_vals, dense_vecs = np.linalg.eigh(which.to_dense())
+            np.testing.assert_allclose(pairs.values, dense_vals[::-1][:q],
+                                       atol=1e-6)
+            assert subspace_angle(pairs.vectors, dense_vecs[:, ::-1][:, :q]) < 1e-6
 
 
 def test_eigpairs_invariants_hold(rng):
@@ -175,11 +189,56 @@ def test_value_prefix_nesting(rng):
 
 def test_warm_start_subspace_converges_fast(rng):
     p, q = 80, 5
-    a = random_spd(p, rng, gap_at=q)
-    op = DenseSymOperator(matrix=a)
-    cold = top_eigenpairs(op, q, dense_threshold=0, tol=1e-10)
-    warm = top_eigenpairs(op, q, dense_threshold=0, tol=1e-10, v0=cold.vectors)
-    np.testing.assert_allclose(warm.values, cold.values, rtol=1e-9)
+    dense = DenseSymOperator(matrix=random_spd(p, rng, gap_at=q))
+    scatter = _scatter(rng, 400, p, factors=q)  # n > p: block path
+    for op in (dense, scatter):
+        cold = top_eigenpairs(op, q, dense_threshold=0, tol=1e-10)
+        # a converged p x q block is already an invariant subspace
+        warm = top_eigenpairs(op, q, dense_threshold=0, tol=1e-10,
+                              v0=cold.vectors, max_restarts=1)
+        np.testing.assert_allclose(warm.values, cold.values, rtol=1e-9)
+        one = top_eigenpairs(op, q, dense_threshold=0, tol=1e-10,
+                             v0=cold.vectors[:, 0])
+        np.testing.assert_allclose(one.values, cold.values, rtol=1e-9)
+
+
+def test_overspecified_rank_small_gap_meets_residual_bound(rng):
+    # q = 7 over data with 3 planted factors: the pairs past the third sit
+    # in the noise bulk, where neighbouring eigenvalues nearly coincide
+    n, p, q, tol = 500, 120, 7, 1e-8
+    op = ScaledCovOperator(_scatter(rng, n, p, factors=3),
+                           rng.uniform(0.5, 2.0, p))
+    a = op.to_dense()
+    pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol)
+    v = pairs.vectors
+    assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-8
+    assert np.all(np.diff(pairs.values) <= 0)
+    res = np.linalg.norm(a @ v - v * pairs.values, axis=0)
+    assert np.all(res <= tol * max(1.0, pairs.values[0]))
+    np.testing.assert_allclose(pairs.values, np.linalg.eigvalsh(a)[::-1][:q],
+                               rtol=1e-8)
+
+
+def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
+    # n <= p reaches the Lanczos growth kernel, n > p only the block product
+    calls = {"lanczos_grow": 0, "wcov_matmat": 0}
+
+    def counted(name):
+        original = getattr(_kernels, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(_kernels, name, wrapper)
+
+    counted("lanczos_grow")
+    counted("wcov_matmat")
+    top_eigenpairs(_scatter(rng, 30, 120), 3, dense_threshold=0)
+    assert calls["lanczos_grow"] > 0
+    calls.update(lanczos_grow=0, wcov_matmat=0)
+    top_eigenpairs(_scatter(rng, 300, 120), 3, dense_threshold=0)
+    assert calls["lanczos_grow"] == 0 and calls["wcov_matmat"] > 0
 
 
 def test_invalid_rank_rejected(rng):
@@ -192,12 +251,12 @@ def test_invalid_rank_rejected(rng):
 
 def test_no_convergence_carries_diagnostics(rng):
     p = 70
-    a = random_spd(p, rng)
-    op = DenseSymOperator(matrix=a)
-    with pytest.raises(NoConvergence) as exc:
-        top_eigenpairs(op, 3, dense_threshold=0, tol=1e-14, max_restarts=1)
-    assert exc.value.n_restarts == 1
-    assert exc.value.residuals is not None
+    for op in (DenseSymOperator(matrix=random_spd(p, rng)),
+               _scatter(rng, 200, p)):
+        with pytest.raises(NoConvergence) as exc:
+            top_eigenpairs(op, 3, dense_threshold=0, tol=1e-14, max_restarts=1)
+        assert exc.value.n_restarts == 1
+        assert exc.value.residuals.shape == (3,)
 
 
 def test_dense_path_used_below_threshold(rng):
@@ -239,14 +298,15 @@ def test_forbid_dense_nested_guards_compose_via_min(rng):
 
 
 def test_guarded_lanczos_path_forms_no_dense_matrix(rng):
-    n, p, q = 30, 300, 3
-    y = rng.standard_normal((n, p))
-    w = rng.uniform(0.1, 1.0, n)
-    op = WeightedCovOperator(y, w)
-    with forbid_dense_above(64):
-        pairs = top_eigenpairs(op, q, dense_threshold=0, tol=1e-8)
-    dense_vals = np.linalg.eigvalsh(dense_weighted_cov(y, w, op.center))
-    np.testing.assert_allclose(pairs.values, dense_vals[::-1][:q], atol=1e-6)
+    p, q = 300, 3
+    for n in (30, 600):  # Lanczos, then block subspace iteration
+        y = rng.standard_normal((n, p))
+        w = rng.uniform(0.1, 1.0, n)
+        op = WeightedCovOperator(y, w)
+        with forbid_dense_above(64):
+            pairs = top_eigenpairs(op, q, dense_threshold=0, tol=1e-8)
+        dense_vals = np.linalg.eigvalsh(dense_weighted_cov(y, w, op.center))
+        np.testing.assert_allclose(pairs.values, dense_vals[::-1][:q], atol=1e-6)
 
 
 def test_operator_to_dense_round_trip(rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gmmfad.linops import DenseSymOperator, InvalidRank
+from gmmfad.linops import DenseSymOperator, InvalidRank, WeightedCovOperator
 from gmmfad.profileopt import (
     DEFAULT_BOX,
     ProfileObjective,
@@ -80,14 +80,23 @@ def test_gradient_oracle_across_sizes(rng):
 
 def test_value_agrees_between_dense_and_lanczos_paths(rng):
     p, q = 80, 3
-    scov = random_spd(p, rng, gap_at=q)
-    dense = _objective(scov, q, dense_threshold=200)
-    lanczos = _objective(scov, q, dense_threshold=0)
-    log_psi = np.log(rng.uniform(0.3, 2.0, p))
-    vd, gd = profile_value_and_gradient(dense, log_psi)
-    vl, gl = profile_value_and_gradient(lanczos, log_psi)
-    assert vd == pytest.approx(vl, rel=1e-9)
-    np.testing.assert_allclose(gd, gl, atol=1e-7)
+
+    def operators():
+        # an explicit matrix runs the Lanczos; a scatter of n > p rows runs
+        # the block subspace iteration
+        yield DenseSymOperator(matrix=random_spd(p, rng, gap_at=q))
+        y = rng.standard_normal((200, p))
+        y += rng.standard_normal((200, q)) @ (3.0 * rng.standard_normal((q, p)))
+        yield WeightedCovOperator(y, rng.uniform(0.1, 1.0, 200))
+
+    for scov in operators():
+        dense = ProfileObjective(scov, 100.0, q, dense_threshold=200)
+        lanczos = ProfileObjective(scov, 100.0, q, dense_threshold=0)
+        log_psi = np.log(rng.uniform(0.3, 2.0, p))
+        vd, gd = profile_value_and_gradient(dense, log_psi)
+        vl, gl = profile_value_and_gradient(lanczos, log_psi)
+        assert vd == pytest.approx(vl, rel=1e-9)
+        np.testing.assert_allclose(gd, gl, atol=1e-7)
 
 
 def test_invalid_rank_rejected(rng):
