@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``simulate``, ``fit``, ``select``, ``eval``, ``bench`` and the
-``report`` formatter.  Every subcommand accepts ``--seed``, ``--threads``
-and ``--out-dir``; artifacts are written atomically (temp file in the target
+``report`` formatter.  Every subcommand accepts ``--out-dir``; those that
+draw random numbers (``simulate``, ``fit``, ``select``, ``bench``) take
+``--seed``, and those that fit (``fit``, ``select``, ``bench``) take
+``--threads``.  Artifacts are written atomically (temp file in the target
 directory, then rename), JSON artifacts are schema-versioned and
 deterministic for a fixed seed up to the recorded timings.
 
@@ -20,17 +22,11 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
-from . import linops
-from .ecm import (
-    AllStartsFailed,
-    EmptyCluster,
-    FitConfig,
-    fit,
-    fit_baseline_aecm,
-)
+from .ecm import FIT_FAILURES, FitConfig, fit, fit_baseline_aecm
 from .metrics import adjusted_rand_index, confusion_metrics
 from .model import DataMatrix, FitReport
 from .preprocess import (
@@ -43,12 +39,6 @@ from .selection import SearchGrid, select_common_q, select_per_cluster_q, write_
 from .simgen import SimSpec, draw_truth, sample_dataset
 
 FIT_SCHEMA_VERSION = 1
-_CONVERGENCE_FAILURES = (
-    AllStartsFailed,
-    EmptyCluster,
-    linops.NoConvergence,
-    linops.DegenerateWeights,
-)
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -175,8 +165,29 @@ def _model_payload(model):
     }
 
 
+def _label_metrics(pred, truth, positive=None):
+    """ARI of ``pred`` against ``truth``, plus the confusion metrics when the
+    truth has two classes and ``pred`` at most two clusters.
+
+    ``positive`` is the truth code scored as positive; it defaults to the
+    first truth label's code.  Returns (metrics, positive code or None).
+    """
+    metrics = {"ari": adjusted_rand_index(pred, truth)}
+    if np.unique(truth).size != 2 or np.unique(pred).size > 2:
+        return metrics, None
+    pos = int(truth[0]) if positive is None else positive
+    cm = confusion_metrics(pred, truth, pos)
+    metrics.update(
+        accuracy=cm.accuracy,
+        sensitivity=cm.sensitivity,
+        specificity=cm.specificity,
+        kappa=cm.kappa,
+    )
+    return metrics, pos
+
+
 def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
-                         truth_labels=None, positive_code=None, label_mapping=None):
+                         truth_labels=None, label_mapping=None):
     from .model import free_param_count
 
     payload = {
@@ -218,26 +229,16 @@ def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
         _write_rows(os.path.join(out_dir, f"loadings_k{k}.csv"), header, rows)
 
     if truth_labels is not None:
-        metrics = {"ari": adjusted_rand_index(report.hard_assignment, truth_labels)}
-        n_truth = np.unique(truth_labels).size
-        n_pred = np.unique(report.hard_assignment).size
-        if n_truth == 2 and n_pred <= 2:
-            pos = positive_code if positive_code is not None else int(truth_labels[0])
-            cm = confusion_metrics(report.hard_assignment, truth_labels, pos)
-            metrics.update(
-                accuracy=cm.accuracy,
-                sensitivity=cm.sensitivity,
-                specificity=cm.specificity,
-                kappa=cm.kappa,
-                positive_class_code=int(pos),
-            )
+        metrics, pos = _label_metrics(report.hard_assignment, truth_labels)
+        if pos is not None:
+            metrics["positive_class_code"] = pos
         _write_json(os.path.join(out_dir, "metrics.json"), metrics)
 
 
 def _prepare_data(args):
-    data, mapping = _load_features(args.data, getattr(args, "label_col", None))
+    data, mapping = _load_features(args.data, args.label_col)
     truth = data.labels
-    if getattr(args, "labels", None):
+    if args.labels:
         codes, label_map = _read_label_file(args.labels)
         if codes.shape[0] != data.n:
             raise CsvFormatError("label file length disagrees with the data")
@@ -297,17 +298,21 @@ def cmd_simulate(args):
     print(f"wrote {args.reps} replicate(s) to {args.out_dir}")
 
 
-def cmd_fit(args):
-    data, truth, mapping = _prepare_data(args)
-    config = FitConfig(
-        n_components=args.k,
-        factor_spec=_parse_q(args.q),
+def _fit_config(args, n_components, factor_spec) -> FitConfig:
+    return FitConfig(
+        n_components=n_components,
+        factor_spec=factor_spec,
         tol=args.tol,
         max_iter=args.max_iter,
         n_random_starts=args.starts,
         n_finalists=args.finalists,
         seed=args.seed,
     )
+
+
+def cmd_fit(args):
+    data, truth, mapping = _prepare_data(args)
+    config = _fit_config(args, args.k, _parse_q(args.q))
     if args.engine == "aecm":
         report = fit_baseline_aecm(
             data, config, threads=args.threads, force=args.force
@@ -329,15 +334,7 @@ def cmd_fit(args):
 
 def cmd_select(args):
     data, truth, mapping = _prepare_data(args)
-    config = FitConfig(
-        n_components=2,  # replaced per cell
-        factor_spec=1,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        n_random_starts=args.starts,
-        n_finalists=args.finalists,
-        seed=args.seed,
-    )
+    config = _fit_config(args, 2, 1)  # K and q replaced per cell
     grid = SearchGrid(
         k_values=_parse_k_range(args.k_range), q_max=args.q_max, fit_config=config
     )
@@ -346,14 +343,10 @@ def cmd_select(args):
     else:
         report, rows = select_common_q(data, grid, threads=args.threads)
     write_bic_table(rows, os.path.join(args.out_dir, "bic_table.csv"))
-    best_config = FitConfig(
+    best_config = replace(
+        config,
         n_components=report.model.n_components,
         factor_spec=report.model.factor_vector,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        n_random_starts=args.starts,
-        n_finalists=args.finalists,
-        seed=args.seed,
     )
     _write_fit_artifacts(
         report, args.out_dir, config=best_config, truth_labels=truth,
@@ -370,51 +363,36 @@ def cmd_eval(args):
     truth, truth_map = _read_label_file(args.truth)
     if pred.shape != truth.shape:
         raise ValueError("prediction and truth files disagree on length")
-    metrics = {"ari": adjusted_rand_index(pred, truth)}
-    if np.unique(truth).size == 2 and np.unique(pred).size <= 2:
-        if args.positive_class is not None:
-            if args.positive_class not in truth_map:
-                raise ValueError(
-                    f"--positive-class {args.positive_class!r} not among truth labels"
-                )
-            pos = truth_map[args.positive_class]
-        else:
-            pos = int(truth[0])
-        cm = confusion_metrics(pred, truth, pos)
-        positive_name = next(k for k, v in truth_map.items() if v == pos)
-        metrics.update(
-            accuracy=cm.accuracy,
-            sensitivity=cm.sensitivity,
-            specificity=cm.specificity,
-            kappa=cm.kappa,
-            positive_class=positive_name,
-        )
+    positive = None
+    if args.positive_class is not None:
+        if args.positive_class not in truth_map:
+            raise ValueError(
+                f"--positive-class {args.positive_class!r} not among truth labels"
+            )
+        positive = truth_map[args.positive_class]
+    metrics, pos = _label_metrics(pred, truth, positive)
+    if pos is not None:
+        metrics["positive_class"] = next(k for k, v in truth_map.items() if v == pos)
     _write_json(os.path.join(args.out_dir, "metrics.json"), metrics)
     print(json.dumps(metrics, sort_keys=True))
 
 
-def run_bench(n, p, k, q, reps, seed, *, config_template=None, threads=1,
-              separation=1.5):
-    """Paired engine timings on matched synthetic replicates."""
-    template = config_template or FitConfig(
-        n_components=k,
-        factor_spec=q,
-        n_random_starts=10,
-        n_finalists=2,
-    )
+def run_bench(n, p, k, q, reps, seed, *, threads=1):
+    """Paired engine timings on matched synthetic replicates (separation 1.5)."""
     rows = []
     speedups = []
     for rep in range(reps):
         rep_seed = _rep_seed(seed, rep)
         spec = SimSpec(
             n=n, p=p, n_components=k, factor_spec=q,
-            separation=separation, seed=rep_seed,
+            separation=1.5, seed=rep_seed,
         )
         truth = draw_truth(spec)
         sample = sample_dataset(truth, n, seed=rep_seed + 1)
-        from dataclasses import replace as _replace
-
-        config = _replace(template, n_components=k, factor_spec=q, seed=rep_seed)
+        config = FitConfig(
+            n_components=k, factor_spec=q, n_random_starts=10, n_finalists=2,
+            seed=rep_seed,
+        )
         t0 = time.perf_counter()
         r_primary = fit(sample, config, threads=threads)
         t_primary = time.perf_counter() - t0
@@ -486,10 +464,26 @@ def cmd_report(args):
     )
 
 
-def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1)
+def _add_common(sub, *, seed: bool, threads: bool):
+    if seed:
+        sub.add_argument("--seed", type=int, default=0)
+    if threads:
+        sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out-dir", default=".")
+
+
+def _add_fit_options(sub):
+    """The data and fit-protocol flags shared by ``fit`` and ``select``."""
+    sub.add_argument("--data", required=True)
+    group = sub.add_mutually_exclusive_group()
+    group.add_argument("--labels", help="CSV with one truth label per line")
+    group.add_argument("--label-col", help="label column name or index in --data")
+    sub.add_argument("--gdt", action="store_true")
+    sub.add_argument("--tol", type=float, default=1e-6)
+    sub.add_argument("--max-iter", type=int, default=500)
+    sub.add_argument("--starts", type=int, default=20)
+    sub.add_argument("--finalists", type=int, default=3)
+    _add_common(sub, seed=True, threads=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,48 +500,30 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--q", required=True, help="int or comma-separated list")
     sim.add_argument("--separation", type=float, default=1.0)
     sim.add_argument("--reps", type=int, default=1)
-    _add_common(sim)
+    _add_common(sim, seed=True, threads=False)
     sim.set_defaults(func=cmd_simulate)
 
     fit_p = sub.add_parser("fit", help="fit a mixture to a CSV")
-    fit_p.add_argument("--data", required=True)
-    group = fit_p.add_mutually_exclusive_group()
-    group.add_argument("--labels", help="CSV with one truth label per line")
-    group.add_argument("--label-col", help="label column name or index in --data")
     fit_p.add_argument("--k", type=int, required=True)
     fit_p.add_argument("--q", required=True, help="int or comma-separated list")
-    fit_p.add_argument("--gdt", action="store_true")
-    fit_p.add_argument("--tol", type=float, default=1e-6)
-    fit_p.add_argument("--max-iter", type=int, default=500)
-    fit_p.add_argument("--starts", type=int, default=20)
-    fit_p.add_argument("--finalists", type=int, default=3)
     fit_p.add_argument("--engine", choices=("gmmfad", "aecm"), default="gmmfad")
     fit_p.add_argument("--force", action="store_true",
                        help="let the aecm baseline exceed its p limit")
-    _add_common(fit_p)
+    _add_fit_options(fit_p)
     fit_p.set_defaults(func=cmd_fit)
 
     sel = sub.add_parser("select", help="BIC search over K and q")
-    sel.add_argument("--data", required=True)
-    group = sel.add_mutually_exclusive_group()
-    group.add_argument("--labels")
-    group.add_argument("--label-col")
     sel.add_argument("--k-range", required=True, help="e.g. 1..4 or 2")
     sel.add_argument("--q-max", type=int, required=True)
     sel.add_argument("--per-cluster-q", action="store_true")
-    sel.add_argument("--gdt", action="store_true")
-    sel.add_argument("--tol", type=float, default=1e-6)
-    sel.add_argument("--max-iter", type=int, default=500)
-    sel.add_argument("--starts", type=int, default=20)
-    sel.add_argument("--finalists", type=int, default=3)
-    _add_common(sel)
+    _add_fit_options(sel)
     sel.set_defaults(func=cmd_select)
 
     ev = sub.add_parser("eval", help="score predicted labels against truth")
     ev.add_argument("--pred", required=True)
     ev.add_argument("--truth", required=True)
     ev.add_argument("--positive-class", default=None)
-    _add_common(ev)
+    _add_common(ev, seed=False, threads=False)
     ev.set_defaults(func=cmd_eval)
 
     bench = sub.add_parser("bench", help="paired engine timing comparison")
@@ -556,13 +532,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--k", type=int, required=True)
     bench.add_argument("--q", required=True)
     bench.add_argument("--reps", type=int, default=5)
-    _add_common(bench)
+    _add_common(bench, seed=True, threads=True)
     bench.set_defaults(func=cmd_bench)
 
     rep = sub.add_parser("report", help="format loadings with suppression")
     rep.add_argument("--fit", required=True, help="path to a fit.json")
     rep.add_argument("--suppress-below", type=float, default=0.1)
-    _add_common(rep)
+    _add_common(rep, seed=False, threads=False)
     rep.set_defaults(func=cmd_report)
 
     return parser
@@ -574,7 +550,7 @@ def main(argv=None) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     try:
         args.func(args)
-    except _CONVERGENCE_FAILURES as exc:
+    except FIT_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CsvFormatError, FileNotFoundError, ValueError) as exc:

@@ -253,10 +253,6 @@ def cm_step(
     )
 
 
-def _gmmfad_step(data, resp, factor_spec, current):
-    return cm_step(data, resp, factor_spec, current)
-
-
 def _gmmfad_short_step(data, resp, factor_spec, current):
     # start ranking only needs coarse CM sweeps: a truncated inner solve at a
     # loose eigen tolerance is still an improvement step, so per-run ascent
@@ -439,6 +435,17 @@ def _start_from_labels(data, labels, K, qs, rng):
 
 
 _START_FAILURES = (EmptyCluster, linops.DegenerateWeights, linops.NoConvergence)
+# what a fit of admissible inputs raises when the data defeat it; anything
+# else, a FitReport ascent violation included, is a defect
+FIT_FAILURES = (AllStartsFailed, *_START_FAILURES)
+
+
+def _map(fn, items, threads):
+    """``[fn(x) for x in items]``, on a pool of ``threads`` when above one."""
+    if threads <= 1:
+        return [fn(x) for x in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
@@ -484,11 +491,7 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         except _START_FAILURES:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            short_states = list(pool.map(short_run, starts))
-    else:
-        short_states = [short_run(m) for m in starts]
+    short_states = _map(short_run, starts, threads)
 
     survivors = [(i, st) for i, st in enumerate(short_states) if st is not None]
     if not survivors:
@@ -518,11 +521,7 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         )
         return idx, st, merged
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            finished = list(pool.map(long_run, finalists))
-    else:
-        finished = [long_run(item) for item in finalists]
+    finished = _map(long_run, finalists, threads)
 
     completed = [(idx, merged) for idx, _, merged in finished if merged is not None]
     if not completed:
@@ -567,7 +566,7 @@ def fit(
         data,
         config,
         engine="gmmfad",
-        step_fn=_gmmfad_step,
+        step_fn=cm_step,
         short_step_fn=_gmmfad_short_step,
         initial_model=initial_model,
         threads=threads,

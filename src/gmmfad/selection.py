@@ -20,12 +20,11 @@ import csv
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .ecm import AllStartsFailed, EmptyCluster, FitConfig, fit, fit_baseline_aecm
-from .linops import NoConvergence
+from .ecm import FIT_FAILURES, AllStartsFailed, FitConfig, fit
 from .model import ComponentParams, DataMatrix, FitReport, MixtureModel, max_admissible_q
 
 BIC_TIE_TOL = 1e-6
@@ -40,24 +39,17 @@ class SearchGrid:
     k_values: tuple[int, ...]
     q_max: int
     fit_config: FitConfig
-    q_values: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "k_values", tuple(int(k) for k in self.k_values))
-        if self.q_values is not None:
-            object.__setattr__(
-                self, "q_values", tuple(int(q) for q in self.q_values)
-            )
         if not self.k_values or any(k < 1 for k in self.k_values):
             raise ValueError("k_values must be positive and non-empty")
         if self.q_max < 0:
             raise ValueError("q_max must be non-negative")
 
-    def common_q_values(self, p: int) -> tuple[int, ...]:
-        cap = min(self.q_max, max(max_admissible_q(p), 0))
-        if self.q_values is not None:
-            return tuple(q for q in self.q_values if 0 <= q <= cap)
-        return tuple(range(1, cap + 1)) or (0,)
+    def q_cap(self, p: int) -> int:
+        """The largest factor count searched at dimension p."""
+        return min(self.q_max, max(max_admissible_q(p), 0))
 
 
 @dataclass(frozen=True)
@@ -102,71 +94,70 @@ def _better(a: BicRow, b: BicRow) -> bool:
     return a.q_spec < b.q_spec
 
 
-def _fitter(engine: str) -> Callable:
-    if engine == "gmmfad":
-        return fit
-    if engine == "aecm":
-        return fit_baseline_aecm
-    raise ValueError(f"unknown engine {engine!r}")
-
-
-def _run_cell(data, config, engine, threads, initial_model=None):
+def _run_cell(data, config, threads, initial_model=None):
     t0 = time.perf_counter()
-    kwargs = {"threads": threads}
-    if initial_model is not None:
-        kwargs["initial_model"] = initial_model
     try:
-        report = _fitter(engine)(data, config, **kwargs)
-    except (AllStartsFailed, EmptyCluster, NoConvergence, ValueError) as exc:
-        row = BicRow(
-            K=config.n_components,
-            q_spec=config.factor_vector(),
-            loglik=float("-inf"),
-            n_params=0,
-            bic=float("inf"),
-            n_iter=0,
-            seconds=time.perf_counter() - t0,
-        )
-        return None, row, exc
-    return report, _row_from_report(report, time.perf_counter() - t0), None
+        config.validate_for(data)
+    except ValueError as exc:  # an inadmissible cell (K > n, q too large)
+        failure = exc
+    else:
+        # a warm refit skips the start protocol, so it meets these failures
+        # here; any other exception is a defect and propagates
+        try:
+            report = fit(data, config, initial_model=initial_model, threads=threads)
+        except FIT_FAILURES as exc:
+            failure = exc
+        else:
+            return report, _row_from_report(report, time.perf_counter() - t0), None
+    row = BicRow(
+        K=config.n_components,
+        q_spec=config.factor_vector(),
+        loglik=float("-inf"),
+        n_params=0,
+        bic=float("inf"),
+        n_iter=0,
+        seconds=time.perf_counter() - t0,
+    )
+    return None, row, failure
 
 
-def _grid_search(data, grid, engine, threads):
+def _grid_search(data, grid, threads):
+    """Fit every common-q cell; return (table rows, {K: best (report, row)})."""
     rows: list[BicRow] = []
     per_k: dict[int, tuple] = {}
+    common_qs = tuple(range(1, grid.q_cap(data.p) + 1)) or (0,)
     for K in grid.k_values:
-        for q in grid.common_q_values(data.p):
+        for q in common_qs:
             config = replace(grid.fit_config, n_components=K, factor_spec=q)
-            report, row, _ = _run_cell(data, config, engine, threads)
+            report, row, _ = _run_cell(data, config, threads)
             rows.append(row)
             if report is None:
                 continue
             if K not in per_k or _better(row, per_k[K][1]):
                 per_k[K] = (report, row)
+    if not per_k:
+        raise AllStartsFailed("no grid cell produced a usable fit")
     return rows, per_k
 
 
-def select_common_q(
-    data: DataMatrix,
-    grid: SearchGrid,
-    *,
-    engine: str = "gmmfad",
-    threads: int = 1,
-):
+def _best_of(per_k) -> tuple:
+    """The best (report, row) of the per-K winners, visited in K order."""
+    best = None
+    for cand in per_k.values():
+        if best is None or _better(cand[1], best[1]):
+            best = cand
+    return best
+
+
+def select_common_q(data: DataMatrix, grid: SearchGrid, *, threads: int = 1):
     """Fit every (K, common q) cell; return (best report, table rows).
 
     Cells are visited in ascending (K, q) order; failed cells record an
     infinite-BIC row and never win.  Raises AllStartsFailed when no cell
     produced a fit at all.
     """
-    rows, per_k = _grid_search(data, grid, engine, threads)
-    best = None
-    for K in grid.k_values:
-        if K in per_k and (best is None or _better(per_k[K][1], best[1])):
-            best = per_k[K]
-    if best is None:
-        raise AllStartsFailed("no grid cell produced a usable fit")
-    return best[0], rows
+    rows, per_k = _grid_search(data, grid, threads)
+    return _best_of(per_k)[0], rows
 
 
 def _adapt_factor_dim(model: MixtureModel, k: int, new_q: int) -> MixtureModel:
@@ -187,40 +178,19 @@ def _adapt_factor_dim(model: MixtureModel, k: int, new_q: int) -> MixtureModel:
     return MixtureModel(components=tuple(comps))
 
 
-def select_per_cluster_q(
-    data: DataMatrix,
-    grid: SearchGrid,
-    *,
-    threads: int = 1,
-    per_cluster_moves: bool = True,
-):
+def select_per_cluster_q(data: DataMatrix, grid: SearchGrid, *, threads: int = 1):
     """Greedy per-component factor-count search seeded by the common-q winner.
 
     For each K the descent starts at that K's best common-q cell and, per
     sweep, tries every single-component move q_k -> q_k +/- 1 within
     [0, q_max], refitting warm-started from the incumbent model; the best
-    improving move is taken until none improves.  With
-    ``per_cluster_moves=False`` the search degenerates to the common-q
-    selection.  Returns (best report, table rows including all visited
-    cells).
+    improving move is taken until none improves.  Returns (best report,
+    table rows including all visited cells).
     """
-    rows, per_k = _grid_search(data, grid, "gmmfad", threads)
-    if not per_k:
-        raise AllStartsFailed("no grid cell produced a usable fit")
-    overall_report, overall_row = None, None
-    for K in grid.k_values:
-        if K in per_k and (
-            overall_row is None or _better(per_k[K][1], overall_row)
-        ):
-            overall_report, overall_row = per_k[K]
-    if not per_cluster_moves:
-        return overall_report, rows
-
-    cap = min(grid.q_max, max(max_admissible_q(data.p), 0))
-    for K in grid.k_values:
-        if K not in per_k:
-            continue
-        incumbent, incumbent_row = per_k[K]
+    rows, per_k = _grid_search(data, grid, threads)
+    overall_report, overall_row = _best_of(per_k)
+    cap = grid.q_cap(data.p)
+    for K, (incumbent, incumbent_row) in per_k.items():
         visited = {incumbent_row.q_spec}
         improved = True
         while improved:
@@ -242,7 +212,7 @@ def select_per_cluster_q(
                     )
                     warm = _adapt_factor_dim(incumbent.model, k, cand[k])
                     report, row, _ = _run_cell(
-                        data, config, "gmmfad", threads, initial_model=warm
+                        data, config, threads, initial_model=warm
                     )
                     rows.append(row)
                     if report is None:

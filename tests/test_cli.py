@@ -371,19 +371,17 @@ def test_bench_smoke(tmp_path, capsys):
 
 _HELP_FLAGS = {
     "simulate": ["--n", "--p", "--k", "--q", "--separation", "--reps",
-                 "--seed", "--threads", "--out-dir"],
+                 "--seed", "--out-dir"],
     "fit": ["--data", "--labels", "--label-col", "--k", "--q", "--gdt",
             "--tol", "--max-iter", "--starts", "--finalists", "--engine",
             "--force", "--seed", "--threads", "--out-dir"],
     "select": ["--data", "--labels", "--label-col", "--k-range", "--q-max",
                "--per-cluster-q", "--gdt", "--tol", "--max-iter", "--starts",
                "--finalists", "--seed", "--threads", "--out-dir"],
-    "eval": ["--pred", "--truth", "--positive-class", "--seed", "--threads",
-             "--out-dir"],
+    "eval": ["--pred", "--truth", "--positive-class", "--out-dir"],
     "bench": ["--n", "--p", "--k", "--q", "--reps", "--seed", "--threads",
               "--out-dir"],
-    "report": ["--fit", "--suppress-below", "--seed", "--threads",
-               "--out-dir"],
+    "report": ["--fit", "--suppress-below", "--out-dir"],
 }
 
 
