@@ -36,7 +36,6 @@ from .model import (
     FitReport,
     MixtureModel,
     Responsibilities,
-    covariance_of,
     free_param_count,
     max_admissible_q,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "backend_name",
     "cm_step",
     "confusion_metrics",
-    "covariance_of",
     "draw_truth",
     "e_step",
     "fit",

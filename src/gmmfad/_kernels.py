@@ -1,11 +1,12 @@
 """Hot numerical kernels over the weighted data, in plain numpy.
 
 Four kernels dominate the fit at large p: the weighted-covariance
-matrix-vector product and its p x b block form (two GEMMs over the data,
-which the block eigensolver and the warm-start seeds use), the Lanczos
-basis-growth cycle that strings single products together with
-reorthogonalization (one call per restart instead of one per column keeps
-interpreter overhead off the hot path), and the fused weighted first/second
+matrix-vector product; its p x b block form (two GEMMs over the data), which
+the block eigensolver applies once per iteration to scatters with n > p and
+the Lanczos uses to seed a warm start; the Lanczos basis-growth cycle, which
+strings single products together with reorthogonalization and serves only
+scatters with n <= p (one call per restart instead of one per column keeps
+interpreter overhead off the hot path); and the fused weighted first/second
 moment pass (one read of the data per CM step per component).
 Everything BLAS-shaped beyond them (densities, eigendecompositions) lives
 with its callers.

@@ -300,7 +300,7 @@ def _aecm_step(data, resp, factor_spec, current):
         floor = _cluster_floor(comp.n_factors)
         if mass < floor:
             raise EmptyCluster(k, mass, floor)
-        scatter = linops.dense_weighted_scatter(y, w, comp.mean)
+        scatter = linops.WeightedCovOperator(y, w, comp.mean).to_dense()
         q = comp.n_factors
         if q == 0:
             lam_new = np.zeros((data.p, 0))

@@ -11,21 +11,19 @@ and O(n + p) extra memory.  The whitened operator D S D with
 D = diag(psi^{-1/2}) composes the same way.
 
 Below ``dense_threshold`` the operator is materialized and handed to
-LAPACK.  Above it there are two regimes, chosen by the shape of the data
-behind a scatter operator and nothing else:
+LAPACK.  Above it each kind of operator has one solver:
 
-* n > p: a warm-started block Rayleigh-Ritz subspace iteration (Halko,
-  Martinsson & Tropp 2011).  Each iteration applies the operator to a whole
-  p x b block in one GEMM-shaped kernel call, so the cost per column is
-  BLAS-3 rather than a Python-level loop of GEMVs.
-* n <= p, and any operator that is not a weighted scatter: a thick-restart
-  Lanczos (Wu & Simon 2000) with full reorthogonalization.  Restarts keep a
-  few Ritz vectors beyond the requested q and continue along the dominant
-  residual direction.
+* a scatter operator over data with n <= p rows: a thick-restart Lanczos
+  (Wu & Simon 2000) with full reorthogonalization on the fused
+  ``_kernels.lanczos_grow`` cycle.  Restarts keep a few Ritz vectors beyond
+  the requested q and continue along the dominant residual direction.
+* every other operator: a warm-started block Rayleigh-Ritz subspace
+  iteration (Halko, Martinsson & Tropp 2011).  For a scatter with n > p each
+  iteration is one GEMM-shaped kernel call on the whole p x b block; other
+  operators are applied column by column.
 
 Both take a warm-start subspace, which the uniqueness solver uses to make
-successive eigensolves nearly free, and both stop on the same true-residual
-test.
+successive eigensolves nearly free.  No solver fixes eigenvector signs.
 
 A scoped allocation guard lets callers assert that nothing in a region
 materializes a dense matrix wider than a given limit; the only routines that
@@ -223,39 +221,10 @@ class DenseSymOperator:
         return self.matrix
 
 
-def dense_weighted_scatter(values, weights, center) -> np.ndarray:
-    """Dense weighted scatter about a center; p x p, guard-checked."""
-    values = np.asarray(values, dtype=np.float64)
-    _check_dense_allowed(values.shape[1])
-    w = np.asarray(weights, dtype=np.float64)
-    weight_sum = float(np.sum(w))
-    if weight_sum < 1e-10 * values.shape[0]:
-        raise DegenerateWeights(f"weight sum {weight_sum:.3e} below 1e-10 * n")
-    z = values - np.asarray(center, dtype=np.float64)
-    return (z.T * w) @ z / weight_sum
-
-
-def apply(op, v: np.ndarray) -> np.ndarray:
-    """Apply an operator to a vector with a dimension check."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (op.shape[0],):
-        raise ValueError(f"operator is {op.shape}, vector has shape {v.shape}")
-    return op.matvec(v)
-
-
 def operator_to_dense(op) -> np.ndarray:
-    """Densify an operator (guard-checked); prefers a native to_dense."""
-    p = op.shape[0]
-    _check_dense_allowed(p)
-    if hasattr(op, "to_dense"):
-        return np.asarray(op.to_dense(), dtype=np.float64)
-    out = np.empty((p, p))
-    e = np.zeros(p)
-    for j in range(p):
-        e[j] = 1.0
-        out[:, j] = op.matvec(e)
-        e[j] = 0.0
-    return 0.5 * (out + out.T)
+    """Densify an operator through its to_dense; guard-checked."""
+    _check_dense_allowed(op.shape[0])
+    return op.to_dense()
 
 
 @dataclass(frozen=True)
@@ -264,18 +233,6 @@ class EigPairs:
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    # make the largest-magnitude coordinate of each column non-negative
-    if vectors.size == 0:
-        return vectors
-    idx = np.argmax(np.abs(vectors), axis=0)
-    flip = vectors[idx, np.arange(vectors.shape[1])] < 0
-    if np.any(flip):
-        vectors = vectors.copy()
-        vectors[:, flip] *= -1.0
-    return vectors
 
 
 class _LazyRng:
@@ -333,53 +290,33 @@ def _block_images(op, block):
     )
 
 
-def _fused_grow_fn(op):
-    """Kernel-backed basis growth for the scatter operators, else None."""
-    parts = _scatter_parts(op)
-    if parts is None:
-        return None
-    base, scale = parts
-
-    def grow(basis, images, start, next_dir):
-        return _kernels.lanczos_grow(
-            base._y, base._w, base.center, scale, base.weight_sum,
-            basis, images, start, np.ascontiguousarray(next_dir, np.float64),
-        )
-
-    return grow
-
-
-def _grow_basis(op, fused, basis, images, ncols, next_dir, rng):
+def _grow_basis(parts, basis, images, ncols, next_dir, rng):
     """Fill basis/images up to full width; NoConvergence on stalled growth."""
+    base, scale = parts
     m = basis.shape[1]
     attempts = 0
     while ncols < m:
-        if fused is not None:
-            filled = int(fused(basis, images, ncols, next_dir))
-            if filled > ncols:
-                attempts = 0
-            ncols = filled
-            if ncols < m:  # breakdown: the Krylov space closed, reseed
-                attempts += 1
-                if attempts >= 3:
-                    raise NoConvergence("could not extend the Krylov basis")
-                next_dir = rng.standard_normal(basis.shape[0])
-        else:
-            vec = _orthonormalize_against(next_dir, basis, ncols, rng)
-            basis[:, ncols] = vec
-            images[:, ncols] = op.matvec(vec)
-            next_dir = images[:, ncols].copy()
-            ncols += 1
+        filled = int(_kernels.lanczos_grow(
+            base._y, base._w, base.center, scale, base.weight_sum,
+            basis, images, ncols, np.ascontiguousarray(next_dir, np.float64),
+        ))
+        if filled > ncols:
+            attempts = 0
+        ncols = filled
+        if ncols < m:  # breakdown: the Krylov space closed, reseed
+            attempts += 1
+            if attempts >= 3:
+                raise NoConvergence("could not extend the Krylov basis")
+            next_dir = rng.standard_normal(basis.shape[0])
     return ncols
 
 
 def _dense_eigpairs(op, q: int) -> EigPairs:
-    g = operator_to_dense(op)
-    vals, vecs = np.linalg.eigh(g)
-    order = np.argsort(vals)[::-1][:q]
+    # LAPACK returns the eigenvalues ascending: the leading q are the last q
+    vals, vecs = np.linalg.eigh(operator_to_dense(op))
     return EigPairs(
-        values=np.ascontiguousarray(vals[order]),
-        vectors=_canonical_signs(np.ascontiguousarray(vecs[:, order])),
+        values=np.ascontiguousarray(vals[: -q - 1 : -1]),
+        vectors=np.ascontiguousarray(vecs[:, : -q - 1 : -1]),
     )
 
 
@@ -390,12 +327,13 @@ def _warm_block(v0, p: int) -> np.ndarray:
 
 
 def _block_eigpairs(op, q, tol, max_restarts, v0, rng) -> EigPairs:
-    """Warm block Rayleigh-Ritz subspace iteration, one GEMM product a step.
+    """Warm block Rayleigh-Ritz subspace iteration, one block product a step.
 
     The b = min(p - 1, 2q + 10) columns start from ``v0`` padded with random
     columns.  Each iteration applies the operator to the whole block, solves
-    the b x b Rayleigh-Ritz problem, tests the true residuals of the leading
-    q Ritz pairs and, short of convergence, moves the block to qr(A V S).
+    the b x b Rayleigh-Ritz problem, tests the true residual of each of the
+    leading q Ritz pairs against its own eigenvalue and, short of
+    convergence, moves the block to qr(A V S).
     """
     p = op.shape[0]
     b = min(p - 1, 2 * q + 10)
@@ -418,10 +356,10 @@ def _block_eigpairs(op, q, tol, max_restarts, v0, rng) -> EigPairs:
         ritz_images = images @ s
         ritz = basis @ s[:, :q]
         res_norms = np.linalg.norm(ritz_images[:, :q] - ritz * theta[:q], axis=0)
-        if bool(np.all(res_norms <= tol * max(1.0, abs(theta[0])))):
+        if bool(np.all(res_norms <= tol * np.maximum(1.0, np.abs(theta[:q])))):
             return EigPairs(
                 values=np.ascontiguousarray(theta[:q]),
-                vectors=_canonical_signs(np.ascontiguousarray(ritz)),
+                vectors=np.ascontiguousarray(ritz),
             )
         basis = np.linalg.qr(ritz_images)[0]
     raise NoConvergence(
@@ -431,46 +369,9 @@ def _block_eigpairs(op, q, tol, max_restarts, v0, rng) -> EigPairs:
     )
 
 
-def top_eigenpairs(
-    op,
-    q: int,
-    *,
-    tol: float = 1e-8,
-    max_restarts: int = 200,
-    dense_threshold: int = DENSE_THRESHOLD,
-    v0: np.ndarray | None = None,
-    seed: int = 0,
-) -> EigPairs:
-    """Leading q eigenpairs of a symmetric PSD operator.
-
-    Below ``dense_threshold`` the operator is materialized and solved
-    densely.  Above it, a scatter operator (``WeightedCovOperator``, or a
-    ``ScaledCovOperator`` over one) whose data has more rows than columns
-    (n > p) goes to a warm block Rayleigh-Ritz subspace iteration on a block
-    of min(p - 1, 2q + 10) columns, one GEMM-shaped product per iteration.
-    Every other operator, and n <= p data, runs a thick-restart Lanczos with
-    a basis of min(p, 2q + 10) vectors and full reorthogonalization.  Both
-    check true residuals ||A y_j - theta_j y_j|| <= tol * max(1, theta_1)
-    on every requested pair (theta_1 sets the operator scale; an absolute
-    floor of tol protects near-null directions of rank-deficient scatters).
-    ``v0`` may be a single start vector or a p x j warm-start subspace
-    (typically the previous solve's Ritz vectors).
-
-    Raises NoConvergence when ``max_restarts`` restarts (block iterations
-    on the n > p path) do not reach the tolerance, and InvalidRank unless
-    1 <= q < p.
-    """
+def _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng) -> EigPairs:
+    """Thick-restart Lanczos on the fused growth kernel; scatters only."""
     p = op.shape[0]
-    if not 1 <= q < p:
-        raise InvalidRank(f"need 1 <= q < p, got q={q}, p={p}")
-    if p <= dense_threshold:
-        return _dense_eigpairs(op, q)
-
-    rng = _LazyRng(seed)  # Lanczos draws only on cold starts and breakdowns
-    parts = _scatter_parts(op)
-    if parts is not None and parts[0]._y.shape[0] > p:
-        return _block_eigpairs(op, q, tol, max_restarts, v0, rng)
-
     m = min(p, 2 * q + 10)
     keep = min(q + 3, m - 2)
     # F-order keeps the column slices used by every projection contiguous
@@ -502,12 +403,11 @@ def top_eigenpairs(
         images[:, 0] = op.matvec(vec)
         ncols = 1
 
-    fused = _fused_grow_fn(op)
     next_dir = images[:, ncols - 1].copy()
     last_res = None
     for _ in range(max_restarts):
         # grow the basis to m columns along the Krylov/residual directions
-        ncols = _grow_basis(op, fused, basis, images, ncols, next_dir, rng)
+        ncols = _grow_basis(parts, basis, images, ncols, next_dir, rng)
 
         # Rayleigh-Ritz on the full basis; h is tridiagonal-plus-arrowhead in
         # exact arithmetic but is formed whole since reorthogonalization is full
@@ -526,8 +426,10 @@ def top_eigenpairs(
         scale = max(1.0, abs(theta[0]))
         ok = res_norms <= tol * scale
         if bool(np.all(ok)):
-            vecs = _canonical_signs(np.ascontiguousarray(ritz[:, :q]))
-            return EigPairs(values=np.ascontiguousarray(theta[:q]), vectors=vecs)
+            return EigPairs(
+                values=np.ascontiguousarray(theta[:q]),
+                vectors=np.ascontiguousarray(ritz[:, :q]),
+            )
 
         # thick restart: keep leading Ritz vectors, continue along the first
         # unconverged residual.  A(kq) = A(ritz R^{-1}) = ritz_images R^{-1},
@@ -551,3 +453,43 @@ def top_eigenpairs(
         n_restarts=max_restarts,
         residuals=last_res,
     )
+
+
+def top_eigenpairs(
+    op,
+    q: int,
+    *,
+    tol: float = 1e-8,
+    max_restarts: int = 200,
+    dense_threshold: int = DENSE_THRESHOLD,
+    v0: np.ndarray | None = None,
+    seed: int = 0,
+) -> EigPairs:
+    """Leading q eigenpairs of a symmetric PSD operator.
+
+    At p <= ``dense_threshold`` the operator is materialized and solved by
+    LAPACK.  Above it, a scatter operator (``WeightedCovOperator``, or a
+    ``ScaledCovOperator`` over one) whose data have n <= p rows runs a
+    thick-restart Lanczos on min(p, 2q + 10) vectors; it stops when every
+    requested pair has ||A y_j - theta_j y_j|| <= tol * max(1, theta_1).
+    Every other operator runs a warm block Rayleigh-Ritz subspace iteration
+    on min(p - 1, 2q + 10) columns; it stops when every requested pair has
+    ||A y_j - theta_j y_j|| <= tol * max(1, theta_j).  The floor of tol
+    protects near-null directions of rank-deficient scatters.  ``v0`` may be
+    a single start vector or a p x j warm-start subspace (typically the
+    previous solve's vectors).  Values come back descending, and the vectors
+    as an orthonormal basis with no sign convention.
+
+    Raises NoConvergence when ``max_restarts`` restarts (block iterations)
+    do not reach the tolerance, and InvalidRank unless 1 <= q < p.
+    """
+    p = op.shape[0]
+    if not 1 <= q < p:
+        raise InvalidRank(f"need 1 <= q < p, got q={q}, p={p}")
+    if p <= dense_threshold:
+        return _dense_eigpairs(op, q)
+    rng = _LazyRng(seed)  # Lanczos draws only on cold starts and breakdowns
+    parts = _scatter_parts(op)
+    if parts is not None and parts[0]._y.shape[0] <= p:
+        return _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng)
+    return _block_eigpairs(op, q, tol, max_restarts, v0, rng)

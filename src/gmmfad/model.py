@@ -231,33 +231,3 @@ def free_param_count(model: MixtureModel) -> int:
     cov = sum(component_param_count(p, c.n_factors) for c in model.components)
     return (K - 1) + K * p + cov
 
-
-@dataclass
-class LowRankCovOperator:
-    """Acts as ``v -> Lambda (Lambda^T v) + Psi v`` without forming p x p."""
-
-    loadings: np.ndarray
-    uniquenesses: np.ndarray
-
-    def __post_init__(self):
-        if self.loadings.shape[0] != self.uniquenesses.shape[0]:
-            raise ValueError("loadings and uniquenesses disagree on p")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        p = self.loadings.shape[0]
-        return (p, p)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.loadings.shape[0],):
-            raise ValueError("vector length must equal p")
-        return self.loadings @ (self.loadings.T @ v) + self.uniquenesses * v
-
-    def diag(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.loadings, self.loadings) + self.uniquenesses
-
-
-def covariance_of(component: ComponentParams) -> LowRankCovOperator:
-    """The component covariance as a matrix-free operator."""
-    return LowRankCovOperator(component.loadings, component.uniquenesses)

@@ -48,9 +48,11 @@ class ProfileObjective:
 
     Holds the scatter operator, its diagonal, the effective sample mass
     n_eff (the component's responsibility sum), the factor count q, and the
-    eigenpair cache reused across evaluations.  Dense-path operators are
-    materialized once and whitened per call; large-p operators go through
-    the matrix-free eigensolver in linops.
+    previous solve's eigenvectors, which warm-start the next one.  Every
+    eigensolve goes through linops.top_eigenpairs on the whitened operator
+    ScaledCovOperator(scov, psi^{-1/2}), which picks the solver (dense at
+    p <= dense_threshold).  The vectors come back with no sign convention;
+    recover_loadings fixes the signs of the loadings it hands out.
     """
 
     def __init__(
@@ -75,36 +77,19 @@ class ProfileObjective:
         self.scov_diag = np.maximum(np.asarray(scov.diag(), dtype=np.float64), 0.0)
         self.eig_tol = eig_tol
         self.dense_threshold = dense_threshold
-        self.eig_cache: linops.EigPairs | None = None
-        if warm_vectors is not None:
-            self.eig_cache = linops.EigPairs(values=None, vectors=warm_vectors)
-        self._dense_scov = None
-        if q > 0 and p <= dense_threshold:
-            self._dense_scov = linops.operator_to_dense(scov)
+        self.warm_vectors = warm_vectors
         self.n_evaluations = 0
 
     def eigenpairs(self, psi: np.ndarray) -> linops.EigPairs:
         """Leading q eigenpairs of Psi^{-1/2} S Psi^{-1/2} at this psi."""
-        inv_sqrt = 1.0 / np.sqrt(psi)
-        if self._dense_scov is not None:
-            g = inv_sqrt[:, None] * self._dense_scov * inv_sqrt[None, :]
-            vals, vecs = np.linalg.eigh(g)
-            order = np.argsort(vals)[::-1][: self.q]
-            pairs = linops.EigPairs(
-                values=np.ascontiguousarray(vals[order]),
-                vectors=np.ascontiguousarray(vecs[:, order]),
-            )
-        else:
-            op = linops.ScaledCovOperator(self.scov, inv_sqrt)
-            v0 = self.eig_cache.vectors if self.eig_cache is not None else None
-            pairs = linops.top_eigenpairs(
-                op,
-                self.q,
-                tol=self.eig_tol,
-                dense_threshold=self.dense_threshold,
-                v0=v0,
-            )
-        self.eig_cache = pairs
+        pairs = linops.top_eigenpairs(
+            linops.ScaledCovOperator(self.scov, 1.0 / np.sqrt(psi)),
+            self.q,
+            tol=self.eig_tol,
+            dense_threshold=self.dense_threshold,
+            v0=self.warm_vectors,
+        )
+        self.warm_vectors = pairs.vectors
         return pairs
 
     def value_and_gradient(self, log_psi: np.ndarray):
@@ -197,6 +182,18 @@ def optimize_psi(
     return np.clip(np.exp(u_final), lo, hi)
 
 
+def _canonical_signs(columns: np.ndarray) -> np.ndarray:
+    # make the largest-magnitude coordinate of each column non-negative
+    if columns.size == 0:
+        return columns
+    idx = np.argmax(np.abs(columns), axis=0)
+    flip = columns[idx, np.arange(columns.shape[1])] < 0
+    if np.any(flip):
+        columns = columns.copy()
+        columns[:, flip] *= -1.0
+    return columns
+
+
 def recover_loadings(obj: ProfileObjective, psi_hat: np.ndarray) -> np.ndarray:
     """Closed-form loadings at the fitted uniquenesses.
 
@@ -212,4 +209,4 @@ def recover_loadings(obj: ProfileObjective, psi_hat: np.ndarray) -> np.ndarray:
     pairs = obj.eigenpairs(psi_hat)
     delta = np.sqrt(np.maximum(pairs.values - 1.0, 0.0))
     lam = np.sqrt(psi_hat)[:, None] * pairs.vectors * delta[None, :]
-    return linops._canonical_signs(lam)
+    return _canonical_signs(lam)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gmmfad import _kernels, linops
+from gmmfad.ecm import FitConfig, fit_baseline_aecm
 from gmmfad.linops import (
     DegenerateWeights,
     DenseAllocationError,
@@ -11,11 +12,11 @@ from gmmfad.linops import (
     NoConvergence,
     ScaledCovOperator,
     WeightedCovOperator,
-    apply,
     forbid_dense_above,
     operator_to_dense,
     top_eigenpairs,
 )
+from gmmfad.model import DataMatrix
 
 from .helpers import dense_weighted_cov, make_rng, random_spd, subspace_angle
 
@@ -32,13 +33,13 @@ def test_apply_matches_dense_covariance_oracle(rng):
         for _ in range(5):
             v = rng.standard_normal(p)
             want = dense_weighted_cov(y, w, center) @ v
-            np.testing.assert_allclose(apply(op, v), want, atol=1e-10)
+            np.testing.assert_allclose(op.matvec(v), want, atol=1e-10)
 
 
 def test_apply_zero_vector_is_zero(rng):
     y = rng.standard_normal((12, 6))
     op = WeightedCovOperator(y, rng.uniform(0.1, 1.0, 12), y.mean(axis=0))
-    np.testing.assert_array_equal(apply(op, np.zeros(6)), np.zeros(6))
+    np.testing.assert_array_equal(op.matvec(np.zeros(6)), np.zeros(6))
 
 
 def test_apply_single_weight_is_rank_one_action(rng):
@@ -49,7 +50,7 @@ def test_apply_single_weight_is_rank_one_action(rng):
     op = WeightedCovOperator(y, w, center)
     d = y[4] - center
     v = rng.standard_normal(5)
-    np.testing.assert_allclose(apply(op, v), d * (d @ v), atol=1e-12)
+    np.testing.assert_allclose(op.matvec(v), d * (d @ v), atol=1e-12)
 
 
 def test_weighted_center_defaults_to_weighted_mean(rng):
@@ -121,7 +122,7 @@ def test_diagonal_case_exact():
     op = DenseSymOperator(matrix=np.diag([5.0, 4.0, 3.0, 2.0, 1.0]))
     pairs = top_eigenpairs(op, 2, dense_threshold=0, tol=1e-10)
     np.testing.assert_allclose(pairs.values, [5.0, 4.0], atol=1e-9)
-    # vectors are +-e_1, +-e_2; sign canonicalization makes them +e_j
+    # vectors are +-e_1, +-e_2: the solver promises no sign
     np.testing.assert_allclose(np.abs(pairs.vectors),
                                np.eye(5)[:, :2], atol=1e-7)
 
@@ -164,11 +165,16 @@ def test_weighted_cov_eigs_match_dense_assembly_p150(rng):
 
 
 def test_eigpairs_invariants_hold(rng):
+    # every pair meets its own residual bound on the block solver, for an
+    # explicit matrix and for scatters of n > p rows
     tol = 1e-8
-    for trial in range(5):
-        p, q = 60, 6
-        a = random_spd(p, rng, eig_low=0.5, eig_high=30.0)
-        op = DenseSymOperator(matrix=a)
+    p, q = 60, 6
+    ops = [DenseSymOperator(matrix=random_spd(p, rng, eig_low=0.5,
+                                              eig_high=30.0))
+           for _ in range(5)]
+    ops += [_scatter(rng, 200, p) for _ in range(10)]
+    for op in ops:
+        a = op.to_dense()
         pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol)
         v = pairs.vectors
         assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-8
@@ -220,25 +226,32 @@ def test_overspecified_rank_small_gap_meets_residual_bound(rng):
 
 
 def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
-    # n <= p reaches the Lanczos growth kernel, n > p only the block product
-    calls = {"lanczos_grow": 0, "wcov_matmat": 0}
+    # a scatter of n <= p rows reaches the Lanczos growth kernel; n > p, and
+    # an operator that is not a scatter, reach only the block solver
+    calls = {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 0}
 
-    def counted(name):
-        original = getattr(_kernels, name)
+    def counted(module, name):
+        original = getattr(module, name)
 
         def wrapper(*args):
             calls[name] += 1
             return original(*args)
 
-        monkeypatch.setattr(_kernels, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    counted("lanczos_grow")
-    counted("wcov_matmat")
+    counted(_kernels, "lanczos_grow")
+    counted(_kernels, "wcov_matmat")
+    counted(linops, "_block_eigpairs")
     top_eigenpairs(_scatter(rng, 30, 120), 3, dense_threshold=0)
-    assert calls["lanczos_grow"] > 0
+    assert calls["lanczos_grow"] > 0 and calls["_block_eigpairs"] == 0
     calls.update(lanczos_grow=0, wcov_matmat=0)
     top_eigenpairs(_scatter(rng, 300, 120), 3, dense_threshold=0)
     assert calls["lanczos_grow"] == 0 and calls["wcov_matmat"] > 0
+    assert calls["_block_eigpairs"] == 1
+    calls.update(wcov_matmat=0, _block_eigpairs=0)
+    explicit = DenseSymOperator(matrix=random_spd(120, rng, gap_at=3))
+    top_eigenpairs(explicit, 3, dense_threshold=0)
+    assert calls == {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 1}
 
 
 def test_invalid_rank_rejected(rng):
@@ -272,13 +285,17 @@ def test_dense_path_used_below_threshold(rng):
 def test_forbid_dense_above_blocks_materialization(rng):
     y = rng.standard_normal((10, 100))
     op = WeightedCovOperator(y, np.ones(10))
+    data = DataMatrix(values=y)
+    config = FitConfig(n_components=1, factor_spec=1, n_random_starts=1,
+                       n_finalists=1, max_iter=2)
     with forbid_dense_above(64):
         # matrix-free application stays allowed
         op.matvec(np.zeros(100))
         with pytest.raises(DenseAllocationError):
             op.to_dense()
+        # the AECM baseline's scatter goes through the same guard
         with pytest.raises(DenseAllocationError):
-            linops.dense_weighted_scatter(y, np.ones(10), y.mean(axis=0))
+            fit_baseline_aecm(data, config, force=True)
     # outside the guard the same calls succeed
     assert op.to_dense().shape == (100, 100)
 

@@ -10,16 +10,14 @@ from gmmfad.model import (
     ComponentParams,
     DataMatrix,
     FitReport,
-    LowRankCovOperator,
     MixtureModel,
     Responsibilities,
     component_param_count,
-    covariance_of,
     free_param_count,
     max_admissible_q,
 )
 
-from .helpers import dense_covariance, make_rng, random_component, random_mixture
+from .helpers import make_rng, random_component, random_mixture
 
 
 # ---------------------------------------------------------------- validation
@@ -137,44 +135,6 @@ def test_reduction_is_positive_over_grid():
         for q in range(0, max_admissible_q(p) + 1):
             s = ((p - q) ** 2 - (p + q)) / 2
             assert s > 0, (p, q, s)
-
-
-# -------------------------------------------------------------- covariance_of
-
-
-def test_covariance_identity_case():
-    comp = ComponentParams(weight=1.0, mean=np.zeros(3),
-                           loadings=np.zeros((3, 0)),
-                           uniquenesses=np.ones(3))
-    op = covariance_of(comp)
-    e1 = np.array([1.0, 0.0, 0.0])
-    np.testing.assert_allclose(op.matvec(e1), e1)
-
-
-def test_covariance_two_dim_hand_case():
-    # p=2 admits no identifiable factor model, so exercise the raw operator:
-    # Lambda=(1,1)^T, Psi=I gives Sigma=[[2,1],[1,2]], and Sigma e_1 = (2,1)^T
-    op = LowRankCovOperator(loadings=np.array([[1.0], [1.0]]),
-                            uniquenesses=np.ones(2))
-    np.testing.assert_allclose(op.matvec(np.array([1.0, 0.0])),
-                               np.array([2.0, 1.0]))
-
-
-def test_covariance_reconstructs_dense():
-    rng = make_rng(7)
-    comp = random_component(20, 3, rng)
-    op = covariance_of(comp)
-    dense = np.column_stack([op.matvec(e) for e in np.eye(20)])
-    np.testing.assert_allclose(dense, dense_covariance(comp), atol=1e-12)
-
-
-def test_covariance_agrees_densely_up_to_p50():
-    rng = make_rng(8)
-    for p, q in ((5, 1), (17, 4), (50, 6)):
-        comp = random_component(p, q, rng)
-        op = covariance_of(comp)
-        dense = np.column_stack([op.matvec(e) for e in np.eye(p)])
-        assert np.max(np.abs(dense - dense_covariance(comp))) < 1e-12
 
 
 # ------------------------------------------------------------------ FitReport

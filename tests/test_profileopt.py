@@ -78,23 +78,29 @@ def test_gradient_oracle_across_sizes(rng):
         assert rel < 1e-5
 
 
+def _planted_scatter(rng, n, p, q):
+    # weighted scatter of n rows with q strong directions over unit noise
+    y = rng.standard_normal((n, p))
+    y += rng.standard_normal((n, q)) @ (3.0 * rng.standard_normal((q, p)))
+    return WeightedCovOperator(y, rng.uniform(0.1, 1.0, n))
+
+
 def test_value_agrees_between_dense_and_lanczos_paths(rng):
     p, q = 80, 3
 
     def operators():
-        # an explicit matrix runs the Lanczos; a scatter of n > p rows runs
-        # the block subspace iteration
+        # an explicit matrix and a scatter of n > p rows run the block
+        # subspace iteration; a scatter of n <= p rows runs the Lanczos
         yield DenseSymOperator(matrix=random_spd(p, rng, gap_at=q))
-        y = rng.standard_normal((200, p))
-        y += rng.standard_normal((200, q)) @ (3.0 * rng.standard_normal((q, p)))
-        yield WeightedCovOperator(y, rng.uniform(0.1, 1.0, 200))
+        yield _planted_scatter(rng, 200, p, q)
+        yield _planted_scatter(rng, 40, p, q)
 
     for scov in operators():
         dense = ProfileObjective(scov, 100.0, q, dense_threshold=200)
-        lanczos = ProfileObjective(scov, 100.0, q, dense_threshold=0)
+        iterative = ProfileObjective(scov, 100.0, q, dense_threshold=0)
         log_psi = np.log(rng.uniform(0.3, 2.0, p))
         vd, gd = profile_value_and_gradient(dense, log_psi)
-        vl, gl = profile_value_and_gradient(lanczos, log_psi)
+        vl, gl = profile_value_and_gradient(iterative, log_psi)
         assert vd == pytest.approx(vl, rel=1e-9)
         np.testing.assert_allclose(gd, gl, atol=1e-7)
 
@@ -222,6 +228,20 @@ def test_truncation_consistency(rng):
     lam_large = recover_loadings(_objective(scov, q=3), psi)
     np.testing.assert_array_equal(lam_large[:, 1:], np.zeros((p, 2)))
     np.testing.assert_allclose(lam_large[:, :1], lam_small, atol=1e-9)
+
+
+def test_loadings_signs_fixed_on_every_solver_path(rng):
+    # dense (p <= dense_threshold), block (n > p) and Lanczos (n <= p)
+    # solves: each loadings column's largest-magnitude entry is positive
+    # (the planted factors keep every column non-zero)
+    p, q = 80, 3
+    for scov, threshold in ((_planted_scatter(rng, 200, p, q), 200),
+                            (_planted_scatter(rng, 200, p, q), 0),
+                            (_planted_scatter(rng, 40, p, q), 0)):
+        obj = ProfileObjective(scov, 100.0, q, dense_threshold=threshold)
+        lam = recover_loadings(obj, rng.uniform(0.3, 2.0, p))
+        peak = lam[np.argmax(np.abs(lam), axis=0), np.arange(q)]
+        assert np.all(peak > 0)
 
 
 def test_zero_factor_request_gives_empty_loadings():
