@@ -134,8 +134,21 @@ class FitConfig:
                 raise ValueError(f"q={q} must be below min(n, p)={min(data.n, data.p)}")
 
 
-def _cluster_floor(q: int) -> float:
-    return float(max(q + 1, 2))
+def _component_masses(gamma: np.ndarray, qs) -> list[float]:
+    """Each component's responsibility mass, checked against its floor.
+
+    Raises EmptyCluster for the first component whose mass is below
+    max(q_k + 1, 2), so a step that cannot complete does no per-component
+    work first.
+    """
+    masses = []
+    for k, q in enumerate(qs):
+        mass = float(np.sum(np.ascontiguousarray(gamma[:, k])))
+        floor = float(max(q + 1, 2))
+        if mass < floor:
+            raise EmptyCluster(k, mass, floor)
+        masses.append(mass)
+    return masses
 
 
 def component_log_densities(component: ComponentParams, y: np.ndarray) -> np.ndarray:
@@ -205,24 +218,20 @@ def cm_step(
     Per component: weighted moments in one pass, uniquenesses by bounded
     L-BFGS-B on the profile objective warm-started at the current values,
     loadings recovered in closed form.  Raises EmptyCluster when a
-    component's mass drops below max(q_k + 1, 2).
+    component's mass drops below max(q_k + 1, 2); every mass is checked
+    before any component's moments or eigensolves.
     """
     gamma = _as_gamma(resp)
     y = data.values
-    n, K = data.n, current.n_components
+    K = current.n_components
     if isinstance(factor_spec, (int, np.integer)):
         qs = (int(factor_spec),) * K
     else:
         qs = tuple(int(v) for v in factor_spec)
-    masses = []
+    masses = _component_masses(gamma, qs)
     comps = []
     for k in range(K):
-        w = np.ascontiguousarray(gamma[:, k])
-        mass = float(np.sum(w))
-        floor = _cluster_floor(qs[k])
-        if mass < floor:
-            raise EmptyCluster(k, mass, floor)
-        scov = linops.WeightedCovOperator(y, w)
+        scov = linops.WeightedCovOperator(y, gamma[:, k])
         cur = current.components[k]
         warm = None
         if qs[k] and cur.n_factors:
@@ -230,7 +239,7 @@ def cm_step(
             warm, _ = np.linalg.qr(whitened)
         obj = profileopt.ProfileObjective(
             scov,
-            n_eff=mass,
+            n_eff=masses[k],
             q=qs[k],
             eig_tol=eig_tol,
             warm_vectors=warm,
@@ -240,7 +249,6 @@ def cm_step(
             max_inner_iter=max_inner_iter,
         )
         lam_hat = profileopt.recover_loadings(obj, psi_hat)
-        masses.append(mass)
         comps.append((scov.center, lam_hat, psi_hat))
     total = math.fsum(masses)
     return MixtureModel(
@@ -265,18 +273,12 @@ def _gmmfad_short_step(data, resp, factor_spec, current):
 def _aecm_step(data, resp, factor_spec, current):
     """One AECM iteration: (weights, means) cycle then (loadings, psi) cycle."""
     y = data.values
-    n = data.n
     gamma = _as_gamma(resp)
-    masses = []
+    qs = current.factor_vector
+    masses = _component_masses(gamma, qs)
     mid = []
     for k, comp in enumerate(current.components):
-        w = np.ascontiguousarray(gamma[:, k])
-        mass = float(np.sum(w))
-        floor = _cluster_floor(comp.n_factors)
-        if mass < floor:
-            raise EmptyCluster(k, mass, floor)
-        _, mean, _ = _kernels.weighted_stats(y, w)
-        masses.append(mass)
+        _, mean, _ = _kernels.weighted_stats(y, np.ascontiguousarray(gamma[:, k]))
         mid.append((mean, comp))
     total = math.fsum(masses)
     mid_model = MixtureModel(
@@ -293,14 +295,10 @@ def _aecm_step(data, resp, factor_spec, current):
 
     resp2, _ = e_step(mid_model, data)
     g2 = resp2.gamma
+    _component_masses(g2, qs)
     comps = []
     for k, comp in enumerate(mid_model.components):
-        w = np.ascontiguousarray(g2[:, k])
-        mass = float(np.sum(w))
-        floor = _cluster_floor(comp.n_factors)
-        if mass < floor:
-            raise EmptyCluster(k, mass, floor)
-        scatter = linops.WeightedCovOperator(y, w, comp.mean).to_dense()
+        scatter = linops.WeightedCovOperator(y, g2[:, k], comp.mean).to_dense()
         q = comp.n_factors
         if q == 0:
             lam_new = np.zeros((data.p, 0))

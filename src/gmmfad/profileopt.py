@@ -27,7 +27,11 @@ L-BFGS-B (Byrd et al. 1995) inside a box keeping every uniqueness in
 [1e-4, 1e4], which rules out Heywood collapse.  Eigenpairs come from the
 shared linops solver; each evaluation reuses the previous one's Ritz vectors
 as a warm start, so successive solves during a line search cost a handful of
-matvecs.
+matvecs.  A psi bit-identical to the previous one is not solved again, so
+the start, which optimize_psi and L-BFGS-B both evaluate, costs one solve,
+and recover_loadings at the last iterate costs none.  A start whose
+projected gradient is already within L-BFGS-B's tolerance is returned
+without running the solver.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from .model import PSI_MAX, PSI_MIN
 DEFAULT_BOX = (PSI_MIN, PSI_MAX)
 MAX_INNER_ITER = 50
 LBFGSB_MEMORY = 10
+# L-BFGS-B stops when the max-norm of the projected gradient is at most
+# this (scipy's default); optimize_psi applies the same test to the start
+PGTOL = 1e-5
 
 
 class ProfileObjective:
@@ -51,8 +58,10 @@ class ProfileObjective:
     previous solve's eigenvectors, which warm-start the next one.  Every
     eigensolve goes through linops.top_eigenpairs on the whitened operator
     ScaledCovOperator(scov, psi^{-1/2}), which picks the solver (dense at
-    p <= dense_threshold).  The vectors come back with no sign convention;
-    recover_loadings fixes the signs of the loadings it hands out.
+    p <= dense_threshold).  The last solve is kept with its psi, so asking
+    again at a bit-identical psi returns it without solving.  The vectors
+    come back with no sign convention; recover_loadings fixes the signs of
+    the loadings it hands out.
     """
 
     def __init__(
@@ -79,9 +88,13 @@ class ProfileObjective:
         self.dense_threshold = dense_threshold
         self.warm_vectors = warm_vectors
         self.n_evaluations = 0
+        self._last = (None, None)  # (psi bytes, EigPairs) of the last solve
 
     def eigenpairs(self, psi: np.ndarray) -> linops.EigPairs:
         """Leading q eigenpairs of Psi^{-1/2} S Psi^{-1/2} at this psi."""
+        key = psi.tobytes()
+        if key == self._last[0]:
+            return self._last[1]
         pairs = linops.top_eigenpairs(
             linops.ScaledCovOperator(self.scov, 1.0 / np.sqrt(psi)),
             self.q,
@@ -90,6 +103,7 @@ class ProfileObjective:
             v0=self.warm_vectors,
         )
         self.warm_vectors = pairs.vectors
+        self._last = (key, pairs)
         return pairs
 
     def value_and_gradient(self, log_psi: np.ndarray):
@@ -128,10 +142,12 @@ def optimize_psi(
     """Maximize the profile objective over psi inside the box.
 
     Runs bounded L-BFGS-B on u = log psi from the (clipped) warm start and
-    returns the best iterate seen.  The result never has a lower profile
-    value than the start: on any solver failure, non-finite evaluation, or
-    eigensolver breakdown the best evaluated point (at worst the start
-    itself) is returned, which preserves the ECM ascent property.
+    returns the best iterate seen.  A start whose projected gradient has
+    max-norm at most PGTOL is returned as it is, which is where L-BFGS-B
+    would stop before its first iteration.  The result never has a lower
+    profile value than the start: on any solver failure, non-finite
+    evaluation, or eigensolver breakdown the best evaluated point (at worst
+    the start itself) is returned, which preserves the ECM ascent property.
     """
     lo, hi = box
     if not (0 < lo < hi):
@@ -156,9 +172,16 @@ def optimize_psi(
         return f, -grad
 
     try:
-        f0, _ = negated(u0)
+        f0, g0 = negated(u0)
         if not np.isfinite(f0):
             raise FloatingPointError("profile objective non-finite at the start")
+        # L-BFGS-B's projected gradient: each component is capped by the
+        # distance to the bound that a descent step moves toward
+        projected = np.where(
+            g0 < 0, np.maximum(u0 - bounds.ub, g0), np.minimum(u0 - bounds.lb, g0)
+        )
+        if np.max(np.abs(projected)) <= PGTOL:
+            return np.clip(np.exp(u0), lo, hi)
         res = minimize(
             negated,
             u0,
@@ -171,6 +194,7 @@ def optimize_psi(
                 # inside one iteration may otherwise spend several solves
                 "maxfun": max(2 * max_inner_iter, 4),
                 "maxcor": LBFGSB_MEMORY,
+                "gtol": PGTOL,
             },
         )
         u_final = res.x

@@ -102,3 +102,16 @@ def small_dataset(seed=0, n=300, p=10, k=2, q=2, separation=2.5):
     truth = draw_truth(spec)
     data = sample_dataset(truth, n, seed=seed + 1)
     return data, truth
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Wrap ``owner.name`` for the test; the returned list grows per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gmmfad import _kernels
+from gmmfad import _kernels, ecm, linops
 from gmmfad.ecm import (
     AllStartsFailed,
     DimensionTooLarge,
@@ -22,6 +22,7 @@ from gmmfad.metrics import adjusted_rand_index
 from gmmfad.model import PSI_MIN, ComponentParams, DataMatrix, MixtureModel, Responsibilities
 
 from .helpers import (
+    count_calls,
     dense_covariance,
     dense_log_density,
     dense_weighted_cov,
@@ -170,17 +171,49 @@ def test_ecm_iteration_ascends_from_random_models(rng):
         assert after >= before - 1e-8
 
 
-def test_empty_cluster_raised_with_diagnostics(rng):
-    data, truth = small_dataset(seed=3)
-    gamma = np.zeros((data.n, 2))
+def _last_cluster_short(n):
+    gamma = np.zeros((n, 2))
     gamma[:, 0] = 1.0
     gamma[0, 0] = 0.0
     gamma[0, 1] = 1.0  # one point in cluster 1, below floor q+1=3
-    with pytest.raises(EmptyCluster) as exc:
-        cm_step(data, Responsibilities(gamma=gamma), (2, 2), truth)
+    return Responsibilities(gamma=gamma)
+
+
+def _assert_last_cluster_emptied(exc):
     assert exc.value.component == 1
     assert exc.value.mass == pytest.approx(1.0)
     assert exc.value.floor == 3.0
+
+
+def test_empty_cluster_raised_with_diagnostics(rng, monkeypatch):
+    # the short component is the last one: the step raises before solving
+    # any component's profile problem
+    solves = count_calls(monkeypatch, linops, "top_eigenpairs")
+    data, truth = small_dataset(seed=3)
+    with pytest.raises(EmptyCluster) as exc:
+        cm_step(data, _last_cluster_short(data.n), (2, 2), truth)
+    _assert_last_cluster_emptied(exc)
+    assert solves == []
+
+
+def test_aecm_empty_cluster_raised_before_any_component_work(monkeypatch):
+    moments = count_calls(monkeypatch, _kernels, "weighted_stats")
+    scatters = count_calls(monkeypatch, linops.WeightedCovOperator, "to_dense")
+    data, truth = small_dataset(seed=3)
+    # first cycle: the given responsibilities leave the last cluster short
+    with pytest.raises(EmptyCluster) as exc:
+        _aecm_step(data, _last_cluster_short(data.n), (2, 2), truth)
+    _assert_last_cluster_emptied(exc)
+    assert moments == []
+    # second cycle: the refreshed responsibilities leave it short
+    resp, _ = e_step(truth, data)
+    monkeypatch.setattr(ecm, "e_step",
+                        lambda model, d: (_last_cluster_short(d.n), 0.0))
+    with pytest.raises(EmptyCluster) as exc:
+        _aecm_step(data, resp, (2, 2), truth)
+    _assert_last_cluster_emptied(exc)
+    assert len(moments) == truth.n_components
+    assert scatters == []
 
 
 # ------------------------------------------------------------------------ fit

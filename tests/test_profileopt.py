@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmmfad import linops, profileopt
 from gmmfad.linops import DenseSymOperator, InvalidRank, WeightedCovOperator
 from gmmfad.profileopt import (
     DEFAULT_BOX,
@@ -10,7 +11,7 @@ from gmmfad.profileopt import (
     recover_loadings,
 )
 
-from .helpers import make_rng, random_spd
+from .helpers import count_calls, make_rng, random_spd
 
 
 def _objective(scov_dense, q, n_eff=100.0, dense_threshold=64):
@@ -105,6 +106,25 @@ def test_value_agrees_between_dense_and_lanczos_paths(rng):
         np.testing.assert_allclose(gd, gl, atol=1e-7)
 
 
+def test_repeated_psi_is_solved_once(rng, monkeypatch):
+    # optimize_psi evaluates the start, L-BFGS-B evaluates it again, and
+    # recover_loadings asks at exp of the last iterate: one solve for all
+    calls = count_calls(monkeypatch, linops, "top_eigenpairs")
+    p, q = 80, 3
+    obj = ProfileObjective(_planted_scatter(rng, 40, p, q), 100.0, q,
+                           dense_threshold=0)
+    log_psi = np.log(rng.uniform(0.3, 2.0, p))
+    first = profile_value_and_gradient(obj, log_psi)
+    again = profile_value_and_gradient(obj, log_psi.copy())
+    lam = recover_loadings(obj, np.exp(log_psi))
+    assert len(calls) == 1
+    assert first[0] == again[0]
+    np.testing.assert_array_equal(first[1], again[1])
+    assert lam.shape == (p, q)
+    profile_value_and_gradient(obj, log_psi + 0.01)
+    assert len(calls) == 2
+
+
 def test_invalid_rank_rejected(rng):
     with pytest.raises(InvalidRank):
         _objective(np.eye(3), q=3)
@@ -163,6 +183,23 @@ def test_idempotent_at_optimum(rng):
     v2, _ = profile_value_and_gradient(obj, np.log(psi_again))
     assert v2 >= v1 - 1e-9
     np.testing.assert_allclose(psi_again, psi_hat, rtol=1e-4, atol=1e-6)
+
+
+def test_stationary_start_skips_lbfgsb(monkeypatch):
+    # interior uniquenesses at their optimum psi_j = S_jj with every whitened
+    # eigenvalue at most one, and the first pinned at the lower bound with
+    # the gradient pointing out of the box: the projected gradient is zero
+    def unreachable(*args, **kwargs):
+        raise AssertionError("L-BFGS-B ran from a stationary start")
+
+    monkeypatch.setattr(profileopt, "minimize", unreachable)
+    lo, _ = DEFAULT_BOX
+    obj = _objective(np.diag([1e-9, 1.0, 1.0, 1.0, 1.0]), q=1)
+    start = np.array([lo, 1.0, 1.0, 1.0, 1.0])
+    psi = optimize_psi(obj, start)
+    # equal up to the log/exp round trip of the bound coordinate
+    np.testing.assert_allclose(psi, start, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(psi[1:], start[1:])
 
 
 def test_result_always_inside_box(rng):
