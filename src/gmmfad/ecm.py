@@ -5,7 +5,15 @@ log-sum-exp responsibilities) and the start protocol, a small emEM scheme
 (Biernacki, Celeux & Govaert 2003): several random starts plus an optional
 k-means start are each run for a few iterations, the most promising
 finalists continue to convergence, and the best final log-likelihood wins.
-Stopping is an absolute log-likelihood increase below ``tol``.
+Stopping is an absolute log-likelihood increase below ``tol``.  Each start
+is built when its short run begins and dropped when that run ends, so no
+start model is alive once the finalists continue and at most ``threads`` are
+alive during the sweep.
+
+Memory: the E-step, the k-means start and the dense scatter each hold at
+most one n x p temporary at a time (whitened residuals, standardized data,
+weighted centred rows), updated in place; everything else a step allocates
+is n x K, p x q or smaller, apart from the p x p scatter of the dense paths.
 
 The primary engine alternates the usual weight/mean updates with a
 conditional maximization over each component's uniquenesses on the profile
@@ -39,6 +47,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -157,11 +166,13 @@ def component_log_densities(component: ComponentParams, y: np.ndarray) -> np.nda
     With W = Psi^{-1/2} Lambda and M = I + W^T W = L L^T,
     the quadratic form is ||u||^2 - ||L^{-1} W^T u||^2 for whitened
     residuals u, and log det Sigma = log det M + sum log psi.  Cost is
-    O(n p q + q^3); no p x p object appears.
+    O(n p q + q^3); no p x p object appears, and the whitened residuals are
+    the only n x p temporary.
     """
     psi = component.uniquenesses
     inv_sqrt = 1.0 / np.sqrt(psi)
-    u = (y - component.mean) * inv_sqrt
+    u = y - component.mean
+    u *= inv_sqrt
     quad = np.einsum("ij,ij->i", u, u)
     logdet = float(np.sum(np.log(psi)))
     q = component.n_factors
@@ -169,9 +180,9 @@ def component_log_densities(component: ComponentParams, y: np.ndarray) -> np.nda
         w = component.loadings * inv_sqrt[:, None]
         m = np.eye(q) + w.T @ w
         chol = np.linalg.cholesky(m)
-        t = u @ w
-        z = solve_triangular(chol, t.T, lower=True)
-        quad = quad - np.einsum("ij,ij->j", z, z)
+        linv = solve_triangular(chol, np.eye(q), lower=True)
+        z = (u @ w) @ linv.T
+        quad -= np.einsum("ij,ij->i", z, z)
         logdet += 2.0 * float(np.sum(np.log(np.diag(chol))))
     return -0.5 * (component.p * _LOG_2PI + logdet + quad)
 
@@ -193,10 +204,13 @@ def e_step(model: MixtureModel, data: DataMatrix):
     logjoint = np.empty((n, K))
     for k, comp in enumerate(model.components):
         logjoint[:, k] = math.log(comp.weight) + component_log_densities(comp, y)
+    # normalize in place: logjoint becomes the responsibilities
     mx = logjoint.max(axis=1)
-    lse = mx + np.log(np.sum(np.exp(logjoint - mx[:, None]), axis=1))
-    gamma = np.exp(logjoint - lse[:, None])
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    logjoint -= mx[:, None]
+    gamma = np.exp(logjoint, out=logjoint)
+    rowsum = gamma.sum(axis=1)
+    gamma /= rowsum[:, None]
+    lse = mx + np.log(rowsum)
     return Responsibilities(gamma=gamma), float(np.sum(lse))
 
 
@@ -361,11 +375,11 @@ def _start_rngs(config: FitConfig):
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
-def _random_start(data: DataMatrix, K: int, qs, rng) -> MixtureModel:
+def _random_start(data: DataMatrix, K: int, qs, rng, var) -> MixtureModel:
+    """K random rows as means, tiny random loadings, ``var`` as uniquenesses."""
     y = data.values
     n, p = y.shape
     idx = rng.choice(n, size=K, replace=False)
-    var = np.clip(y.var(axis=0), PSI_MIN, PSI_MAX)
     comps = []
     for k in range(K):
         lam = (
@@ -384,24 +398,32 @@ def _kmeans_labels(y, K, rng, n_restarts=10, max_iter=100):
     n = y.shape[0]
     std = y.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
-    z = (y - y.mean(axis=0)) / std
+    z = y - y.mean(axis=0)
+    z /= std
     zsq = np.einsum("ij,ij->i", z, z)
+    rows = np.arange(n)
+    onehot = np.zeros((n, K))
     best_labels, best_inertia = None, np.inf
     for _ in range(n_restarts):
         centers = z[rng.choice(n, size=K, replace=False)].copy()
         labels = None
         for _ in range(max_iter):
-            d2 = zsq[:, None] - 2.0 * (z @ centers.T) + np.einsum(
-                "ij,ij->i", centers, centers
-            )
+            # zsq - 2 z.c + |c|^2, in place on the n x K product
+            d2 = z @ centers.T
+            d2 *= -2.0
+            d2 += zsq[:, None]
+            d2 += np.einsum("ij,ij->i", centers, centers)
             new_labels = np.argmin(d2, axis=1)
             if labels is not None and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
-            for k in range(K):
-                mask = labels == k
-                if np.any(mask):
-                    centers[k] = z[mask].mean(axis=0)
+            # every centre's sum in one product; an empty cluster's centre
+            # stays where it was
+            onehot.fill(0.0)
+            onehot[rows, labels] = 1.0
+            counts = np.bincount(labels, minlength=K)
+            filled = counts > 0
+            centers[filled] = (onehot.T @ z)[filled] / counts[filled, None]
         inertia = float(np.take_along_axis(d2, labels[:, None], 1).sum())
         if inertia < best_inertia:
             best_inertia, best_labels = inertia, labels
@@ -417,19 +439,29 @@ def _start_from_labels(data, labels, K, qs, rng):
     comps = []
     for k in range(K):
         rows = y[labels == k]
-        var = np.clip(rows.var(axis=0), PSI_MIN, PSI_MAX)
+        mean = rows.mean(axis=0)
+        # centre the copy in place; the same arithmetic as rows.var(axis=0)
+        rows -= mean
+        rows *= rows
+        var = np.clip(rows.sum(axis=0) / counts[k], PSI_MIN, PSI_MAX)
         lam = (
             0.01 * rng.standard_normal((p, qs[k])) if qs[k] else np.zeros((p, 0))
         )
         comps.append(
             ComponentParams(
                 weight=counts[k] / n,
-                mean=rows.mean(axis=0),
+                mean=mean,
                 loadings=lam,
                 uniquenesses=var,
             )
         )
     return MixtureModel(components=tuple(comps))
+
+
+def _kmeans_start(data, K, qs, rng):
+    """The k-means start, or None when a cluster has fewer than two rows."""
+    labels = _kmeans_labels(data.values, K, rng)
+    return None if labels is None else _start_from_labels(data, labels, K, qs, rng)
 
 
 _START_FAILURES = (EmptyCluster, linops.DegenerateWeights, linops.NoConvergence)
@@ -463,24 +495,25 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         )
         return _make_report(data, config, engine, state, started)
 
+    # each start is built when its short run begins and dropped when that
+    # run ends, so at most ``threads`` start models are alive at once
     rngs = _start_rngs(config)
-    starts = []
-    for s in range(config.n_random_starts):
-        starts.append(_random_start(data, K, qs, rngs[s]))
+    var = np.clip(data.values.var(axis=0), PSI_MIN, PSI_MAX)
+    builders = [
+        partial(_random_start, data, K, qs, rngs[s], var)
+        for s in range(config.n_random_starts)
+    ]
     if config.use_kmeans_start:
-        km_rng = rngs[config.n_random_starts]
-        labels = _kmeans_labels(data.values, K, km_rng)
-        km_model = (
-            _start_from_labels(data, labels, K, qs, km_rng)
-            if labels is not None
-            else None
+        builders.append(
+            partial(_kmeans_start, data, K, qs, rngs[config.n_random_starts])
         )
-        if km_model is not None:
-            starts.append(km_model)
-    if not starts:
+    if not builders:
         raise AllStartsFailed("no initializations could be constructed")
 
-    def short_run(model):
+    def short_run(build):
+        model = build()
+        if model is None:
+            return None
         try:
             return _run_engine(
                 data, model, qs, short_step_fn or step_fn,
@@ -489,12 +522,13 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         except _START_FAILURES:
             return None
 
-    short_states = _map(short_run, starts, threads)
+    short_states = _map(short_run, builders, threads)
 
     survivors = [(i, st) for i, st in enumerate(short_states) if st is not None]
     if not survivors:
         raise AllStartsFailed(
-            f"all {len(starts)} initializations degenerated during short runs"
+            f"all {len(builders)} initializations degenerated before or "
+            "during their short runs"
         )
     survivors.sort(key=lambda item: (-item[1].trace[-1], item[0]))
     finalists = survivors[: config.n_finalists]

@@ -155,11 +155,16 @@ class WeightedCovOperator:
         return self._diag
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the p x p scatter; small p only, guard-checked."""
+        """Materialize the p x p scatter; small p only, guard-checked.
+
+        Z = diag(sqrt(w)) (Y - center) is built in place, so the one n x p
+        temporary is Z itself, and S = Z^T Z / sum(w) is exactly symmetric.
+        """
         _check_dense_allowed(self.p)
         if self._dense is None:
             z = self._y - self.center
-            self._dense = (z.T * self._w) @ z / self.weight_sum
+            z *= np.sqrt(self._w)[:, None]
+            self._dense = z.T @ z / self.weight_sum
         return self._dense
 
 

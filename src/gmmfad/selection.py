@@ -29,7 +29,9 @@ from .model import ComponentParams, DataMatrix, FitReport, MixtureModel, max_adm
 
 BIC_TIE_TOL = 1e-6
 
-BIC_TABLE_COLUMNS = ("K", "q_spec", "loglik", "n_params", "bic", "n_iter", "seconds")
+BIC_TABLE_COLUMNS = (
+    "K", "q_spec", "loglik", "n_params", "bic", "n_iter", "seconds", "status"
+)
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,11 @@ class SearchGrid:
 
 @dataclass(frozen=True)
 class BicRow:
-    """One fitted cell of the selection table."""
+    """One fitted cell of the selection table.
+
+    ``status`` is ``"ok"`` for a fitted cell and otherwise the class name of
+    the exception that failed it.
+    """
 
     K: int
     q_spec: tuple[int, ...]
@@ -63,6 +69,7 @@ class BicRow:
     bic: float
     n_iter: int
     seconds: float
+    status: str = "ok"
 
 
 def _row_from_report(report: FitReport, seconds: float) -> BicRow:
@@ -117,6 +124,7 @@ def _run_cell(data, config, threads, initial_model=None):
         bic=float("inf"),
         n_iter=0,
         seconds=time.perf_counter() - t0,
+        status=type(failure).__name__,
     )
     return None, row, failure
 
@@ -152,9 +160,9 @@ def _best_of(per_k) -> tuple:
 def select_common_q(data: DataMatrix, grid: SearchGrid, *, threads: int = 1):
     """Fit every (K, common q) cell; return (best report, table rows).
 
-    Cells are visited in ascending (K, q) order; failed cells record an
-    infinite-BIC row and never win.  Raises AllStartsFailed when no cell
-    produced a fit at all.
+    Cells are visited in ascending (K, q) order; a failed cell records an
+    infinite-BIC row whose status names the exception, and never wins.
+    Raises AllStartsFailed when no cell produced a fit at all.
     """
     rows, per_k = _grid_search(data, grid, threads)
     return _best_of(per_k)[0], rows
@@ -249,5 +257,6 @@ def write_bic_table(rows: Sequence[BicRow], path) -> None:
                     f"{row.bic:.10g}",
                     row.n_iter,
                     f"{row.seconds:.6f}",
+                    row.status,
                 ]
             )

@@ -6,6 +6,8 @@ production code is checked against an implementation that shares no code
 path with it.
 """
 
+import tracemalloc
+
 import numpy as np
 
 from gmmfad.model import ComponentParams, MixtureModel
@@ -115,3 +117,55 @@ def count_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` held at its peak, above what was allocated at entry."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    return peak - base
+
+
+def kmeans_labels_masked(y, K, rng, n_restarts=10, max_iter=100):
+    """Lloyd's k-means with each centre the mean of its masked rows.
+
+    Consumes ``rng`` as the engine's k-means start does.  Returns the best
+    restart's labels and how many centre updates met an empty cluster
+    (whose centre then stays where it was).
+    """
+    n = y.shape[0]
+    std = y.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    z = (y - y.mean(axis=0)) / std
+    zsq = np.einsum("ij,ij->i", z, z)
+    best_labels, best_inertia, empty_updates = None, np.inf, 0
+    for _ in range(n_restarts):
+        centers = z[rng.choice(n, size=K, replace=False)].copy()
+        labels = None
+        for _ in range(max_iter):
+            d2 = zsq[:, None] - 2.0 * (z @ centers.T) + np.einsum(
+                "ij,ij->i", centers, centers
+            )
+            new_labels = np.argmin(d2, axis=1)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for k in range(K):
+                mask = labels == k
+                if np.any(mask):
+                    centers[k] = z[mask].mean(axis=0)
+                else:
+                    empty_updates += 1
+        inertia = float(np.take_along_axis(d2, labels[:, None], 1).sum())
+        if inertia < best_inertia:
+            best_inertia, best_labels = inertia, labels
+    return best_labels, empty_updates

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gmmfad.ecm import (
     FitConfig,
     NonFiniteDensity,
     _aecm_step,
+    _kmeans_labels,
     cm_step,
     component_log_densities,
     e_step,
@@ -26,10 +29,12 @@ from .helpers import (
     dense_covariance,
     dense_log_density,
     dense_weighted_cov,
+    kmeans_labels_masked,
     make_rng,
     random_component,
     random_mixture,
     small_dataset,
+    traced_peak,
 )
 
 
@@ -125,6 +130,37 @@ def test_e_step_survives_extreme_underflow():
     resp, ll = e_step(model, data)
     np.testing.assert_allclose(resp.gamma, 0.5, atol=1e-15)
     assert np.isfinite(ll)
+
+
+# -------------------------------------------------------------------- memory
+
+
+def _memory_case():
+    # 4000 x 50 data, K=3, q=2: the data dwarf every n x K or p x q array,
+    # so a second n x p temporary alive at once would double the peak
+    rng = make_rng(211)
+    data = DataMatrix(values=rng.standard_normal((4000, 50)))
+    return data, random_mixture(50, (2, 2, 2), rng)
+
+
+def test_density_pass_holds_one_data_sized_temporary():
+    data, model = _memory_case()
+    peak = traced_peak(
+        lambda: component_log_densities(model.components[0], data.values)
+    )
+    assert peak <= 1.5 * data.values.nbytes
+
+
+def test_e_step_holds_one_data_sized_temporary():
+    data, model = _memory_case()
+    peak = traced_peak(lambda: e_step(model, data))
+    assert peak <= 1.5 * data.values.nbytes
+
+
+def test_kmeans_start_holds_one_data_sized_temporary():
+    data, _ = _memory_case()
+    peak = traced_peak(lambda: _kmeans_labels(data.values, 3, make_rng(1)))
+    assert peak <= 1.5 * data.values.nbytes
 
 
 # -------------------------------------------------------------------- cm_step
@@ -265,6 +301,53 @@ def test_fit_thread_count_does_not_change_result(rng):
     b = fit(data, cfg, threads=3)
     np.testing.assert_array_equal(a.loglik_trace, b.loglik_trace)
     np.testing.assert_array_equal(a.hard_assignment, b.hard_assignment)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
+    data, _ = small_dataset(seed=19)
+    refs = []
+    for name in ("_random_start", "_start_from_labels"):
+        build = getattr(ecm, name)
+
+        def tracked(*args, _build=build, **kwargs):
+            model = _build(*args, **kwargs)
+            refs.append(weakref.ref(model))
+            return model
+
+        monkeypatch.setattr(ecm, name, tracked)
+    run = ecm._run_engine
+    alive_at_long_runs = []
+
+    def checking(data, model, factor_spec, step_fn, **kwargs):
+        if step_fn is cm_step:
+            gc.collect()
+            alive_at_long_runs.append(sum(ref() is not None for ref in refs))
+        return run(data, model, factor_spec, step_fn, **kwargs)
+
+    monkeypatch.setattr(ecm, "_run_engine", checking)
+    fit(data, _fast_config(), threads=threads)
+    assert len(refs) == 9  # 8 random starts and the k-means start
+    assert alive_at_long_runs and not any(alive_at_long_runs)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kmeans_partition_matches_masked_mean_lloyd(seed):
+    data, _ = small_dataset(seed=300 + seed, k=3)
+    got = _kmeans_labels(data.values, 3, make_rng(seed))
+    want, _ = kmeans_labels_masked(data.values, 3, make_rng(seed))
+    np.testing.assert_array_equal(got, want)
+
+
+def test_kmeans_empty_cluster_keeps_its_centre():
+    # 5 distinct rows, 40 copies each: drawing two copies of one row as
+    # centres leaves the later cluster empty through the argmin tie
+    y = np.repeat(make_rng(100).standard_normal((5, 4)), 40, axis=0)
+    for seed in range(4):
+        got = _kmeans_labels(y, 4, make_rng(seed))
+        want, empty_updates = kmeans_labels_masked(y, 4, make_rng(seed))
+        assert empty_updates > 0
+        np.testing.assert_array_equal(got, want)
 
 
 def test_fit_common_q_equals_explicit_vector(rng):

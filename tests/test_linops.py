@@ -18,7 +18,13 @@ from gmmfad.linops import (
 )
 from gmmfad.model import DataMatrix
 
-from .helpers import dense_weighted_cov, make_rng, random_spd, subspace_angle
+from .helpers import (
+    dense_weighted_cov,
+    make_rng,
+    random_spd,
+    subspace_angle,
+    traced_peak,
+)
 
 
 # ------------------------------------------------------- WeightedCovOperator
@@ -332,3 +338,11 @@ def test_operator_to_dense_round_trip(rng):
     op = WeightedCovOperator(y, w)
     np.testing.assert_allclose(operator_to_dense(op),
                                dense_weighted_cov(y, w, op.center), atol=1e-12)
+
+
+def test_to_dense_holds_one_data_sized_temporary():
+    rng = make_rng(211)
+    y = rng.standard_normal((4000, 50))
+    op = WeightedCovOperator(y, rng.uniform(0.1, 1.0, 4000))
+    assert traced_peak(op.to_dense) <= 1.5 * y.nbytes
+    np.testing.assert_allclose(op.to_dense(), op.to_dense().T, rtol=0, atol=0)

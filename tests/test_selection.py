@@ -1,11 +1,12 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gmmfad import ecm, profileopt
-from gmmfad.ecm import AllStartsFailed, FitConfig, fit
+from gmmfad.ecm import AllStartsFailed, EmptyCluster, FitConfig, fit
 from gmmfad.linops import NoConvergence
 from gmmfad.model import DataMatrix
 from gmmfad.selection import (
@@ -109,6 +110,8 @@ def test_failed_cells_record_infinite_bic():
     best, rows = select_common_q(data, grid)
     bad = [r for r in rows if r.K == 301]
     assert bad and all(math.isinf(r.bic) for r in bad)
+    assert all(r.status == "ValueError" for r in bad)
+    assert all(r.status == "ok" for r in rows if r.K == 2)
     assert best.model.n_components == 2
 
 
@@ -133,6 +136,21 @@ def test_warm_cell_eigensolve_failure_records_infinite_bic(monkeypatch):
     assert report is None
     assert math.isinf(row.bic)
     assert isinstance(exc, NoConvergence)
+    assert row.status == "NoConvergence"
+
+
+def test_warm_cell_empty_cluster_records_its_class_name():
+    # a warm model whose second mean sits far from every row leaves that
+    # cluster without mass at the first CM step
+    data, _ = small_dataset(seed=103)
+    warm = fit(data, _cfg()).model
+    far = replace(warm.components[1], mean=warm.components[1].mean + 1e3)
+    warm = replace(warm, components=(warm.components[0], far))
+    report, row, exc = _run_cell(data, _cfg(), 1, initial_model=warm)
+    assert report is None
+    assert isinstance(exc, EmptyCluster)
+    assert math.isinf(row.bic)
+    assert row.status == "EmptyCluster"
 
 
 def test_defect_inside_fit_propagates_from_the_search(monkeypatch):
@@ -210,7 +228,10 @@ def test_format_q_spec():
 
 
 def test_write_bic_table_round_trip(tmp_path):
-    rows = [_row(123.456, K=2, q=(2, 2)), _row(float("inf"), K=3, q=(1, 1, 1))]
+    rows = [
+        _row(123.456, K=2, q=(2, 2)),
+        replace(_row(float("inf"), K=3, q=(1, 1, 1)), status="EmptyCluster"),
+    ]
     path = tmp_path / "bic.csv"
     write_bic_table(rows, path)
     with open(path) as fh:
@@ -220,3 +241,4 @@ def test_write_bic_table_round_trip(tmp_path):
     assert got[2][0] == "3" and got[2][1] == "1"
     assert float(got[1][4]) == pytest.approx(123.456)
     assert got[2][4] == "inf"
+    assert got[1][7] == "ok" and got[2][7] == "EmptyCluster"
