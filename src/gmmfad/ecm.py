@@ -6,9 +6,11 @@ log-sum-exp responsibilities) and the start protocol, a small emEM scheme
 k-means start are each run for a few iterations, the most promising
 finalists continue to convergence, and the best final log-likelihood wins.
 Stopping is an absolute log-likelihood increase below ``tol``.  Each start
-is built when its short run begins and dropped when that run ends, so no
-start model is alive once the finalists continue and at most ``threads`` are
-alive during the sweep.
+is built when its short run begins and handed to it, so it is freed once
+the run's first CM step has replaced it, and at most ``threads`` are alive
+during the sweep.  A finalist's continuation takes its model over in the
+same way, and the other short runs are dropped once the finalists are
+chosen.
 
 Memory: the E-step, the k-means start and the dense scatter each hold at
 most one n x p temporary at a time (whitened residuals, standardized data,
@@ -264,6 +266,9 @@ def cm_step(
         )
         lam_hat = profileopt.recover_loadings(obj, psi_hat)
         comps.append((scov.center, lam_hat, psi_hat))
+        # the operator's copy of its rows must not sit beside the next
+        # component's moment pass
+        del scov, obj
     total = math.fsum(masses)
     return MixtureModel(
         components=tuple(
@@ -346,11 +351,16 @@ def _aecm_step(data, resp, factor_spec, current):
 
 @dataclass
 class _RunState:
-    model: MixtureModel
-    resp: Responsibilities
+    model: MixtureModel | None
+    resp: Responsibilities | None
     trace: list
     n_iter: int
     converged: bool
+
+    def hand_over_model(self) -> MixtureModel:
+        """The model, for a continuation; model and resp are cleared."""
+        model, self.model, self.resp = self.model, None, None
+        return model
 
 
 def _run_engine(data, model, factor_spec, step_fn, *, max_iter, tol) -> _RunState:
@@ -434,8 +444,9 @@ def _start_from_labels(data, labels, K, qs, rng):
     y = data.values
     n, p = y.shape
     counts = np.bincount(labels, minlength=K)
-    if np.any(counts < 2):
-        return None
+    for k in range(K):
+        if counts[k] < 2:
+            raise EmptyCluster(k, float(counts[k]), 2.0)
     comps = []
     for k in range(K):
         rows = y[labels == k]
@@ -459,9 +470,8 @@ def _start_from_labels(data, labels, K, qs, rng):
 
 
 def _kmeans_start(data, K, qs, rng):
-    """The k-means start, or None when a cluster has fewer than two rows."""
-    labels = _kmeans_labels(data.values, K, rng)
-    return None if labels is None else _start_from_labels(data, labels, K, qs, rng)
+    """The k-means start; EmptyCluster when a cluster has fewer than two rows."""
+    return _start_from_labels(data, _kmeans_labels(data.values, K, rng), K, qs, rng)
 
 
 _START_FAILURES = (EmptyCluster, linops.DegenerateWeights, linops.NoConvergence)
@@ -495,8 +505,9 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         )
         return _make_report(data, config, engine, state, started)
 
-    # each start is built when its short run begins and dropped when that
-    # run ends, so at most ``threads`` start models are alive at once
+    # each start is built when its short run begins and handed to it, so a
+    # start model dies at the run's first CM step and at most ``threads`` are
+    # alive at once
     rngs = _start_rngs(config)
     var = np.clip(data.values.var(axis=0), PSI_MIN, PSI_MAX)
     builders = [
@@ -511,12 +522,9 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         raise AllStartsFailed("no initializations could be constructed")
 
     def short_run(build):
-        model = build()
-        if model is None:
-            return None
         try:
             return _run_engine(
-                data, model, qs, short_step_fn or step_fn,
+                data, build(), qs, short_step_fn or step_fn,
                 max_iter=config.short_run_iters, tol=config.tol,
             )
         except _START_FAILURES:
@@ -532,18 +540,20 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         )
     survivors.sort(key=lambda item: (-item[1].trace[-1], item[0]))
     finalists = survivors[: config.n_finalists]
+    del short_states, survivors
 
     def long_run(item):
         idx, st = item
         budget = max(config.max_iter - st.n_iter, 0)
         if st.converged or budget == 0:
-            return idx, st, st
+            return idx, st
         try:
             cont = _run_engine(
-                data, st.model, qs, step_fn, max_iter=budget, tol=config.tol
+                data, st.hand_over_model(), qs, step_fn,
+                max_iter=budget, tol=config.tol,
             )
         except _START_FAILURES:
-            return idx, st, None
+            return idx, None
         merged = _RunState(
             model=cont.model,
             resp=cont.resp,
@@ -551,11 +561,11 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
             n_iter=st.n_iter + cont.n_iter,
             converged=cont.converged,
         )
-        return idx, st, merged
+        return idx, merged
 
     finished = _map(long_run, finalists, threads)
 
-    completed = [(idx, merged) for idx, _, merged in finished if merged is not None]
+    completed = [(idx, merged) for idx, merged in finished if merged is not None]
     if not completed:
         raise AllStartsFailed("every finalist degenerated before convergence")
     completed.sort(key=lambda item: (-item[1].trace[-1], item[0]))

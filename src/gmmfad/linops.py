@@ -8,17 +8,21 @@ on vectors and its diagonal.  For responsibilities w and weighted mean mu,
 
 two GEMV-shaped passes over the data and a rank-one correction, O(np) time
 and O(n + p) extra memory.  The whitened operator D S D with
-D = diag(psi^{-1/2}) composes the same way.
+D = diag(psi^{-1/2}) composes the same way.  A row with w_i = 0 adds exact
+zeros to every product, so the products run over the support, the n_s rows
+of non-zero weight: on separated clusters the E-step's exp underflows to
+exactly zero on many rows.
 
 Below ``dense_threshold`` the operator is materialized and handed to
-LAPACK.  Above it each kind of operator has one solver:
+LAPACK.  Above it each kind of operator has one solver, chosen by the
+support size n_s, since a scatter of n_s rows has rank at most n_s:
 
-* a scatter operator over data with n <= p rows: a thick-restart Lanczos
+* a scatter operator with n_s <= p: a thick-restart Lanczos
   (Wu & Simon 2000) with full reorthogonalization on the fused
   ``_kernels.lanczos_grow`` cycle.  Restarts keep a few Ritz vectors beyond
   the requested q and continue along the dominant residual direction.
 * every other operator: a warm-started block Rayleigh-Ritz subspace
-  iteration (Halko, Martinsson & Tropp 2011).  For a scatter with n > p each
+  iteration (Halko, Martinsson & Tropp 2011).  For a scatter with n_s > p each
   iteration is one GEMM-shaped kernel call on the whole p x b block; other
   operators are applied column by column.
 
@@ -104,6 +108,13 @@ class WeightedCovOperator:
         raised for the engine to handle.
     center : (p,) array, optional
         Defaults to the weighted mean of the rows.
+
+    The weighted moments are taken over all n rows, and ``to_dense`` makes
+    no copy.  The matrix-free products (``matvec``, the block and Lanczos
+    kernels) run over the ``n_rows`` rows of non-zero weight: the first
+    product copies those rows out, and the copy replaces ``_y`` and ``_w``
+    for every later use.  With every weight positive there is no copy, and
+    ``_y`` is the input itself when that is already C-contiguous float64.
     """
 
     def __init__(self, values, weights, center=None):
@@ -120,6 +131,8 @@ class WeightedCovOperator:
             )
         self._y = y
         self._w = w
+        support = np.flatnonzero(w)
+        self._support = support if support.size < n else None
         if center is None:
             weight_sum, mean, m2 = _kernels.weighted_stats(y, w)
             self.center = mean
@@ -141,10 +154,23 @@ class WeightedCovOperator:
     def shape(self) -> tuple[int, int]:
         return (self.p, self.p)
 
+    @property
+    def n_rows(self) -> int:
+        """Rows the matrix-free products run over: those of non-zero weight."""
+        return self._y.shape[0] if self._support is None else self._support.size
+
+    def _drop_zero_rows(self) -> None:
+        # on first use, the rows of non-zero weight replace _y and _w
+        if self._support is not None:
+            self._y = self._y[self._support]
+            self._w = self._w[self._support]
+            self._support = None
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=np.float64)
         if v.shape != (self.p,):
             raise ValueError(f"expected a length-{self.p} vector")
+        self._drop_zero_rows()
         return _kernels.wcov_matvec(self._y, self._w, self.center, v, self.weight_sum)
 
     def diag(self) -> np.ndarray:
@@ -290,6 +316,7 @@ def _block_images(op, block):
     if parts is None:
         return np.column_stack([op.matvec(col) for col in block.T])
     base, scale = parts
+    base._drop_zero_rows()
     return _kernels.wcov_matmat(
         base._y, base._w, base.center, scale, block, base.weight_sum
     )
@@ -298,6 +325,7 @@ def _block_images(op, block):
 def _grow_basis(parts, basis, images, ncols, next_dir, rng):
     """Fill basis/images up to full width; NoConvergence on stalled growth."""
     base, scale = parts
+    base._drop_zero_rows()
     m = basis.shape[1]
     attempts = 0
     while ncols < m:
@@ -440,18 +468,20 @@ def _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng) -> EigPairs:
         # unconverged residual.  A(kq) = A(ritz R^{-1}) = ritz_images R^{-1},
         # so the kept images come from a triangular solve, not fresh matvecs;
         # R is near-identity because Ritz vectors are already orthonormal.
+        # Each p-row temporary is dropped as soon as it has been read.
+        next_dir = resid[:, int(np.argmin(ok))].copy()
+        del resid
         kq, kr = np.linalg.qr(ritz[:, :keep])
+        del ritz
+        basis[:, :keep] = kq
+        del kq
         if np.all(np.abs(np.diag(kr)) > 1e-10):
-            basis[:, :keep] = kq
             images[:, :keep] = solve_triangular(
                 kr.T, ritz_images[:, :keep].T, lower=True
             ).T
         else:  # defensive: rebuild images directly on a degenerate restart
-            basis[:, :keep] = kq
-            images[:, :keep] = _block_images(op, kq)
+            images[:, :keep] = _block_images(op, basis[:, :keep])
         ncols = keep
-        first_bad = int(np.argmin(ok))
-        next_dir = resid[:, first_bad].copy()
 
     raise NoConvergence(
         f"Lanczos did not converge in {max_restarts} restarts",
@@ -474,9 +504,10 @@ def top_eigenpairs(
 
     At p <= ``dense_threshold`` the operator is materialized and solved by
     LAPACK.  Above it, a scatter operator (``WeightedCovOperator``, or a
-    ``ScaledCovOperator`` over one) whose data have n <= p rows runs a
-    thick-restart Lanczos on min(p, 2q + 10) vectors; it stops when every
-    requested pair has ||A y_j - theta_j y_j|| <= tol * max(1, theta_1).
+    ``ScaledCovOperator`` over one) with at most p rows of non-zero weight
+    (``n_rows``) runs a thick-restart Lanczos on min(p, 2q + 10) vectors;
+    it stops when every requested pair has
+    ||A y_j - theta_j y_j|| <= tol * max(1, theta_1).
     Every other operator runs a warm block Rayleigh-Ritz subspace iteration
     on min(p - 1, 2q + 10) columns; it stops when every requested pair has
     ||A y_j - theta_j y_j|| <= tol * max(1, theta_j).  The floor of tol
@@ -495,6 +526,6 @@ def top_eigenpairs(
         return _dense_eigpairs(op, q)
     rng = _LazyRng(seed)  # Lanczos draws only on cold starts and breakdowns
     parts = _scatter_parts(op)
-    if parts is not None and parts[0]._y.shape[0] <= p:
+    if parts is not None and parts[0].n_rows <= p:
         return _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng)
     return _block_eigpairs(op, q, tol, max_restarts, v0, rng)

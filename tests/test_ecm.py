@@ -207,6 +207,22 @@ def test_ecm_iteration_ascends_from_random_models(rng):
         assert after >= before - 1e-8
 
 
+def test_cm_step_drops_each_operator_before_the_next_moment_pass():
+    # each operator copies its weighted rows out for its eigensolves; that
+    # copy must be gone before the next component's n x p moment pass
+    rng = make_rng(223)
+    n, p = 1200, 80
+    data = DataMatrix(values=rng.standard_normal((n, p)))
+    gamma = np.zeros((n, 2))
+    gamma[:800, 0] = 1.0
+    gamma[800:, 1] = 1.0
+    model = random_mixture(p, (2, 2), rng)
+    peak = traced_peak(
+        lambda: cm_step(data, Responsibilities(gamma=gamma), (2, 2), model)
+    )
+    assert peak <= 1.3 * data.values.nbytes
+
+
 def _last_cluster_short(n):
     gamma = np.zeros((n, 2))
     gamma[:, 0] = 1.0
@@ -318,17 +334,60 @@ def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
         monkeypatch.setattr(ecm, name, tracked)
     run = ecm._run_engine
     alive_at_long_runs = []
+    # (short-run log-likelihood, weakref) of each short run's state; once the
+    # finalists are chosen, only theirs may be alive
+    short_states = []
+    alive_non_finalists = []
 
     def checking(data, model, factor_spec, step_fn, **kwargs):
         if step_fn is cm_step:
             gc.collect()
             alive_at_long_runs.append(sum(ref() is not None for ref in refs))
-        return run(data, model, factor_spec, step_fn, **kwargs)
+            if not alive_non_finalists:
+                ranked = sorted(short_states, key=lambda item: -item[0])
+                alive_non_finalists.append(
+                    sum(ref() is not None for _, ref in ranked[2:])
+                )
+        state = run(data, model, factor_spec, step_fn, **kwargs)
+        if step_fn is not cm_step:
+            short_states.append((state.trace[-1], weakref.ref(state)))
+        return state
 
     monkeypatch.setattr(ecm, "_run_engine", checking)
     fit(data, _fast_config(), threads=threads)
     assert len(refs) == 9  # 8 random starts and the k-means start
     assert alive_at_long_runs and not any(alive_at_long_runs)
+    assert len(short_states) > 2 and alive_non_finalists == [0]
+
+
+def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
+    # a run is an E-step on its start model, then CM and E-steps in turn, so
+    # an E-step that follows no CM step begins a run; by the run's second CM
+    # step only the current model may be alive, for short and long runs alike
+    data, _ = small_dataset(seed=19)
+    run = {"start": None, "steps": 0, "after_cm": False}
+    dead_at_second_step = []
+
+    def tracked_e_step(model, d, _e_step=ecm.e_step):
+        if not run["after_cm"]:
+            run.update(start=weakref.ref(model), steps=0)
+        run["after_cm"] = False
+        return _e_step(model, d)
+
+    def tracked_cm_step(*args, _cm_step=ecm.cm_step, **kwargs):
+        run["steps"] += 1
+        if run["steps"] == 2:
+            gc.collect()
+            dead_at_second_step.append(run["start"]() is None)
+        out = _cm_step(*args, **kwargs)
+        run["after_cm"] = True
+        return out
+
+    monkeypatch.setattr(ecm, "e_step", tracked_e_step)
+    monkeypatch.setattr(ecm, "cm_step", tracked_cm_step)
+    fit(data, _fast_config())
+    # the short runs of the surviving starts and both finalists' long runs
+    assert len(dead_at_second_step) > 2 and all(dead_at_second_step)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -77,6 +77,55 @@ def test_operator_diag_matches_dense(rng):
                                rtol=1e-10)
 
 
+def _with_zero_weights(rng, n, p, n_zero):
+    y = rng.standard_normal((n, p))
+    w = rng.uniform(0.05, 1.0, n)
+    w[rng.choice(n, size=n_zero, replace=False)] = 0.0
+    return y, w
+
+
+@pytest.mark.parametrize("n, n_zero", [(200, 150), (300, 100)])
+def test_products_run_exactly_over_the_weighted_rows(n, n_zero):
+    # 50 weighted rows of p = 80 take the Lanczos, 200 the block solver; a
+    # zero-weight row adds exact zeros, so both agree with the weighted rows
+    rng = make_rng(n)
+    p = 80
+    y, w = _with_zero_weights(rng, n, p, n_zero)
+    full = WeightedCovOperator(y, w)
+    kept = WeightedCovOperator(y[w > 0], w[w > 0])
+    assert full.n_rows == kept.n_rows == n - n_zero
+    v = rng.standard_normal(p)
+    np.testing.assert_allclose(full.matvec(v), kept.matvec(v), rtol=0, atol=1e-12)
+    block = rng.standard_normal((p, 6))
+    scale = rng.uniform(0.5, 2.0, p)
+    for a, b in ((full, kept),
+                 (ScaledCovOperator(full, scale), ScaledCovOperator(kept, scale))):
+        np.testing.assert_allclose(linops._block_images(a, block),
+                                   linops._block_images(b, block),
+                                   rtol=0, atol=1e-12)
+        pa = top_eigenpairs(a, 3, dense_threshold=0, seed=5)
+        pb = top_eigenpairs(b, 3, dense_threshold=0, seed=5)
+        np.testing.assert_allclose(pa.values, pb.values, rtol=0, atol=1e-12)
+        signs = np.sign(np.sum(pa.vectors * pb.vectors, axis=0))
+        np.testing.assert_allclose(pa.vectors, pb.vectors * signs, rtol=0, atol=1e-12)
+
+
+def test_only_products_copy_the_weighted_rows(rng):
+    y, w = _with_zero_weights(rng, 60, 70, 40)
+    op = WeightedCovOperator(y, w)
+    dense = op.to_dense()
+    assert op._y is y  # the dense path reads the rows in place
+    top_eigenpairs(op, 2, dense_threshold=0)
+    assert op._y.shape == (20, 70) and op._w.shape == (20,)
+    np.testing.assert_array_equal(op._w, w[w > 0])
+    op._dense = None
+    np.testing.assert_allclose(op.to_dense(), dense, rtol=0, atol=1e-12)
+    positive = WeightedCovOperator(y, rng.uniform(0.05, 1.0, 60))
+    top_eigenpairs(positive, 2, dense_threshold=0)
+    positive.matvec(rng.standard_normal(70))
+    assert np.shares_memory(positive._y, y) and positive.n_rows == 60
+
+
 def test_degenerate_weights_raise(rng):
     y = rng.standard_normal((10, 4))
     with pytest.raises(DegenerateWeights):
@@ -232,8 +281,9 @@ def test_overspecified_rank_small_gap_meets_residual_bound(rng):
 
 
 def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
-    # a scatter of n <= p rows reaches the Lanczos growth kernel; n > p, and
-    # an operator that is not a scatter, reach only the block solver
+    # a scatter of n_s <= p weighted rows reaches the Lanczos growth kernel;
+    # n_s > p, and an operator that is not a scatter, reach only the block
+    # solver
     calls = {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 0}
 
     def counted(module, name):
@@ -255,6 +305,11 @@ def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
     assert calls["lanczos_grow"] == 0 and calls["wcov_matmat"] > 0
     assert calls["_block_eigpairs"] == 1
     calls.update(wcov_matmat=0, _block_eigpairs=0)
+    # the count that decides is of rows with non-zero weight: 100 of 300
+    top_eigenpairs(WeightedCovOperator(*_with_zero_weights(rng, 300, 120, 200)),
+                   3, dense_threshold=0)
+    assert calls["lanczos_grow"] > 0 and calls["_block_eigpairs"] == 0
+    calls.update(lanczos_grow=0, wcov_matmat=0)
     explicit = DenseSymOperator(matrix=random_spd(120, rng, gap_at=3))
     top_eigenpairs(explicit, 3, dense_threshold=0)
     assert calls == {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 1}
