@@ -28,7 +28,7 @@ import numpy as np
 
 from .ecm import FIT_FAILURES, FitConfig, fit, fit_baseline_aecm
 from .metrics import adjusted_rand_index, confusion_metrics
-from .model import DataMatrix, FitReport
+from .model import DataMatrix, FitReport, free_param_count
 from .preprocess import (
     CsvFormatError,
     feature_tie_counts,
@@ -95,14 +95,15 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
-def _sniff_header(path: str) -> bool:
+def _sniff_header(path: str, label_idx=None) -> bool:
+    """Whether the first row has a feature cell that is not a number."""
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not any(c.strip() for c in row):
                 continue
-            for cell in row:
+            for j, cell in enumerate(row):
                 cell = cell.strip()
-                if cell == "":
+                if j == label_idx or cell == "":
                     continue
                 try:
                     float(cell)
@@ -113,16 +114,18 @@ def _sniff_header(path: str) -> bool:
 
 
 def _load_features(path: str, label_col):
-    has_header = _sniff_header(path)
     label_column = None
     if label_col is not None:
         try:
             label_column = int(label_col)
         except ValueError:
             label_column = label_col
+    # a label column given by name needs a header anyway; one given by index
+    # may hold text in a headerless file
+    label_idx = label_column if isinstance(label_column, int) else None
     return load_csv(
         path,
-        has_header=has_header,
+        has_header=_sniff_header(path, label_idx),
         label_column=label_column,
         return_mapping=True,
     )
@@ -188,8 +191,6 @@ def _label_metrics(pred, truth, positive=None):
 
 def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
                          truth_labels=None, label_mapping=None):
-    from .model import free_param_count
-
     payload = {
         "schema_version": FIT_SCHEMA_VERSION,
         "engine": report.engine,

@@ -8,9 +8,9 @@ finalists continue to convergence, and the best final log-likelihood wins.
 Stopping is an absolute log-likelihood increase below ``tol``.  Each start
 is built when its short run begins and handed to it, so it is freed once
 the run's first CM step has replaced it, and at most ``threads`` are alive
-during the sweep.  A finalist's continuation takes its model over in the
-same way, and the other short runs are dropped once the finalists are
-chosen.
+during the sweep.  A finalist continues its short run in place, with no
+E-step repeated, until it has taken ``max_iter`` steps in all; the other
+short runs are dropped once the finalists are chosen.
 
 Memory: the E-step, the k-means start and the dense scatter each hold at
 most one n x p temporary at a time (whitened residuals, standardized data,
@@ -63,6 +63,7 @@ from .model import (
     FitReport,
     MixtureModel,
     Responsibilities,
+    expand_factor_spec,
     free_param_count,
     max_admissible_q,
 )
@@ -114,14 +115,7 @@ class FitConfig:
     seed: int = 0
 
     def factor_vector(self) -> tuple[int, ...]:
-        if isinstance(self.factor_spec, (int, np.integer)):
-            return (int(self.factor_spec),) * self.n_components
-        fs = tuple(int(q) for q in self.factor_spec)
-        if len(fs) != self.n_components:
-            raise ValueError(
-                f"factor_spec has {len(fs)} entries for {self.n_components} components"
-            )
-        return fs
+        return expand_factor_spec(self.factor_spec, self.n_components)
 
     def validate_for(self, data: DataMatrix) -> None:
         if self.n_components < 1:
@@ -216,14 +210,9 @@ def e_step(model: MixtureModel, data: DataMatrix):
     return Responsibilities(gamma=gamma), float(np.sum(lse))
 
 
-def _as_gamma(resp) -> np.ndarray:
-    return resp.gamma if isinstance(resp, Responsibilities) else np.asarray(resp)
-
-
 def cm_step(
     data: DataMatrix,
-    resp,
-    factor_spec,
+    resp: Responsibilities,
     current: MixtureModel,
     *,
     eig_tol: float = 1e-8,
@@ -233,24 +222,20 @@ def cm_step(
 
     Per component: weighted moments in one pass, uniquenesses by bounded
     L-BFGS-B on the profile objective warm-started at the current values,
-    loadings recovered in closed form.  Raises EmptyCluster when a
-    component's mass drops below max(q_k + 1, 2); every mass is checked
-    before any component's moments or eigensolves.
+    loadings recovered in closed form.  Factor counts are those of
+    ``current``.  Raises EmptyCluster when a component's mass drops below
+    max(q_k + 1, 2); every mass is checked before any component's moments
+    or eigensolves.
     """
-    gamma = _as_gamma(resp)
+    gamma = resp.gamma
     y = data.values
-    K = current.n_components
-    if isinstance(factor_spec, (int, np.integer)):
-        qs = (int(factor_spec),) * K
-    else:
-        qs = tuple(int(v) for v in factor_spec)
+    qs = current.factor_vector
     masses = _component_masses(gamma, qs)
     comps = []
-    for k in range(K):
+    for k, cur in enumerate(current.components):
         scov = linops.WeightedCovOperator(y, gamma[:, k])
-        cur = current.components[k]
         warm = None
-        if qs[k] and cur.n_factors:
+        if qs[k]:
             whitened = cur.loadings / np.sqrt(cur.uniquenesses)[:, None]
             warm, _ = np.linalg.qr(whitened)
         obj = profileopt.ProfileObjective(
@@ -280,19 +265,17 @@ def cm_step(
     )
 
 
-def _gmmfad_short_step(data, resp, factor_spec, current):
+def _gmmfad_short_step(data, resp, current):
     # start ranking only needs coarse CM sweeps: a truncated inner solve at a
     # loose eigen tolerance is still an improvement step, so per-run ascent
     # is preserved while the ranking loglik stays exact
-    return cm_step(
-        data, resp, factor_spec, current, max_inner_iter=2, eig_tol=1e-5
-    )
+    return cm_step(data, resp, current, max_inner_iter=2, eig_tol=1e-5)
 
 
-def _aecm_step(data, resp, factor_spec, current):
+def _aecm_step(data, resp, current):
     """One AECM iteration: (weights, means) cycle then (loadings, psi) cycle."""
     y = data.values
-    gamma = _as_gamma(resp)
+    gamma = resp.gamma
     qs = current.factor_vector
     masses = _component_masses(gamma, qs)
     mid = []
@@ -350,34 +333,30 @@ def _aecm_step(data, resp, factor_spec, current):
 
 
 @dataclass
-class _RunState:
+class _Run:
+    """One engine run, stepped forward in place by ``_advance``."""
+
     model: MixtureModel | None
     resp: Responsibilities | None
     trace: list
-    n_iter: int
-    converged: bool
-
-    def hand_over_model(self) -> MixtureModel:
-        """The model, for a continuation; model and resp are cleared."""
-        model, self.model, self.resp = self.model, None, None
-        return model
+    n_iter: int = 0
+    converged: bool = False
 
 
-def _run_engine(data, model, factor_spec, step_fn, *, max_iter, tol) -> _RunState:
+def _start_run(data, model) -> _Run:
     resp, ll = e_step(model, data)
-    trace = [ll]
-    converged = False
-    it = 0
-    while it < max_iter:
-        model = step_fn(data, resp, factor_spec, model)
-        resp, ll_new = e_step(model, data)
-        trace.append(ll_new)
-        it += 1
-        if ll_new - ll < tol:
-            converged = True
-            break
-        ll = ll_new
-    return _RunState(model, resp, trace, it, converged)
+    return _Run(model, resp, [ll])
+
+
+def _advance(data, run, step_fn, *, max_iter, tol) -> _Run:
+    """Step ``run`` until it converges or has taken ``max_iter`` steps in all."""
+    while not run.converged and run.n_iter < max_iter:
+        run.model = step_fn(data, run.resp, run.model)
+        run.resp, ll = e_step(run.model, data)
+        run.converged = ll - run.trace[-1] < tol
+        run.trace.append(ll)
+        run.n_iter += 1
+    return run
 
 
 def _start_rngs(config: FitConfig):
@@ -392,9 +371,7 @@ def _random_start(data: DataMatrix, K: int, qs, rng, var) -> MixtureModel:
     idx = rng.choice(n, size=K, replace=False)
     comps = []
     for k in range(K):
-        lam = (
-            0.01 * rng.standard_normal((p, qs[k])) if qs[k] else np.zeros((p, 0))
-        )
+        lam = 0.01 * rng.standard_normal((p, qs[k]))
         comps.append(
             ComponentParams(
                 weight=1.0 / K, mean=y[idx[k]], loadings=lam, uniquenesses=var
@@ -455,9 +432,7 @@ def _start_from_labels(data, labels, K, qs, rng):
         rows -= mean
         rows *= rows
         var = np.clip(rows.sum(axis=0) / counts[k], PSI_MIN, PSI_MAX)
-        lam = (
-            0.01 * rng.standard_normal((p, qs[k])) if qs[k] else np.zeros((p, 0))
-        )
+        lam = 0.01 * rng.standard_normal((p, qs[k]))
         comps.append(
             ComponentParams(
                 weight=counts[k] / n,
@@ -488,8 +463,8 @@ def _map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
-                  short_step_fn=None):
+def _fit_protocol(data, config, *, engine, step_fn, short_step_fn, initial_model,
+                  threads):
     started = time.perf_counter()
     config.validate_for(data)
     qs = config.factor_vector()
@@ -500,10 +475,11 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
             raise ValueError("initial model shape disagrees with the configuration")
         if initial_model.factor_vector != qs:
             raise ValueError("initial model factor counts disagree with factor_spec")
-        state = _run_engine(
-            data, initial_model, qs, step_fn, max_iter=config.max_iter, tol=config.tol
+        run = _advance(
+            data, _start_run(data, initial_model), step_fn,
+            max_iter=config.max_iter, tol=config.tol,
         )
-        return _make_report(data, config, engine, state, started)
+        return _make_report(data, config, engine, run, started)
 
     # each start is built when its short run begins and handed to it, so a
     # start model dies at the run's first CM step and at most ``threads`` are
@@ -523,16 +499,16 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
 
     def short_run(build):
         try:
-            return _run_engine(
-                data, build(), qs, short_step_fn or step_fn,
+            return _advance(
+                data, _start_run(data, build()), short_step_fn,
                 max_iter=config.short_run_iters, tol=config.tol,
             )
         except _START_FAILURES:
             return None
 
-    short_states = _map(short_run, builders, threads)
+    short_runs = _map(short_run, builders, threads)
 
-    survivors = [(i, st) for i, st in enumerate(short_states) if st is not None]
+    survivors = [(i, run) for i, run in enumerate(short_runs) if run is not None]
     if not survivors:
         raise AllStartsFailed(
             f"all {len(builders)} initializations degenerated before or "
@@ -540,51 +516,40 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads,
         )
     survivors.sort(key=lambda item: (-item[1].trace[-1], item[0]))
     finalists = survivors[: config.n_finalists]
-    del short_states, survivors
+    del short_runs, survivors
 
     def long_run(item):
-        idx, st = item
-        budget = max(config.max_iter - st.n_iter, 0)
-        if st.converged or budget == 0:
-            return idx, st
+        idx, run = item
         try:
-            cont = _run_engine(
-                data, st.hand_over_model(), qs, step_fn,
-                max_iter=budget, tol=config.tol,
+            return idx, _advance(
+                data, run, step_fn, max_iter=config.max_iter, tol=config.tol
             )
         except _START_FAILURES:
+            run.model = run.resp = None
             return idx, None
-        merged = _RunState(
-            model=cont.model,
-            resp=cont.resp,
-            trace=st.trace + cont.trace[1:],
-            n_iter=st.n_iter + cont.n_iter,
-            converged=cont.converged,
-        )
-        return idx, merged
 
     finished = _map(long_run, finalists, threads)
 
-    completed = [(idx, merged) for idx, merged in finished if merged is not None]
+    completed = [(idx, run) for idx, run in finished if run is not None]
     if not completed:
         raise AllStartsFailed("every finalist degenerated before convergence")
     completed.sort(key=lambda item: (-item[1].trace[-1], item[0]))
     return _make_report(data, config, engine, completed[0][1], started)
 
 
-def _make_report(data, config, engine, state, started) -> FitReport:
-    model = state.model
+def _make_report(data, config, engine, run, started) -> FitReport:
+    model = run.model
     d = free_param_count(model)
-    loglik = state.trace[-1]
+    loglik = run.trace[-1]
     bic = -2.0 * loglik + d * math.log(data.n)
     return FitReport(
         model=model,
-        responsibilities=state.resp,
-        hard_assignment=np.argmax(state.resp.gamma, axis=1),
-        loglik_trace=np.asarray(state.trace, dtype=np.float64),
+        responsibilities=run.resp,
+        hard_assignment=np.argmax(run.resp.gamma, axis=1),
+        loglik_trace=np.asarray(run.trace, dtype=np.float64),
         bic=float(bic),
-        n_iter=state.n_iter,
-        converged=state.converged,
+        n_iter=run.n_iter,
+        converged=run.converged,
         wall_time_s=time.perf_counter() - started,
         engine=engine,
         seed=config.seed,
@@ -600,9 +565,10 @@ def fit(
 ) -> FitReport:
     """Fit the factor-analyzer mixture with the matrix-free ECM engine.
 
-    With ``initial_model`` the start protocol is skipped and a single run
-    proceeds from the given parameters, which is also how warm-started
-    refits and engine comparisons from common starts are done.
+    Without ``initial_model`` the start protocol of the module docstring
+    picks the run; with it, a single run proceeds from the given parameters,
+    which is also how warm-started refits and engine comparisons from common
+    starts are done.  Either way a run takes at most ``max_iter`` steps.
     """
     return _fit_protocol(
         data,
@@ -642,6 +608,7 @@ def fit_baseline_aecm(
         config,
         engine="aecm",
         step_fn=_aecm_step,
+        short_step_fn=_aecm_step,
         initial_model=initial_model,
         threads=threads,
     )

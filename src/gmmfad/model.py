@@ -213,6 +213,18 @@ def max_admissible_q(p: int) -> int:
     return math.floor(p + (1.0 - math.sqrt(disc)) / 2.0)
 
 
+def expand_factor_spec(spec, n_components: int) -> tuple[int, ...]:
+    """Per-component factor counts from one count for all, or one each."""
+    if isinstance(spec, (int, np.integer)):
+        return (int(spec),) * n_components
+    qs = tuple(int(q) for q in spec)
+    if len(qs) != n_components:
+        raise ValueError(
+            f"factor_spec has {len(qs)} entries for {n_components} components"
+        )
+    return qs
+
+
 def component_param_count(p: int, q: int) -> int:
     """Free covariance parameters of one component: p*q + p - q(q-1)/2.
 

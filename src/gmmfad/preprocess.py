@@ -126,12 +126,9 @@ def load_csv(
 
 def feature_tie_counts(data: DataMatrix) -> np.ndarray:
     """Per feature: number of rows sharing a value with another row."""
-    n = data.n
     counts = np.empty(data.p, dtype=np.int64)
     for j in range(data.p):
-        _, inverse, occ = np.unique(
-            data.values[:, j], return_inverse=True, return_counts=True
-        )
+        _, occ = np.unique(data.values[:, j], return_counts=True)
         counts[j] = int(np.sum(occ[occ > 1]))
     return counts
 

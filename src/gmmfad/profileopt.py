@@ -87,7 +87,6 @@ class ProfileObjective:
         self.eig_tol = eig_tol
         self.dense_threshold = dense_threshold
         self.warm_vectors = warm_vectors
-        self.n_evaluations = 0
         self._last = (None, None)  # (psi bytes, EigPairs) of the last solve
 
     def eigenpairs(self, psi: np.ndarray) -> linops.EigPairs:
@@ -110,7 +109,6 @@ class ProfileObjective:
         """Qp and its gradient with respect to log psi."""
         log_psi = np.asarray(log_psi, dtype=np.float64)
         psi = np.exp(log_psi)
-        self.n_evaluations += 1
         ratio = self.scov_diag / psi
         base = float(np.sum(log_psi) + np.sum(ratio))
         grad = 1.0 - ratio

@@ -25,7 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .ecm import FIT_FAILURES, AllStartsFailed, FitConfig, fit
-from .model import ComponentParams, DataMatrix, FitReport, MixtureModel, max_admissible_q
+from .model import (
+    ComponentParams,
+    DataMatrix,
+    FitReport,
+    MixtureModel,
+    free_param_count,
+    max_admissible_q,
+)
 
 BIC_TIE_TOL = 1e-6
 
@@ -73,8 +80,6 @@ class BicRow:
 
 
 def _row_from_report(report: FitReport, seconds: float) -> BicRow:
-    from .model import free_param_count
-
     return BicRow(
         K=report.model.n_components,
         q_spec=report.model.factor_vector,

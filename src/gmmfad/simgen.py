@@ -27,6 +27,7 @@ from .model import (
     ComponentParams,
     DataMatrix,
     MixtureModel,
+    expand_factor_spec,
     max_admissible_q,
 )
 
@@ -45,12 +46,7 @@ class SimSpec:
     seed: int = 0
 
     def factor_vector(self) -> tuple[int, ...]:
-        if isinstance(self.factor_spec, (int, np.integer)):
-            return (int(self.factor_spec),) * self.n_components
-        fs = tuple(int(q) for q in self.factor_spec)
-        if len(fs) != self.n_components:
-            raise ValueError("factor_spec length must equal n_components")
-        return fs
+        return expand_factor_spec(self.factor_spec, self.n_components)
 
     def validate(self) -> None:
         if self.n < 2 or self.p < 1 or self.n_components < 1:
@@ -83,9 +79,7 @@ def draw_truth(spec: SimSpec) -> MixtureModel:
     comps = []
     for k in range(K):
         mean = spec.separation * rng.standard_normal(spec.p)
-        lam = (
-            rng.standard_normal((spec.p, qs[k])) if qs[k] else np.zeros((spec.p, 0))
-        )
+        lam = rng.standard_normal((spec.p, qs[k]))
         psi = rng.uniform(0.2, 0.8, size=spec.p)
         comps.append(
             ComponentParams(

@@ -165,6 +165,28 @@ def test_fit_with_label_column_by_name(tmp_path):
     assert metrics["positive_class_code"] == 0  # first truth code in file order
 
 
+def test_fit_headerless_with_text_label_column_by_index(tmp_path):
+    # the text labels must not make the first data row read as a header
+    rng = np.random.default_rng(6)
+    rows = []
+    for i in range(40):
+        label, shift = ("B", 0.0) if i % 2 == 0 else ("M", 8.0)
+        x = rng.normal(shift, 0.5, size=6)
+        rows.append(",".join(f"{v:.6f}" for v in x) + f",{label}")
+    path = tmp_path / "headerless.csv"
+    _write_lines(path, rows)
+
+    out = tmp_path / "fit"
+    rc = main(
+        ["fit", "--data", str(path), "--label-col", "6",
+         "--k", "2", "--q", "1", "--seed", "1", "--out-dir", str(out)]
+        + _FAST_FIT
+    )
+    assert rc == 0
+    assert len(_read_csv(out / "assignments.csv")) == 1 + len(rows)
+    assert _read_json(out / "fit.json")["label_mapping"] == {"B": 0, "M": 1}
+
+
 def test_fit_gdt_writes_tie_sidecar(tmp_path):
     rng = np.random.default_rng(2)
     col0 = np.repeat(np.arange(15.0), 2)  # every value shared by two rows

@@ -171,7 +171,7 @@ def test_one_hot_gamma_recovers_sample_means(rng):
     labels = data.labels
     gamma = np.zeros((data.n, 2))
     gamma[np.arange(data.n), labels] = 1.0
-    model = cm_step(data, Responsibilities(gamma=gamma), (2, 2), truth)
+    model = cm_step(data, Responsibilities(gamma=gamma), truth)
     for k in range(2):
         np.testing.assert_allclose(model.components[k].mean,
                                    data.values[labels == k].mean(axis=0),
@@ -187,7 +187,7 @@ def test_single_cluster_no_factor_closed_form(rng):
     current = MixtureModel(components=(
         _diag_component(1.0, np.zeros(6), np.ones(6)),
     ))
-    model = cm_step(data, Responsibilities(gamma=gamma), (0,), current)
+    model = cm_step(data, Responsibilities(gamma=gamma), current)
     scatter = dense_weighted_cov(y, np.ones(50), y.mean(axis=0))
     np.testing.assert_allclose(model.components[0].uniquenesses,
                                np.clip(np.diag(scatter), PSI_MIN, None),
@@ -200,7 +200,7 @@ def test_ecm_iteration_ascends_from_random_models(rng):
         model = random_mixture(10, (2, 2), make_rng(1000 + trial))
         resp, before = e_step(model, data)
         try:
-            updated = cm_step(data, resp, (2, 2), model)
+            updated = cm_step(data, resp, model)
         except EmptyCluster:
             continue
         _, after = e_step(updated, data)
@@ -218,7 +218,7 @@ def test_cm_step_drops_each_operator_before_the_next_moment_pass():
     gamma[800:, 1] = 1.0
     model = random_mixture(p, (2, 2), rng)
     peak = traced_peak(
-        lambda: cm_step(data, Responsibilities(gamma=gamma), (2, 2), model)
+        lambda: cm_step(data, Responsibilities(gamma=gamma), model)
     )
     assert peak <= 1.3 * data.values.nbytes
 
@@ -243,7 +243,7 @@ def test_empty_cluster_raised_with_diagnostics(rng, monkeypatch):
     solves = count_calls(monkeypatch, linops, "top_eigenpairs")
     data, truth = small_dataset(seed=3)
     with pytest.raises(EmptyCluster) as exc:
-        cm_step(data, _last_cluster_short(data.n), (2, 2), truth)
+        cm_step(data, _last_cluster_short(data.n), truth)
     _assert_last_cluster_emptied(exc)
     assert solves == []
 
@@ -254,7 +254,7 @@ def test_aecm_empty_cluster_raised_before_any_component_work(monkeypatch):
     data, truth = small_dataset(seed=3)
     # first cycle: the given responsibilities leave the last cluster short
     with pytest.raises(EmptyCluster) as exc:
-        _aecm_step(data, _last_cluster_short(data.n), (2, 2), truth)
+        _aecm_step(data, _last_cluster_short(data.n), truth)
     _assert_last_cluster_emptied(exc)
     assert moments == []
     # second cycle: the refreshed responsibilities leave it short
@@ -262,7 +262,7 @@ def test_aecm_empty_cluster_raised_before_any_component_work(monkeypatch):
     monkeypatch.setattr(ecm, "e_step",
                         lambda model, d: (_last_cluster_short(d.n), 0.0))
     with pytest.raises(EmptyCluster) as exc:
-        _aecm_step(data, resp, (2, 2), truth)
+        _aecm_step(data, resp, truth)
     _assert_last_cluster_emptied(exc)
     assert len(moments) == truth.n_components
     assert scatters == []
@@ -332,54 +332,63 @@ def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
             return model
 
         monkeypatch.setattr(ecm, name, tracked)
-    run = ecm._run_engine
+    advance = ecm._advance
     alive_at_long_runs = []
-    # (short-run log-likelihood, weakref) of each short run's state; once the
+    # (short-run log-likelihood, weakref) of each short run; once the
     # finalists are chosen, only theirs may be alive
-    short_states = []
+    short_runs = []
     alive_non_finalists = []
 
-    def checking(data, model, factor_spec, step_fn, **kwargs):
+    def checking(data, run, step_fn, **kwargs):
         if step_fn is cm_step:
             gc.collect()
             alive_at_long_runs.append(sum(ref() is not None for ref in refs))
             if not alive_non_finalists:
-                ranked = sorted(short_states, key=lambda item: -item[0])
+                ranked = sorted(short_runs, key=lambda item: -item[0])
                 alive_non_finalists.append(
                     sum(ref() is not None for _, ref in ranked[2:])
                 )
-        state = run(data, model, factor_spec, step_fn, **kwargs)
+        run = advance(data, run, step_fn, **kwargs)
         if step_fn is not cm_step:
-            short_states.append((state.trace[-1], weakref.ref(state)))
-        return state
+            short_runs.append((run.trace[-1], weakref.ref(run)))
+        return run
 
-    monkeypatch.setattr(ecm, "_run_engine", checking)
+    monkeypatch.setattr(ecm, "_advance", checking)
     fit(data, _fast_config(), threads=threads)
     assert len(refs) == 9  # 8 random starts and the k-means start
     assert alive_at_long_runs and not any(alive_at_long_runs)
-    assert len(short_states) > 2 and alive_non_finalists == [0]
+    assert len(short_runs) > 2 and alive_non_finalists == [0]
 
 
 def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
-    # a run is an E-step on its start model, then CM and E-steps in turn, so
-    # an E-step that follows no CM step begins a run; by the run's second CM
+    # a short run is an E-step on its start model, then CM and E-steps in
+    # turn, so an E-step that follows no CM step begins one; a finalist's
+    # long run continues its short run with a full CM step on the model the
+    # short run ended with, so a full CM step after a short one, or on a model
+    # the last E-step did not score, begins one too.  By the run's second CM
     # step only the current model may be alive, for short and long runs alike
     data, _ = small_dataset(seed=19)
-    run = {"start": None, "steps": 0, "after_cm": False}
+    run = {"start": None, "steps": 0, "after_cm": False, "scored": None,
+           "short": None}
     dead_at_second_step = []
 
     def tracked_e_step(model, d, _e_step=ecm.e_step):
         if not run["after_cm"]:
             run.update(start=weakref.ref(model), steps=0)
         run["after_cm"] = False
+        run["scored"] = weakref.ref(model)
         return _e_step(model, d)
 
-    def tracked_cm_step(*args, _cm_step=ecm.cm_step, **kwargs):
+    def tracked_cm_step(d, resp, current, _cm_step=ecm.cm_step, **kwargs):
+        short = "max_inner_iter" in kwargs
+        if (run["short"] and not short) or current is not run["scored"]():
+            run.update(start=weakref.ref(current), steps=0)
+        run["short"] = short
         run["steps"] += 1
         if run["steps"] == 2:
             gc.collect()
             dead_at_second_step.append(run["start"]() is None)
-        out = _cm_step(*args, **kwargs)
+        out = _cm_step(d, resp, current, **kwargs)
         run["after_cm"] = True
         return out
 
@@ -388,6 +397,40 @@ def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
     fit(data, _fast_config())
     # the short runs of the surviving starts and both finalists' long runs
     assert len(dead_at_second_step) > 2 and all(dead_at_second_step)
+
+
+def test_a_finalist_continues_its_short_run_without_a_second_e_step(monkeypatch):
+    # one start whose one-step short run cannot converge: every E-step of
+    # the fit is one entry of the trace
+    data, _ = small_dataset(seed=19)
+    e_steps = count_calls(monkeypatch, ecm, "e_step")
+    report = fit(data, _fast_config(n_random_starts=0, short_run_iters=1,
+                                    n_finalists=1))
+    assert report.n_iter > 1
+    assert len(e_steps) == len(report.loglik_trace)
+
+
+def test_a_finalist_whose_long_run_fails_is_dropped(monkeypatch):
+    # the first finalist's long run empties a cluster at its first step; its
+    # model and responsibilities must be dead while the second one runs
+    data, _ = small_dataset(seed=19)
+    failed = []
+    dead_during_second = []
+
+    def failing_cm_step(d, resp, current, _cm_step=ecm.cm_step, **kwargs):
+        if "max_inner_iter" not in kwargs:
+            if not failed:
+                failed.extend((weakref.ref(current), weakref.ref(resp)))
+                raise EmptyCluster(1, 1.0, 3.0)
+            if not dead_during_second:
+                gc.collect()
+                dead_during_second.append([ref() is None for ref in failed])
+        return _cm_step(d, resp, current, **kwargs)
+
+    monkeypatch.setattr(ecm, "cm_step", failing_cm_step)
+    report = fit(data, _fast_config())
+    assert dead_during_second == [[True, True]]
+    assert report.converged
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -479,7 +522,7 @@ def test_zero_loading_aecm_step_is_diagonal_gmm_update(rng):
         ))
     model = MixtureModel(components=tuple(comps))
     resp, _ = e_step(model, data)
-    updated = _aecm_step(data, resp, (2, 2), model)
+    updated = _aecm_step(data, resp, model)
 
     # oracle: cycle 1 updates (weight, mean); the re-E-step then drives a
     # plain diagonal-GMM M-step because beta = Lambda^T Sigma^{-1} = 0
