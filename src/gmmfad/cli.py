@@ -38,7 +38,7 @@ from .preprocess import (
 from .selection import SearchGrid, select_common_q, select_per_cluster_q, write_bic_table
 from .simgen import SimSpec, draw_truth, sample_dataset
 
-FIT_SCHEMA_VERSION = 1
+FIT_SCHEMA_VERSION = 2
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -95,40 +95,14 @@ def _parse_k_range(text: str) -> tuple[int, ...]:
     return (int(text),)
 
 
-def _sniff_header(path: str, label_idx=None) -> bool:
-    """Whether the first row has a feature cell that is not a number."""
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not any(c.strip() for c in row):
-                continue
-            for j, cell in enumerate(row):
-                cell = cell.strip()
-                if j == label_idx or cell == "":
-                    continue
-                try:
-                    float(cell)
-                except ValueError:
-                    return True
-            return False
-    return False
-
-
-def _load_features(path: str, label_col):
-    label_column = None
-    if label_col is not None:
-        try:
-            label_column = int(label_col)
-        except ValueError:
-            label_column = label_col
-    # a label column given by name needs a header anyway; one given by index
-    # may hold text in a headerless file
-    label_idx = label_column if isinstance(label_column, int) else None
-    return load_csv(
-        path,
-        has_header=_sniff_header(path, label_idx),
-        label_column=label_column,
-        return_mapping=True,
-    )
+def _parse_label_col(text):
+    """``--label-col`` as a column index when it is an integer, else a name."""
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        return text
 
 
 def _read_label_file(path: str):
@@ -203,7 +177,6 @@ def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
             "n_random_starts": config.n_random_starts,
             "short_run_iters": config.short_run_iters,
             "n_finalists": config.n_finalists,
-            "use_kmeans_start": config.use_kmeans_start,
         },
         "model": _model_payload(report.model),
         "loglik": report.loglik,
@@ -237,7 +210,9 @@ def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
 
 
 def _prepare_data(args):
-    data, mapping = _load_features(args.data, args.label_col)
+    data, mapping = load_csv(
+        args.data, label_column=_parse_label_col(args.label_col), return_mapping=True
+    )
     truth = data.labels
     if args.labels:
         codes, label_map = _read_label_file(args.labels)
@@ -343,7 +318,10 @@ def cmd_select(args):
         report, rows = select_per_cluster_q(data, grid, threads=args.threads)
     else:
         report, rows = select_common_q(data, grid, threads=args.threads)
-    write_bic_table(rows, os.path.join(args.out_dir, "bic_table.csv"))
+    _atomic_write(
+        os.path.join(args.out_dir, "bic_table.csv"),
+        lambda fh: write_bic_table(rows, fh),
+    )
     best_config = replace(
         config,
         n_components=report.model.n_components,

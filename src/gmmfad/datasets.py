@@ -45,8 +45,9 @@ def load_lymphoma(
     """Lymphoma expression matrix from local CSV exports.
 
     ``features_csv`` is a headerless 62 x 4026 numeric CSV; ``labels_csv``
-    holds one integer subtype label (0, 1, 2) per line.  Defaults come from
-    the GMMFAD_LYMPHOMA_X / GMMFAD_LYMPHOMA_Y environment variables.
+    holds one integer subtype label (0, 1, 2) per line; a label that is not a
+    whole number raises ValueError.  Defaults come from the
+    GMMFAD_LYMPHOMA_X / GMMFAD_LYMPHOMA_Y environment variables.
     """
     env_x, env_y = lymphoma_paths()
     features_csv = features_csv or env_x
@@ -57,8 +58,10 @@ def load_lymphoma(
             "GMMFAD_LYMPHOMA_Y to local CSV exports (see README)"
         )
     data = load_csv(features_csv)
-    labels_data = load_csv(labels_csv)
-    labels = labels_data.values.reshape(-1).astype(np.int64)
+    raw = load_csv(labels_csv).values.reshape(-1)
+    if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+        raise ValueError(f"{labels_csv}: subtype labels must be whole numbers")
+    labels = raw.astype(np.int64)
     if labels.shape[0] != data.n:
         raise ValueError("feature and label row counts disagree")
     return DataMatrix(values=data.values, labels=labels)

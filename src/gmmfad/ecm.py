@@ -2,9 +2,9 @@
 
 Both engines share the E-step (Woodbury low-rank Gaussian densities,
 log-sum-exp responsibilities) and the start protocol, a small emEM scheme
-(Biernacki, Celeux & Govaert 2003): several random starts plus an optional
-k-means start are each run for a few iterations, the most promising
-finalists continue to convergence, and the best final log-likelihood wins.
+(Biernacki, Celeux & Govaert 2003): several random starts plus one k-means
+start are each run for a few iterations, the most promising finalists
+continue to convergence, and the best final log-likelihood wins.
 Stopping is an absolute log-likelihood increase below ``tol``.  Each start
 is built when its short run begins and handed to it, so it is freed once
 the run's first CM step has replaced it, and at most ``threads`` are alive
@@ -111,7 +111,6 @@ class FitConfig:
     n_random_starts: int = 20
     short_run_iters: int = 5
     n_finalists: int = 3
-    use_kmeans_start: bool = True
     seed: int = 0
 
     def factor_vector(self) -> tuple[int, ...]:
@@ -490,12 +489,7 @@ def _fit_protocol(data, config, *, engine, step_fn, short_step_fn, initial_model
         partial(_random_start, data, K, qs, rngs[s], var)
         for s in range(config.n_random_starts)
     ]
-    if config.use_kmeans_start:
-        builders.append(
-            partial(_kmeans_start, data, K, qs, rngs[config.n_random_starts])
-        )
-    if not builders:
-        raise AllStartsFailed("no initializations could be constructed")
+    builders.append(partial(_kmeans_start, data, K, qs, rngs[config.n_random_starts]))
 
     def short_run(build):
         try:

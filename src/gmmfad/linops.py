@@ -46,6 +46,10 @@ from scipy.linalg import solve_triangular
 from . import _kernels
 
 DENSE_THRESHOLD = 64
+# restarts (block iterations) an iterative solve may take before NoConvergence
+MAX_RESTARTS = 200
+# seed of the random start vectors, drawn on cold starts and breakdowns
+SEED = 0
 
 
 class LinopsError(Exception):
@@ -269,15 +273,14 @@ class EigPairs:
 class _LazyRng:
     """Defers generator construction; most Lanczos calls never draw."""
 
-    __slots__ = ("_seed", "_gen")
+    __slots__ = ("_gen",)
 
-    def __init__(self, seed):
-        self._seed = seed
+    def __init__(self):
         self._gen = None
 
     def standard_normal(self, size):
         if self._gen is None:
-            self._gen = np.random.default_rng(np.random.Philox(self._seed))
+            self._gen = np.random.default_rng(np.random.Philox(SEED))
         return self._gen.standard_normal(size)
 
 
@@ -359,7 +362,7 @@ def _warm_block(v0, p: int) -> np.ndarray:
     return v0.T if v0.shape[0] != p else v0
 
 
-def _block_eigpairs(op, q, tol, max_restarts, v0, rng) -> EigPairs:
+def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
     """Warm block Rayleigh-Ritz subspace iteration, one block product a step.
 
     The b = min(p - 1, 2q + 10) columns start from ``v0`` padded with random
@@ -380,7 +383,7 @@ def _block_eigpairs(op, q, tol, max_restarts, v0, rng) -> EigPairs:
         start[:, j:] = rng.standard_normal((p, b - j))
     basis = np.linalg.qr(start)[0]
     res_norms = None
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         images = _block_images(op, basis)
         h = basis.T @ images
         theta, s = np.linalg.eigh(0.5 * (h + h.T))
@@ -396,13 +399,13 @@ def _block_eigpairs(op, q, tol, max_restarts, v0, rng) -> EigPairs:
             )
         basis = np.linalg.qr(ritz_images)[0]
     raise NoConvergence(
-        f"block subspace iteration did not converge in {max_restarts} iterations",
-        n_restarts=max_restarts,
+        f"block subspace iteration did not converge in {MAX_RESTARTS} iterations",
+        n_restarts=MAX_RESTARTS,
         residuals=res_norms,
     )
 
 
-def _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng) -> EigPairs:
+def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
     """Thick-restart Lanczos on the fused growth kernel; scatters only."""
     p = op.shape[0]
     m = min(p, 2 * q + 10)
@@ -438,7 +441,7 @@ def _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng) -> EigPairs:
 
     next_dir = images[:, ncols - 1].copy()
     last_res = None
-    for _ in range(max_restarts):
+    for _ in range(MAX_RESTARTS):
         # grow the basis to m columns along the Krylov/residual directions
         ncols = _grow_basis(parts, basis, images, ncols, next_dir, rng)
 
@@ -484,8 +487,8 @@ def _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng) -> EigPairs:
         ncols = keep
 
     raise NoConvergence(
-        f"Lanczos did not converge in {max_restarts} restarts",
-        n_restarts=max_restarts,
+        f"Lanczos did not converge in {MAX_RESTARTS} restarts",
+        n_restarts=MAX_RESTARTS,
         residuals=last_res,
     )
 
@@ -495,10 +498,8 @@ def top_eigenpairs(
     q: int,
     *,
     tol: float = 1e-8,
-    max_restarts: int = 200,
     dense_threshold: int = DENSE_THRESHOLD,
     v0: np.ndarray | None = None,
-    seed: int = 0,
 ) -> EigPairs:
     """Leading q eigenpairs of a symmetric PSD operator.
 
@@ -516,16 +517,18 @@ def top_eigenpairs(
     previous solve's vectors).  Values come back descending, and the vectors
     as an orthonormal basis with no sign convention.
 
-    Raises NoConvergence when ``max_restarts`` restarts (block iterations)
-    do not reach the tolerance, and InvalidRank unless 1 <= q < p.
+    Raises NoConvergence when MAX_RESTARTS restarts (block iterations) do
+    not reach the tolerance, and InvalidRank unless 1 <= q < p.  Random
+    start vectors come from a generator seeded with SEED, so a solve is
+    deterministic.
     """
     p = op.shape[0]
     if not 1 <= q < p:
         raise InvalidRank(f"need 1 <= q < p, got q={q}, p={p}")
     if p <= dense_threshold:
         return _dense_eigpairs(op, q)
-    rng = _LazyRng(seed)  # Lanczos draws only on cold starts and breakdowns
+    rng = _LazyRng()  # Lanczos draws only on cold starts and breakdowns
     parts = _scatter_parts(op)
     if parts is not None and parts[0].n_rows <= p:
-        return _lanczos_eigpairs(op, parts, q, tol, max_restarts, v0, rng)
-    return _block_eigpairs(op, q, tol, max_restarts, v0, rng)
+        return _lanczos_eigpairs(op, parts, q, tol, v0, rng)
+    return _block_eigpairs(op, q, tol, v0, rng)

@@ -50,10 +50,30 @@ class NonNumericCell(CsvFormatError):
         self.column = column
 
 
+def _first_row_is_header(rows, label_idx) -> bool:
+    """Whether the first of the numbered ``rows`` names the columns.
+
+    It does when a non-empty cell outside the label column is not a number,
+    or when its label cell does not recur further down the label column.
+    """
+    first = rows[0][1]
+    for j, cell in enumerate(first):
+        if j != label_idx and cell.strip():
+            try:
+                float(cell)
+            except ValueError:
+                return True
+    if label_idx is None:
+        return False
+    name = first[label_idx].strip()
+    return all(
+        row[label_idx].strip() != name for _, row in rows[1:] if len(row) > label_idx
+    )
+
+
 def load_csv(
     path,
     *,
-    has_header: bool = False,
     label_column: str | int | None = None,
     return_mapping: bool = False,
 ):
@@ -62,6 +82,12 @@ def load_csv(
     ``label_column`` selects a column (by header name or index) holding
     class labels; categorical values map to integers in order of first
     appearance.  Pass ``return_mapping=True`` to also get that mapping.
+
+    The first row is a header when the label column is given by name, when
+    a cell outside the label column is not a number, or when the label
+    column is given by index and its first-row cell does not appear again
+    in that column.  Otherwise it is data.
+
     Raises EmptyCsv, RaggedRow or NonNumericCell with one-based line
     numbers on malformed input.
     """
@@ -71,26 +97,22 @@ def load_csv(
     if not rows:
         raise EmptyCsv(f"{path}: no data rows")
 
-    header = None
-    if has_header:
+    width = len(rows[0][1])
+    label_idx = None
+    if isinstance(label_column, str):
         header = [c.strip() for c in rows[0][1]]
+        if label_column not in header:
+            raise CsvFormatError(f"label column {label_column!r} not in header")
+        label_idx = header.index(label_column)
+    elif label_column is not None:
+        label_idx = int(label_column)
+        if not 0 <= label_idx < width:
+            raise CsvFormatError(f"label column index {label_idx} out of range")
+
+    if isinstance(label_column, str) or _first_row_is_header(rows, label_idx):
         rows = rows[1:]
         if not rows:
             raise EmptyCsv(f"{path}: header only, no data rows")
-
-    width = len(rows[0][1])
-    label_idx = None
-    if label_column is not None:
-        if isinstance(label_column, str):
-            if header is None:
-                raise CsvFormatError("label column by name requires a header")
-            if label_column not in header:
-                raise CsvFormatError(f"label column {label_column!r} not in header")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not 0 <= label_idx < width:
-                raise CsvFormatError(f"label column index {label_idx} out of range")
 
     n = len(rows)
     p = width - (1 if label_idx is not None else 0)

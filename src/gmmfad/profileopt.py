@@ -24,14 +24,14 @@ Writing u_i = log psi_i (the optimizer works on the log scale),
 
 using d theta_j / d psi_i = -theta_j v_ij^2 / psi_i.  The maximization runs
 L-BFGS-B (Byrd et al. 1995) inside a box keeping every uniqueness in
-[1e-4, 1e4], which rules out Heywood collapse.  Eigenpairs come from the
-shared linops solver; each evaluation reuses the previous one's Ritz vectors
-as a warm start, so successive solves during a line search cost a handful of
-matvecs.  A psi bit-identical to the previous one is not solved again, so
-the start, which optimize_psi and L-BFGS-B both evaluate, costs one solve,
-and recover_loadings at the last iterate costs none.  A start whose
-projected gradient is already within L-BFGS-B's tolerance is returned
-without running the solver.
+[model.PSI_MIN, model.PSI_MAX] = [1e-4, 1e4], which rules out Heywood
+collapse.  Eigenpairs come from the shared linops solver; each evaluation
+reuses the previous one's Ritz vectors as a warm start, so successive solves
+during a line search cost a handful of matvecs.  A psi bit-identical to the
+previous one is not solved again, so the start, which optimize_psi and
+L-BFGS-B both evaluate, costs one solve, and recover_loadings at the last
+iterate costs none.  A start whose projected gradient is already within
+L-BFGS-B's tolerance is returned without running the solver.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from scipy.optimize import Bounds, minimize
 from . import linops
 from .model import PSI_MAX, PSI_MIN
 
-DEFAULT_BOX = (PSI_MIN, PSI_MAX)
 MAX_INNER_ITER = 50
 LBFGSB_MEMORY = 10
 # L-BFGS-B stops when the max-norm of the projected gradient is at most
@@ -134,10 +133,9 @@ def optimize_psi(
     obj: ProfileObjective,
     psi_init: np.ndarray,
     *,
-    box: tuple[float, float] = DEFAULT_BOX,
     max_inner_iter: int = MAX_INNER_ITER,
 ) -> np.ndarray:
-    """Maximize the profile objective over psi inside the box.
+    """Maximize the profile objective over psi inside [PSI_MIN, PSI_MAX].
 
     Runs bounded L-BFGS-B on u = log psi from the (clipped) warm start and
     returns the best iterate seen.  A start whose projected gradient has
@@ -147,17 +145,14 @@ def optimize_psi(
     evaluation, or eigensolver breakdown the best evaluated point (at worst
     the start itself) is returned, which preserves the ECM ascent property.
     """
-    lo, hi = box
-    if not (0 < lo < hi):
-        raise ValueError("box must satisfy 0 < lo < hi")
     if obj.q == 0:
         # separable closed form: log psi_j + d_j/psi_j peaks at psi_j = d_j,
         # and the term is unimodal, so the box clamp is the box optimum
-        return np.clip(obj.scov_diag, lo, hi)
+        return np.clip(obj.scov_diag, PSI_MIN, PSI_MAX)
     psi_init = np.asarray(psi_init, dtype=np.float64)
-    u0 = np.log(np.clip(psi_init, lo, hi))
+    u0 = np.log(np.clip(psi_init, PSI_MIN, PSI_MAX))
     # arrays, not a list of pairs: scipy converts a list entry by entry
-    bounds = Bounds(np.full(obj.p, np.log(lo)), np.full(obj.p, np.log(hi)))
+    bounds = Bounds(np.full(obj.p, np.log(PSI_MIN)), np.full(obj.p, np.log(PSI_MAX)))
 
     best = {"u": u0, "f": None}
 
@@ -179,7 +174,7 @@ def optimize_psi(
             g0 < 0, np.maximum(u0 - bounds.ub, g0), np.minimum(u0 - bounds.lb, g0)
         )
         if np.max(np.abs(projected)) <= PGTOL:
-            return np.clip(np.exp(u0), lo, hi)
+            return np.clip(np.exp(u0), PSI_MIN, PSI_MAX)
         res = minimize(
             negated,
             u0,
@@ -201,7 +196,7 @@ def optimize_psi(
             u_final = best["u"]
     except (linops.NoConvergence, FloatingPointError):
         u_final = best["u"]
-    return np.clip(np.exp(u_final), lo, hi)
+    return np.clip(np.exp(u_final), PSI_MIN, PSI_MAX)
 
 
 def _canonical_signs(columns: np.ndarray) -> np.ndarray:

@@ -111,16 +111,16 @@ def _run_cell(data, config, threads, initial_model=None):
     try:
         config.validate_for(data)
     except ValueError as exc:  # an inadmissible cell (K > n, q too large)
-        failure = exc
+        status = type(exc).__name__
     else:
         # a warm refit skips the start protocol, so it meets these failures
         # here; any other exception is a defect and propagates
         try:
             report = fit(data, config, initial_model=initial_model, threads=threads)
         except FIT_FAILURES as exc:
-            failure = exc
+            status = type(exc).__name__
         else:
-            return report, _row_from_report(report, time.perf_counter() - t0), None
+            return report, _row_from_report(report, time.perf_counter() - t0)
     row = BicRow(
         K=config.n_components,
         q_spec=config.factor_vector(),
@@ -129,9 +129,9 @@ def _run_cell(data, config, threads, initial_model=None):
         bic=float("inf"),
         n_iter=0,
         seconds=time.perf_counter() - t0,
-        status=type(failure).__name__,
+        status=status,
     )
-    return None, row, failure
+    return None, row
 
 
 def _grid_search(data, grid, threads):
@@ -142,7 +142,7 @@ def _grid_search(data, grid, threads):
     for K in grid.k_values:
         for q in common_qs:
             config = replace(grid.fit_config, n_components=K, factor_spec=q)
-            report, row, _ = _run_cell(data, config, threads)
+            report, row = _run_cell(data, config, threads)
             rows.append(row)
             if report is None:
                 continue
@@ -224,7 +224,7 @@ def select_per_cluster_q(data: DataMatrix, grid: SearchGrid, *, threads: int = 1
                         grid.fit_config, n_components=K, factor_spec=cand_t
                     )
                     warm = _adapt_factor_dim(incumbent.model, k, cand[k])
-                    report, row, _ = _run_cell(
+                    report, row = _run_cell(
                         data, config, threads, initial_model=warm
                     )
                     rows.append(row)
@@ -247,21 +247,20 @@ def format_q_spec(q_spec: Sequence[int]) -> str:
     return ";".join(str(q) for q in qs)
 
 
-def write_bic_table(rows: Sequence[BicRow], path) -> None:
-    """Emit the selection table as CSV with the documented column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BIC_TABLE_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.K,
-                    format_q_spec(row.q_spec),
-                    f"{row.loglik:.10g}",
-                    row.n_params,
-                    f"{row.bic:.10g}",
-                    row.n_iter,
-                    f"{row.seconds:.6f}",
-                    row.status,
-                ]
-            )
+def write_bic_table(rows: Sequence[BicRow], fh) -> None:
+    """Emit the selection table as CSV to ``fh``, in the documented column order."""
+    writer = csv.writer(fh)
+    writer.writerow(BIC_TABLE_COLUMNS)
+    for row in rows:
+        writer.writerow(
+            [
+                row.K,
+                format_q_spec(row.q_spec),
+                f"{row.loglik:.10g}",
+                row.n_params,
+                f"{row.bic:.10g}",
+                row.n_iter,
+                f"{row.seconds:.6f}",
+                row.status,
+            ]
+        )

@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from gmmfad import selection
 from gmmfad.cli import main
 from gmmfad.metrics import confusion_metrics
 from gmmfad.selection import BIC_TABLE_COLUMNS
@@ -187,6 +188,39 @@ def test_fit_headerless_with_text_label_column_by_index(tmp_path):
     assert _read_json(out / "fit.json")["label_mapping"] == {"B": 0, "M": 1}
 
 
+def test_fit_numeric_header_with_label_column_by_index(tmp_path, monkeypatch):
+    # feature names that are numbers: the label name, which never recurs in
+    # its column, marks the first row as a header
+    rng = np.random.default_rng(6)
+    rows = []
+    for i in range(40):
+        label, shift = ("B", 0.0) if i % 2 == 0 else ("M", 8.0)
+        x = rng.normal(shift, 0.5, size=6)
+        rows.append(",".join(f"{v:.6f}" for v in x) + f",{label}")
+    path = tmp_path / "numeric_header.csv"
+    _write_lines(path, ["1,2,3,4,5,6,diagnosis"] + rows)
+
+    opened = []
+    builtin_open = open
+
+    def counting_open(file, *args, **kwargs):
+        if file == str(path):
+            opened.append(file)
+        return builtin_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    out = tmp_path / "fit"
+    rc = main(
+        ["fit", "--data", str(path), "--label-col", "6",
+         "--k", "2", "--q", "1", "--seed", "1", "--out-dir", str(out)]
+        + _FAST_FIT
+    )
+    assert rc == 0
+    assert len(_read_csv(out / "assignments.csv")) == 1 + len(rows)
+    assert _read_json(out / "fit.json")["label_mapping"] == {"B": 0, "M": 1}
+    assert len(opened) == 1
+
+
 def test_fit_gdt_writes_tie_sidecar(tmp_path):
     rng = np.random.default_rng(2)
     col0 = np.repeat(np.arange(15.0), 2)  # every value shared by two rows
@@ -357,6 +391,32 @@ def test_select_writes_bic_table_and_best_fit(tmp_path, capsys):
     )
     assert "selected K=" in capsys.readouterr().out
     assert (out / "metrics.json").exists()
+
+
+def test_select_leaves_no_partial_bic_table(tmp_path, monkeypatch):
+    # the second row fails to format after the header and the first row
+    # have been written
+    data_csv, _ = _simulate(
+        tmp_path, "sim", n=60, p=5, k=2, q=1, separation=3.0, seed=22
+    )
+    formatted = []
+    format_q_spec = selection.format_q_spec
+
+    def fail_second(q_spec):
+        formatted.append(q_spec)
+        if len(formatted) == 2:
+            raise ValueError("row failed to format")
+        return format_q_spec(q_spec)
+
+    monkeypatch.setattr(selection, "format_q_spec", fail_second)
+    out = tmp_path / "sel"
+    rc = main(
+        ["select", "--data", str(data_csv), "--k-range", "1..2", "--q-max", "1",
+         "--out-dir", str(out)] + _FAST_FIT
+    )
+    assert rc == 2
+    assert len(formatted) == 2
+    assert os.listdir(out) == []
 
 
 def test_report_blanks_small_loadings(tmp_path):

@@ -66,3 +66,12 @@ def test_lymphoma_label_length_mismatch(tmp_path):
     y_path.write_text("0\n1\n")
     with pytest.raises(ValueError):
         load_lymphoma(str(x_path), str(y_path))
+
+
+def test_lymphoma_rejects_fractional_labels(tmp_path):
+    x_path = tmp_path / "x.csv"
+    y_path = tmp_path / "y.csv"
+    np.savetxt(x_path, np.eye(3), delimiter=",", fmt="%.1f")
+    y_path.write_text("0\n1.7\n2\n")
+    with pytest.raises(ValueError, match="whole numbers"):
+        load_lymphoma(str(x_path), str(y_path))

@@ -7,7 +7,6 @@ import pytest
 
 from gmmfad import _kernels, ecm, linops
 from gmmfad.ecm import (
-    AllStartsFailed,
     DimensionTooLarge,
     EmptyCluster,
     FitConfig,
@@ -483,13 +482,6 @@ def test_fit_bic_matches_definition(rng):
                                        rel=1e-12)
 
 
-def test_all_starts_failed_when_no_starts_possible(rng):
-    data, _ = small_dataset(seed=37)
-    cfg = _fast_config(n_random_starts=0, use_kmeans_start=False)
-    with pytest.raises(AllStartsFailed):
-        fit(data, cfg)
-
-
 def test_fit_config_validation(rng):
     data, _ = small_dataset(seed=41)
     with pytest.raises(ValueError):
@@ -563,8 +555,8 @@ def test_aecm_moment_pass_reaches_the_kernel_module(monkeypatch):
 def test_baseline_rejects_large_p_without_force(rng):
     y = rng.standard_normal((6, 501))
     data = DataMatrix(values=y)
-    cfg = FitConfig(n_components=1, factor_spec=0, n_random_starts=1,
-                    n_finalists=1, use_kmeans_start=False, max_iter=1)
+    cfg = FitConfig(n_components=1, factor_spec=0, n_random_starts=0,
+                    n_finalists=1, max_iter=1)
     with pytest.raises(DimensionTooLarge):
         fit_baseline_aecm(data, cfg)
     report = fit_baseline_aecm(data, cfg, force=True)

@@ -29,8 +29,34 @@ def test_plain_numeric_file(tmp_path):
 def test_header_row_skipped(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("a,b\n1,2\n3,4\n")
-    data = load_csv(f, has_header=True)
+    data = load_csv(f)
     np.testing.assert_array_equal(data.values, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "text, label_column, values, mapping",
+    [
+        # a label column given by name: the first row names it, even when
+        # that name also occurs as a label
+        ("1,2,M\n3,4,M\n5,6,B\n", "M", [[3, 4], [5, 6]], {"M": 0, "B": 1}),
+        # a feature cell that is not a number, even over a recurring label
+        ("x,1,M\n3,4,M\n5,6,B\n", 2, [[3, 4], [5, 6]], {"M": 0, "B": 1}),
+        # numeric feature names over a label name that never recurs
+        ("1,2,cls\n3,4,M\n5,6,B\n", 2, [[3, 4], [5, 6]], {"M": 0, "B": 1}),
+        # a text label that recurs: the first row is data
+        ("1,2,M\n3,4,B\n5,6,M\n", 2, [[1, 2], [3, 4], [5, 6]],
+         {"M": 0, "B": 1}),
+        # an all-numeric first row with no label column is data
+        ("1,2\n3,4\n", None, [[1, 2], [3, 4]], {}),
+    ],
+)
+def test_header_decided_from_the_file(tmp_path, text, label_column, values,
+                                      mapping):
+    f = tmp_path / "m.csv"
+    f.write_text(text)
+    data, got = load_csv(f, label_column=label_column, return_mapping=True)
+    np.testing.assert_array_equal(data.values, values)
+    assert got == mapping
 
 
 def test_categorical_labels_first_appearance_order(tmp_path):
@@ -45,7 +71,7 @@ def test_categorical_labels_first_appearance_order(tmp_path):
 def test_label_column_by_name_needs_header(tmp_path):
     f = tmp_path / "m.csv"
     f.write_text("cls,x,y\nM,1,2\nB,3,4\n")
-    data = load_csv(f, has_header=True, label_column="cls")
+    data = load_csv(f, label_column="cls")
     np.testing.assert_array_equal(data.labels, [0, 1])
     f2 = tmp_path / "m2.csv"
     f2.write_text("M,1,2\nB,3,4\n")

@@ -3,8 +3,8 @@ import pytest
 
 from gmmfad import linops, profileopt
 from gmmfad.linops import DenseSymOperator, InvalidRank, WeightedCovOperator
+from gmmfad.model import PSI_MAX, PSI_MIN
 from gmmfad.profileopt import (
-    DEFAULT_BOX,
     ProfileObjective,
     optimize_psi,
     profile_value_and_gradient,
@@ -137,15 +137,14 @@ def test_diagonal_no_factor_closed_form(rng):
     d = rng.uniform(0.5, 3.0, 12)
     obj = _objective(np.diag(d), q=0)
     psi = optimize_psi(obj, np.ones(12))
-    np.testing.assert_array_equal(psi, np.clip(d, *DEFAULT_BOX))
+    np.testing.assert_array_equal(psi, np.clip(d, PSI_MIN, PSI_MAX))
 
 
 def test_no_factor_clamps_to_box(rng):
     d = np.array([1e-9, 0.5, 1e9])
     obj = _objective(np.diag(d), q=0)
     psi = optimize_psi(obj, np.ones(3))
-    lo, hi = DEFAULT_BOX
-    np.testing.assert_array_equal(psi, [lo, 0.5, hi])
+    np.testing.assert_array_equal(psi, [PSI_MIN, 0.5, PSI_MAX])
 
 
 def test_single_factor_truth_recovery(rng):
@@ -193,9 +192,8 @@ def test_stationary_start_skips_lbfgsb(monkeypatch):
         raise AssertionError("L-BFGS-B ran from a stationary start")
 
     monkeypatch.setattr(profileopt, "minimize", unreachable)
-    lo, _ = DEFAULT_BOX
     obj = _objective(np.diag([1e-9, 1.0, 1.0, 1.0, 1.0]), q=1)
-    start = np.array([lo, 1.0, 1.0, 1.0, 1.0])
+    start = np.array([PSI_MIN, 1.0, 1.0, 1.0, 1.0])
     psi = optimize_psi(obj, start)
     # equal up to the log/exp round trip of the bound coordinate
     np.testing.assert_allclose(psi, start, rtol=1e-14, atol=0.0)
@@ -203,11 +201,16 @@ def test_stationary_start_skips_lbfgsb(monkeypatch):
 
 
 def test_result_always_inside_box(rng):
+    # variances from 1e-12 to 1e12 pull the uniquenesses past both bounds
     p, q = 9, 2
-    scov = random_spd(p, rng, eig_low=1e-6, eig_high=1e7)
+    scale = np.geomspace(1e-6, 1e6, p)
+    scov = scale[:, None] * random_spd(p, rng) * scale[None, :]
     obj = _objective(scov, q)
-    psi = optimize_psi(obj, np.ones(p), box=(1e-2, 1e2))
-    assert np.all(psi >= 1e-2) and np.all(psi <= 1e2)
+    psi = optimize_psi(obj, np.ones(p))
+    assert np.all(psi >= PSI_MIN) and np.all(psi <= PSI_MAX)
+    # up to the log/exp round trip of a bound coordinate
+    assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
+    assert np.any(np.isclose(psi, PSI_MAX, rtol=1e-12, atol=0.0))
 
 
 # ------------------------------------------------------------ recover_loadings
