@@ -1,13 +1,14 @@
 """Hot numerical kernels over the weighted data, in plain numpy.
 
-Four kernels dominate the fit at large p: the weighted-covariance
-matrix-vector product; its p x b block form (two GEMMs over the data), which
-the block eigensolver applies once per iteration to scatters with n > p and
-the Lanczos uses to seed a warm start; the Lanczos basis-growth cycle, which
-strings single products together with reorthogonalization and serves only
-scatters with n <= p (one call per restart instead of one per column keeps
-interpreter overhead off the hot path); and the fused weighted first/second
-moment pass (one read of the data per CM step per component).
+Three kernels dominate the fit at large p: the weighted-covariance product
+with a p x b block (two GEMMs over the data), which the block eigensolver
+applies once per iteration to scatters with n > p and the Lanczos uses to
+seed a warm start (a single product is its one-column case); the Lanczos
+basis-growth cycle, which strings single products together with
+reorthogonalization and serves only scatters with n <= p (one call per
+restart instead of one per column keeps interpreter overhead off the hot
+path); and the fused weighted first/second moment pass (one read of the
+data per CM step per component).
 Everything BLAS-shaped beyond them (densities, eigendecompositions) lives
 with its callers.
 """
@@ -17,19 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 
-def wcov_matvec(y, w, center, v, weight_sum):
-    # sum_i w_i (y_i - c)((y_i - c) . v) / weight_sum, no n x p temporary
-    c = y @ v - center @ v
-    wc = w * c
-    r = y.T @ wc
-    r -= wc.sum() * center
-    r /= weight_sum
-    return r
-
-
 def wcov_matmat(y, w, center, scale, V, weight_sum):
-    # D S D V for a p x b block, D = diag(scale): wcov_matvec's product with
-    # GEMMs in place of GEMVs, and no n x p temporary
+    # D S D V for a p x b block, D = diag(scale), S the weighted scatter
+    # sum_i w_i (y_i - c)(y_i - c)^T / weight_sum; no n x p temporary
     u = scale[:, None] * V
     c = y @ u
     c -= center @ u

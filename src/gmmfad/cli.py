@@ -38,7 +38,7 @@ from .preprocess import (
 from .selection import SearchGrid, select_common_q, select_per_cluster_q, write_bic_table
 from .simgen import SimSpec, draw_truth, sample_dataset
 
-FIT_SCHEMA_VERSION = 2
+FIT_SCHEMA_VERSION = 3
 
 
 def _atomic_write(path: str, writer) -> None:
@@ -175,7 +175,6 @@ def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
             "tol": config.tol,
             "max_iter": config.max_iter,
             "n_random_starts": config.n_random_starts,
-            "short_run_iters": config.short_run_iters,
             "n_finalists": config.n_finalists,
         },
         "model": _model_payload(report.model),
@@ -197,9 +196,7 @@ def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
     )
     for k, comp in enumerate(report.model.components):
         header = [f"F{j + 1}" for j in range(comp.n_factors)]
-        rows = [[f"{v:.10g}" for v in row] for row in np.atleast_2d(comp.loadings)]
-        if comp.n_factors == 0:
-            rows = [[] for _ in range(comp.p)]
+        rows = [[f"{v:.10g}" for v in row] for row in comp.loadings]
         _write_rows(os.path.join(out_dir, f"loadings_k{k}.csv"), header, rows)
 
     if truth_labels is not None:

@@ -3,8 +3,8 @@
 Both engines share the E-step (Woodbury low-rank Gaussian densities,
 log-sum-exp responsibilities) and the start protocol, a small emEM scheme
 (Biernacki, Celeux & Govaert 2003): several random starts plus one k-means
-start are each run for a few iterations, the most promising finalists
-continue to convergence, and the best final log-likelihood wins.
+start are each run for ``SHORT_RUN_ITERS`` iterations, the most promising
+finalists continue to convergence, and the best final log-likelihood wins.
 Stopping is an absolute log-likelihood increase below ``tol``.  Each start
 is built when its short run begins and handed to it, so it is freed once
 the run's first CM step has replaced it, and at most ``threads`` are alive
@@ -69,6 +69,11 @@ from .model import (
 )
 
 AECM_P_LIMIT = 500
+# steps of each start's short run in the emEM start protocol
+SHORT_RUN_ITERS = 5
+# Lloyd restarts of the k-means start, and the iteration cap of each
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -102,14 +107,16 @@ class DimensionTooLarge(EcmError, ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Engine settings; defaults follow the calibration used throughout."""
+    """Engine settings; defaults follow the calibration used throughout.
+
+    The short runs of the start protocol take ``SHORT_RUN_ITERS`` steps.
+    """
 
     n_components: int
     factor_spec: int | tuple[int, ...]
     tol: float = 1e-6
     max_iter: int = 500
     n_random_starts: int = 20
-    short_run_iters: int = 5
     n_finalists: int = 3
     seed: int = 0
 
@@ -123,7 +130,7 @@ class FitConfig:
             raise ValueError("more components than observations")
         if self.tol < 0 or self.max_iter < 1:
             raise ValueError("tol must be >= 0 and max_iter >= 1")
-        if self.n_random_starts < 0 or self.n_finalists < 1 or self.short_run_iters < 1:
+        if self.n_random_starts < 0 or self.n_finalists < 1:
             raise ValueError("start protocol settings must be positive")
         cap = max_admissible_q(data.p)
         for k, q in enumerate(self.factor_vector()):
@@ -299,7 +306,8 @@ def _aecm_step(data, resp, current):
     _component_masses(g2, qs)
     comps = []
     for k, comp in enumerate(mid_model.components):
-        scatter = linops.WeightedCovOperator(y, g2[:, k], comp.mean).to_dense()
+        w = np.ascontiguousarray(g2[:, k])
+        scatter = linops.dense_scatter(y, w, comp.mean, float(np.sum(w)))
         q = comp.n_factors
         if q == 0:
             lam_new = np.zeros((data.p, 0))
@@ -379,8 +387,8 @@ def _random_start(data: DataMatrix, K: int, qs, rng, var) -> MixtureModel:
     return MixtureModel(components=tuple(comps))
 
 
-def _kmeans_labels(y, K, rng, n_restarts=10, max_iter=100):
-    """Plain Lloyd iterations on standardized data; best of n_restarts."""
+def _kmeans_labels(y, K, rng):
+    """Plain Lloyd iterations on standardized data; best of KMEANS_RESTARTS."""
     n = y.shape[0]
     std = y.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
@@ -390,10 +398,10 @@ def _kmeans_labels(y, K, rng, n_restarts=10, max_iter=100):
     rows = np.arange(n)
     onehot = np.zeros((n, K))
     best_labels, best_inertia = None, np.inf
-    for _ in range(n_restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = z[rng.choice(n, size=K, replace=False)].copy()
         labels = None
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             # zsq - 2 z.c + |c|^2, in place on the n x K product
             d2 = z @ centers.T
             d2 *= -2.0
@@ -495,7 +503,7 @@ def _fit_protocol(data, config, *, engine, step_fn, short_step_fn, initial_model
         try:
             return _advance(
                 data, _start_run(data, build()), short_step_fn,
-                max_iter=config.short_run_iters, tol=config.tol,
+                max_iter=SHORT_RUN_ITERS, tol=config.tol,
             )
         except _START_FAILURES:
             return None

@@ -14,8 +14,10 @@ of non-zero weight: on separated clusters the E-step's exp underflows to
 exactly zero on many rows.
 
 Below ``dense_threshold`` the operator is materialized and handed to
-LAPACK.  Above it each kind of operator has one solver, chosen by the
-support size n_s, since a scatter of n_s rows has rank at most n_s:
+LAPACK; ``dense_scatter`` is the one routine that builds a scatter matrix,
+for the operator and for the dense AECM baseline alike.  Above it each kind
+of operator has one solver, chosen by the support size n_s, since a scatter
+of n_s rows has rank at most n_s:
 
 * a scatter operator with n_s <= p: a thick-restart Lanczos
   (Wu & Simon 2000) with full reorthogonalization on the fused
@@ -99,8 +101,21 @@ def _check_dense_allowed(dim: int):
         )
 
 
+def dense_scatter(y, w, center, weight_sum) -> np.ndarray:
+    """The p x p scatter sum_i w_i (y_i - c)(y_i - c)^T / weight_sum.
+
+    Guard-checked.  Z = diag(sqrt(w)) (Y - center) is built in place, so the
+    one n x p temporary is Z itself, and S = Z^T Z / weight_sum is exactly
+    symmetric.
+    """
+    _check_dense_allowed(y.shape[1])
+    z = y - center
+    z *= np.sqrt(w)[:, None]
+    return z.T @ z / weight_sum
+
+
 class WeightedCovOperator:
-    """Weighted scatter of the data about a center, applied matrix-free.
+    """Weighted scatter of the data about its weighted mean, matrix-free.
 
     Parameters
     ----------
@@ -110,18 +125,17 @@ class WeightedCovOperator:
         Non-negative responsibilities.  Their sum must exceed 1e-10 * n,
         otherwise the cluster is considered empty and DegenerateWeights is
         raised for the engine to handle.
-    center : (p,) array, optional
-        Defaults to the weighted mean of the rows.
 
-    The weighted moments are taken over all n rows, and ``to_dense`` makes
-    no copy.  The matrix-free products (``matvec``, the block and Lanczos
-    kernels) run over the ``n_rows`` rows of non-zero weight: the first
-    product copies those rows out, and the copy replaces ``_y`` and ``_w``
-    for every later use.  With every weight positive there is no copy, and
-    ``_y`` is the input itself when that is already C-contiguous float64.
+    The weighted moments, hence ``center`` and ``diag``, are taken over all
+    n rows, and ``to_dense`` makes no copy.  The matrix-free products
+    (``matvec``, the block and Lanczos kernels) run over the ``n_rows`` rows
+    of non-zero weight: the first product copies those rows out, and the
+    copy replaces ``_y`` and ``_w`` for every later use.  With every weight
+    positive there is no copy, and ``_y`` is the input itself when that is
+    already C-contiguous float64.
     """
 
-    def __init__(self, values, weights, center=None):
+    def __init__(self, values, weights):
         y = np.ascontiguousarray(values, dtype=np.float64)
         w = np.ascontiguousarray(weights, dtype=np.float64)
         if y.ndim != 2 or w.ndim != 1 or w.shape[0] != y.shape[0]:
@@ -137,17 +151,10 @@ class WeightedCovOperator:
         self._w = w
         support = np.flatnonzero(w)
         self._support = support if support.size < n else None
-        if center is None:
-            weight_sum, mean, m2 = _kernels.weighted_stats(y, w)
-            self.center = mean
-            self._diag = np.maximum(m2 - mean * mean, 0.0)
-            self.weight_sum = float(weight_sum)
-        else:
-            self.center = np.ascontiguousarray(center, dtype=np.float64)
-            if self.center.shape != (y.shape[1],):
-                raise ValueError("center must have length p")
-            self._diag = None
-            self.weight_sum = float(np.sum(w))
+        weight_sum, mean, m2 = _kernels.weighted_stats(y, w)
+        self.center = mean
+        self._diag = np.maximum(m2 - mean * mean, 0.0)
+        self.weight_sum = float(weight_sum)
         self._dense = None
 
     @property
@@ -171,30 +178,25 @@ class WeightedCovOperator:
             self._support = None
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
+        """S v: the block kernel on one column, with a unit scale."""
         v = np.ascontiguousarray(v, dtype=np.float64)
         if v.shape != (self.p,):
             raise ValueError(f"expected a length-{self.p} vector")
         self._drop_zero_rows()
-        return _kernels.wcov_matvec(self._y, self._w, self.center, v, self.weight_sum)
+        return _kernels.wcov_matmat(
+            self._y, self._w, self.center, np.ones(self.p), v[:, None],
+            self.weight_sum,
+        )[:, 0]
 
     def diag(self) -> np.ndarray:
-        if self._diag is None:
-            _, _, m2 = _kernels.weighted_stats(self._y, self._w)
-            centered = m2 - 2.0 * self.center * ((self._w @ self._y) / self.weight_sum)
-            self._diag = np.maximum(centered + self.center**2, 0.0)
         return self._diag
 
     def to_dense(self) -> np.ndarray:
-        """Materialize the p x p scatter; small p only, guard-checked.
-
-        Z = diag(sqrt(w)) (Y - center) is built in place, so the one n x p
-        temporary is Z itself, and S = Z^T Z / sum(w) is exactly symmetric.
-        """
+        """Materialize the p x p scatter (``dense_scatter``); guard-checked."""
         _check_dense_allowed(self.p)
         if self._dense is None:
-            z = self._y - self.center
-            z *= np.sqrt(self._w)[:, None]
-            self._dense = z.T @ z / self.weight_sum
+            self._dense = dense_scatter(self._y, self._w, self.center,
+                                        self.weight_sum)
         return self._dense
 
 

@@ -50,11 +50,12 @@ class NonNumericCell(CsvFormatError):
         self.column = column
 
 
-def _first_row_is_header(rows, label_idx) -> bool:
+def _first_row_is_header(rows, label_idx, path) -> bool:
     """Whether the first of the numbered ``rows`` names the columns.
 
     It does when a non-empty cell outside the label column is not a number,
-    or when its label cell does not recur further down the label column.
+    or when its label cell does not recur further down the label column;
+    the second case warns.
     """
     first = rows[0][1]
     for j, cell in enumerate(first):
@@ -66,9 +67,16 @@ def _first_row_is_header(rows, label_idx) -> bool:
     if label_idx is None:
         return False
     name = first[label_idx].strip()
-    return all(
-        row[label_idx].strip() != name for _, row in rows[1:] if len(row) > label_idx
+    if any(
+        row[label_idx].strip() == name for _, row in rows[1:] if len(row) > label_idx
+    ):
+        return False
+    warnings.warn(
+        f"{path}: line 1 is read as a header because its label {name!r} does "
+        f"not occur again in column {label_idx}; if it is a sample, it is dropped",
+        stacklevel=3,
     )
+    return True
 
 
 def load_csv(
@@ -86,7 +94,8 @@ def load_csv(
     The first row is a header when the label column is given by name, when
     a cell outside the label column is not a number, or when the label
     column is given by index and its first-row cell does not appear again
-    in that column.  Otherwise it is data.
+    in that column; that last case warns, since it cannot tell a header from
+    a first sample whose class occurs once.  Otherwise it is data.
 
     Raises EmptyCsv, RaggedRow or NonNumericCell with one-based line
     numbers on malformed input.
@@ -109,7 +118,7 @@ def load_csv(
         if not 0 <= label_idx < width:
             raise CsvFormatError(f"label column index {label_idx} out of range")
 
-    if isinstance(label_column, str) or _first_row_is_header(rows, label_idx):
+    if isinstance(label_column, str) or _first_row_is_header(rows, label_idx, path):
         rows = rows[1:]
         if not rows:
             raise EmptyCsv(f"{path}: header only, no data rows")

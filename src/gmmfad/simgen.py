@@ -89,17 +89,6 @@ def draw_truth(spec: SimSpec) -> MixtureModel:
                 uniquenesses=np.clip(psi, PSI_MIN, PSI_MAX),
             )
         )
-    total = sum(c.weight for c in comps)
-    if abs(total - 1.0) > 1e-15:
-        comps = [
-            ComponentParams(
-                weight=c.weight / total,
-                mean=c.mean,
-                loadings=c.loadings,
-                uniquenesses=c.uniquenesses,
-            )
-            for c in comps
-        ]
     return MixtureModel(components=tuple(comps))
 
 

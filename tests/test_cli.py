@@ -97,6 +97,10 @@ def test_fit_pipeline_recovers_planted_clusters(tmp_path):
     payload = _read_json(out / "fit.json")
     assert payload["engine"] == "gmmfad"
     assert payload["converged"] is True
+    assert payload["schema_version"] == 3
+    assert set(payload["config"]) == {"n_components", "factor_spec", "tol",
+                                      "max_iter", "n_random_starts",
+                                      "n_finalists"}
     assert payload["config"]["n_components"] == 2
     assert payload["config"]["factor_spec"] == [2, 2]
     assert payload["n_params"] == payload["model"]["p"] * 2 * 3 + 1 + 2 * (8 - 1)
@@ -160,6 +164,8 @@ def test_fit_with_label_column_by_name(tmp_path):
     assert rc == 0
     payload = _read_json(out / "fit.json")
     assert payload["label_mapping"] == {"A": 0, "B": 1}
+    # no factors: no header, and one empty row per feature
+    assert _read_csv(out / "loadings_k0.csv") == [[], []]
     metrics = _read_json(out / "metrics.json")
     assert metrics["ari"] == pytest.approx(1.0)
     assert metrics["accuracy"] == pytest.approx(1.0)

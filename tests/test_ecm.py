@@ -249,7 +249,7 @@ def test_empty_cluster_raised_with_diagnostics(rng, monkeypatch):
 
 def test_aecm_empty_cluster_raised_before_any_component_work(monkeypatch):
     moments = count_calls(monkeypatch, _kernels, "weighted_stats")
-    scatters = count_calls(monkeypatch, linops.WeightedCovOperator, "to_dense")
+    scatters = count_calls(monkeypatch, linops, "dense_scatter")
     data, truth = small_dataset(seed=3)
     # first cycle: the given responsibilities leave the last cluster short
     with pytest.raises(EmptyCluster) as exc:
@@ -270,33 +270,34 @@ def test_aecm_empty_cluster_raised_before_any_component_work(monkeypatch):
 # ------------------------------------------------------------------------ fit
 
 
-def _fast_config(**kw):
+def _fast_config(monkeypatch, short_run_iters=4, **kw):
+    monkeypatch.setattr(ecm, "SHORT_RUN_ITERS", short_run_iters)
     base = dict(n_components=2, factor_spec=2, n_random_starts=8,
-                short_run_iters=4, n_finalists=2, seed=0)
+                n_finalists=2, seed=0)
     base.update(kw)
     return FitConfig(**base)
 
 
-def test_fit_recovers_planted_clusters(rng):
+def test_fit_recovers_planted_clusters(rng, monkeypatch):
     data, _ = small_dataset(seed=11)
-    report = fit(data, _fast_config())
+    report = fit(data, _fast_config(monkeypatch))
     assert adjusted_rand_index(report.hard_assignment, data.labels) >= 0.9
     assert report.converged
 
 
-def test_fit_single_component_is_factor_analysis(rng):
+def test_fit_single_component_is_factor_analysis(rng, monkeypatch):
     data, _ = small_dataset(seed=13)
-    report = fit(data, _fast_config(n_components=1, factor_spec=2,
-                                    n_random_starts=3))
+    report = fit(data, _fast_config(monkeypatch, n_components=1,
+                                    factor_spec=2, n_random_starts=3))
     assert report.model.n_components == 1
     steps = np.diff(report.loglik_trace)
     assert steps.size == 0 or steps.min() >= -1e-8
     np.testing.assert_array_equal(report.hard_assignment, np.zeros(data.n))
 
 
-def test_fit_is_deterministic_per_seed(rng):
+def test_fit_is_deterministic_per_seed(rng, monkeypatch):
     data, _ = small_dataset(seed=17)
-    cfg = _fast_config(seed=42)
+    cfg = _fast_config(monkeypatch, seed=42)
     a = fit(data, cfg)
     b = fit(data, cfg)
     np.testing.assert_array_equal(a.loglik_trace, b.loglik_trace)
@@ -309,9 +310,9 @@ def test_fit_is_deterministic_per_seed(rng):
         np.testing.assert_array_equal(ca.uniquenesses, cb.uniquenesses)
 
 
-def test_fit_thread_count_does_not_change_result(rng):
+def test_fit_thread_count_does_not_change_result(rng, monkeypatch):
     data, _ = small_dataset(seed=19)
-    cfg = _fast_config(seed=7)
+    cfg = _fast_config(monkeypatch, seed=7)
     a = fit(data, cfg, threads=1)
     b = fit(data, cfg, threads=3)
     np.testing.assert_array_equal(a.loglik_trace, b.loglik_trace)
@@ -353,7 +354,7 @@ def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
         return run
 
     monkeypatch.setattr(ecm, "_advance", checking)
-    fit(data, _fast_config(), threads=threads)
+    fit(data, _fast_config(monkeypatch), threads=threads)
     assert len(refs) == 9  # 8 random starts and the k-means start
     assert alive_at_long_runs and not any(alive_at_long_runs)
     assert len(short_runs) > 2 and alive_non_finalists == [0]
@@ -393,7 +394,7 @@ def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
 
     monkeypatch.setattr(ecm, "e_step", tracked_e_step)
     monkeypatch.setattr(ecm, "cm_step", tracked_cm_step)
-    fit(data, _fast_config())
+    fit(data, _fast_config(monkeypatch))
     # the short runs of the surviving starts and both finalists' long runs
     assert len(dead_at_second_step) > 2 and all(dead_at_second_step)
 
@@ -403,8 +404,8 @@ def test_a_finalist_continues_its_short_run_without_a_second_e_step(monkeypatch)
     # the fit is one entry of the trace
     data, _ = small_dataset(seed=19)
     e_steps = count_calls(monkeypatch, ecm, "e_step")
-    report = fit(data, _fast_config(n_random_starts=0, short_run_iters=1,
-                                    n_finalists=1))
+    report = fit(data, _fast_config(monkeypatch, short_run_iters=1,
+                                    n_random_starts=0, n_finalists=1))
     assert report.n_iter > 1
     assert len(e_steps) == len(report.loglik_trace)
 
@@ -427,7 +428,7 @@ def test_a_finalist_whose_long_run_fails_is_dropped(monkeypatch):
         return _cm_step(d, resp, current, **kwargs)
 
     monkeypatch.setattr(ecm, "cm_step", failing_cm_step)
-    report = fit(data, _fast_config())
+    report = fit(data, _fast_config(monkeypatch))
     assert dead_during_second == [[True, True]]
     assert report.converged
 
@@ -451,32 +452,32 @@ def test_kmeans_empty_cluster_keeps_its_centre():
         np.testing.assert_array_equal(got, want)
 
 
-def test_fit_common_q_equals_explicit_vector(rng):
+def test_fit_common_q_equals_explicit_vector(rng, monkeypatch):
     data, _ = small_dataset(seed=23)
-    a = fit(data, _fast_config(factor_spec=2, seed=5))
-    b = fit(data, _fast_config(factor_spec=(2, 2), seed=5))
+    a = fit(data, _fast_config(monkeypatch, factor_spec=2, seed=5))
+    b = fit(data, _fast_config(monkeypatch, factor_spec=(2, 2), seed=5))
     np.testing.assert_array_equal(a.loglik_trace, b.loglik_trace)
     for ca, cb in zip(a.model.components, b.model.components):
         np.testing.assert_array_equal(ca.loadings, cb.loadings)
 
 
-def test_row_permutation_permutes_assignment(rng):
+def test_row_permutation_permutes_assignment(rng, monkeypatch):
     data, truth = small_dataset(seed=29)
     perm = rng.permutation(data.n)
     permuted = DataMatrix(values=data.values[perm],
                           labels=data.labels[perm])
-    cfg = _fast_config(max_iter=60)
+    cfg = _fast_config(monkeypatch, max_iter=60)
     a = fit(data, cfg, initial_model=truth)
     b = fit(permuted, cfg, initial_model=truth)
     assert b.loglik == pytest.approx(a.loglik, abs=1e-9 * abs(a.loglik))
     np.testing.assert_array_equal(a.hard_assignment[perm], b.hard_assignment)
 
 
-def test_fit_bic_matches_definition(rng):
+def test_fit_bic_matches_definition(rng, monkeypatch):
     from gmmfad.model import free_param_count
 
     data, _ = small_dataset(seed=31)
-    report = fit(data, _fast_config())
+    report = fit(data, _fast_config(monkeypatch))
     d = free_param_count(report.model)
     assert report.bic == pytest.approx(-2 * report.loglik + d * math.log(data.n),
                                        rel=1e-12)
@@ -495,9 +496,9 @@ def test_fit_config_validation(rng):
 # ------------------------------------------------------------------- baseline
 
 
-def test_engines_agree_from_identical_start(rng):
+def test_engines_agree_from_identical_start(rng, monkeypatch):
     data, truth = small_dataset(seed=43)
-    cfg = _fast_config(max_iter=400)
+    cfg = _fast_config(monkeypatch, max_iter=400)
     a = fit(data, cfg, initial_model=truth)
     b = fit_baseline_aecm(data, cfg, initial_model=truth)
     assert abs(a.loglik - b.loglik) <= 1e-3 * abs(a.loglik)
@@ -547,7 +548,8 @@ def test_aecm_moment_pass_reaches_the_kernel_module(monkeypatch):
 
     monkeypatch.setattr(_kernels, "weighted_stats", counting)
     data, truth = small_dataset(seed=43)
-    report = fit_baseline_aecm(data, _fast_config(max_iter=3), initial_model=truth)
+    report = fit_baseline_aecm(data, _fast_config(monkeypatch, max_iter=3),
+                               initial_model=truth)
     assert report.n_iter > 0
     assert len(calls) == truth.n_components * report.n_iter
 

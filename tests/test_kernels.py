@@ -3,6 +3,7 @@ import pytest
 
 import gmmfad
 from gmmfad import _kernels
+from gmmfad.linops import WeightedCovOperator
 
 from .helpers import dense_weighted_cov
 
@@ -17,11 +18,12 @@ def _instances(rng, cases=((7, 3), (40, 12), (13, 60))):
         yield y, w, center, v
 
 
-def test_wcov_matvec_matches_dense_loop_oracle(rng):
-    for y, w, center, v in _instances(rng):
-        want = dense_weighted_cov(y, w, center) @ v
-        got = _kernels.wcov_matvec(y, w, center, v, w.sum())
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+def test_operator_matvec_matches_dense_loop_oracle(rng):
+    # the operator's single product is the block kernel's one-column case
+    for y, w, _, v in _instances(rng):
+        op = WeightedCovOperator(y, w)
+        want = dense_weighted_cov(y, w, op.center) @ v
+        np.testing.assert_allclose(op.matvec(v), want, rtol=1e-10, atol=1e-12)
 
 
 def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
@@ -29,10 +31,8 @@ def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
         p = y.shape[1]
         block = rng.standard_normal((p, 4))
         scale = rng.uniform(0.5, 2.0, p)
-        want = np.column_stack([
-            scale * _kernels.wcov_matvec(y, w, center, scale * v, w.sum())
-            for v in block.T
-        ])
+        dense = dense_weighted_cov(y, w, center)
+        want = np.column_stack([scale * (dense @ (scale * v)) for v in block.T])
         got = _kernels.wcov_matmat(y, w, center, scale, block, w.sum())
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 

@@ -34,29 +34,42 @@ def test_apply_matches_dense_covariance_oracle(rng):
     for p in (3, 11, 20):
         y = rng.standard_normal((25, p))
         w = np.ones(25)
-        center = y.mean(axis=0)
-        op = WeightedCovOperator(y, w, center)
+        op = WeightedCovOperator(y, w)
+        np.testing.assert_allclose(op.center, y.mean(axis=0), rtol=1e-12)
         for _ in range(5):
             v = rng.standard_normal(p)
-            want = dense_weighted_cov(y, w, center) @ v
+            want = dense_weighted_cov(y, w, op.center) @ v
             np.testing.assert_allclose(op.matvec(v), want, atol=1e-10)
 
 
 def test_apply_zero_vector_is_zero(rng):
     y = rng.standard_normal((12, 6))
-    op = WeightedCovOperator(y, rng.uniform(0.1, 1.0, 12), y.mean(axis=0))
+    op = WeightedCovOperator(y, rng.uniform(0.1, 1.0, 12))
     np.testing.assert_array_equal(op.matvec(np.zeros(6)), np.zeros(6))
 
 
-def test_apply_single_weight_is_rank_one_action(rng):
+def test_apply_two_weights_is_rank_one_action(rng):
+    # about their weighted mean, two weighted rows a, b scatter along a - b
+    # with mass w_a w_b / (w_a + w_b)^2
+    y = rng.standard_normal((9, 5))
+    w = np.zeros(9)
+    w[2], w[6] = 0.3, 0.9
+    op = WeightedCovOperator(y, w)
+    d = y[2] - y[6]
+    v = rng.standard_normal(5)
+    np.testing.assert_allclose(op.matvec(v), 0.3 * 0.9 / 1.2**2 * d * (d @ v),
+                               atol=1e-12)
+
+
+def test_dense_scatter_single_weight_about_any_centre(rng):
     y = rng.standard_normal((9, 5))
     w = np.zeros(9)
     w[4] = 1.0
     center = rng.standard_normal(5)
-    op = WeightedCovOperator(y, w, center)
     d = y[4] - center
-    v = rng.standard_normal(5)
-    np.testing.assert_allclose(op.matvec(v), d * (d @ v), atol=1e-12)
+    got = linops.dense_scatter(y, w, center, 1.0)
+    np.testing.assert_allclose(got, dense_weighted_cov(y, w, center), atol=1e-12)
+    np.testing.assert_allclose(got, np.outer(d, d), atol=1e-12)
 
 
 def test_weighted_center_defaults_to_weighted_mean(rng):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -57,6 +59,33 @@ def test_header_decided_from_the_file(tmp_path, text, label_column, values,
     data, got = load_csv(f, label_column=label_column, return_mapping=True)
     np.testing.assert_array_equal(data.values, values)
     assert got == mapping
+
+
+def test_header_read_from_a_unique_label_warns(tmp_path):
+    # a headerless file whose first sample is the only one of its class
+    # looks like a header; the row is still dropped, but not silently
+    f = tmp_path / "m.csv"
+    f.write_text("0.5,1.5,C\n1,2,B\n3,4,B\n5,6,M\n")
+    with pytest.warns(UserWarning) as record:
+        data, mapping = load_csv(f, label_column=2, return_mapping=True)
+    assert len(record) == 1
+    message = str(record[0].message)
+    assert str(f) in message and "line 1" in message and "'C'" in message
+    assert data.n == 3 and mapping == {"B": 0, "M": 1}
+
+
+@pytest.mark.parametrize(
+    "text, label_column",
+    [("x,1,M\n3,4,M\n5,6,B\n", 2), ("1,2,M\n3,4,M\n5,6,B\n", "M")],
+)
+def test_header_from_a_text_cell_or_a_label_name_does_not_warn(
+        tmp_path, text, label_column):
+    f = tmp_path / "m.csv"
+    f.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = load_csv(f, label_column=label_column)
+    assert data.n == 2
 
 
 def test_categorical_labels_first_appearance_order(tmp_path):

@@ -26,9 +26,10 @@ from gmmfad.simgen import SimSpec, draw_truth, sample_dataset
 from .helpers import small_dataset
 
 
-def _cfg(**kw):
+def _cfg(monkeypatch, short_run_iters=4, **kw):
+    monkeypatch.setattr(ecm, "SHORT_RUN_ITERS", short_run_iters)
     base = dict(n_components=2, factor_spec=2, n_random_starts=6,
-                short_run_iters=4, n_finalists=2, max_iter=200, seed=0)
+                n_finalists=2, max_iter=200, seed=0)
     base.update(kw)
     return FitConfig(**base)
 
@@ -75,38 +76,38 @@ def test_dominant_cell_wins():
 # ------------------------------------------------------------- common-q grid
 
 
-def test_single_cell_grid_returns_that_fit():
+def test_single_cell_grid_returns_that_fit(monkeypatch):
     data, _ = small_dataset(seed=61)
-    grid = SearchGrid(k_values=(2,), q_max=1, fit_config=_cfg())
+    grid = SearchGrid(k_values=(2,), q_max=1, fit_config=_cfg(monkeypatch))
     best, rows = select_common_q(data, grid)
     assert len(rows) == 1
-    direct = fit(data, _cfg(n_components=2, factor_spec=1))
+    direct = fit(data, _cfg(monkeypatch, n_components=2, factor_spec=1))
     assert best.loglik == direct.loglik
     assert best.bic == direct.bic
 
 
-def test_winner_bic_is_table_minimum():
+def test_winner_bic_is_table_minimum(monkeypatch):
     data, _ = small_dataset(seed=67)
-    grid = SearchGrid(k_values=(1, 2), q_max=2, fit_config=_cfg())
+    grid = SearchGrid(k_values=(1, 2), q_max=2, fit_config=_cfg(monkeypatch))
     best, rows = select_common_q(data, grid)
     finite = [r.bic for r in rows if math.isfinite(r.bic)]
     assert best.bic == min(finite)
 
 
-def test_table_rows_deterministic_under_fixed_seed():
+def test_table_rows_deterministic_under_fixed_seed(monkeypatch):
     data, _ = small_dataset(seed=71)
-    grid = SearchGrid(k_values=(1, 2), q_max=2, fit_config=_cfg(seed=9))
+    grid = SearchGrid(k_values=(1, 2), q_max=2, fit_config=_cfg(monkeypatch, seed=9))
     _, rows_a = select_common_q(data, grid)
     _, rows_b = select_common_q(data, grid)
     key = lambda r: (r.K, r.q_spec, r.loglik, r.n_params, r.bic, r.n_iter)
     assert [key(r) for r in rows_a] == [key(r) for r in rows_b]
 
 
-def test_failed_cells_record_infinite_bic():
+def test_failed_cells_record_infinite_bic(monkeypatch):
     data, _ = small_dataset(seed=73)
     # K=200 exceeds n=300's start floor satisfiability? no - it violates
     # nothing at config time, so use K > n which fails validation instead
-    grid = SearchGrid(k_values=(2, 301), q_max=1, fit_config=_cfg())
+    grid = SearchGrid(k_values=(2, 301), q_max=1, fit_config=_cfg(monkeypatch))
     best, rows = select_common_q(data, grid)
     bad = [r for r in rows if r.K == 301]
     assert bad and all(math.isinf(r.bic) for r in bad)
@@ -115,9 +116,9 @@ def test_failed_cells_record_infinite_bic():
     assert best.model.n_components == 2
 
 
-def test_all_cells_failed_raises():
+def test_all_cells_failed_raises(monkeypatch):
     data, _ = small_dataset(seed=79)
-    grid = SearchGrid(k_values=(301,), q_max=1, fit_config=_cfg())
+    grid = SearchGrid(k_values=(301,), q_max=1, fit_config=_cfg(monkeypatch))
     with pytest.raises(AllStartsFailed):
         select_common_q(data, grid)
 
@@ -126,26 +127,26 @@ def test_warm_cell_eigensolve_failure_records_infinite_bic(monkeypatch):
     # a warm refit skips the start protocol, so the cell itself must catch
     # the eigensolver's failure instead of aborting the whole search
     data, _ = small_dataset(seed=103)
-    warm = fit(data, _cfg()).model
+    warm = fit(data, _cfg(monkeypatch)).model
 
     def no_convergence(obj, psi_hat):
         raise NoConvergence("forced")
 
     monkeypatch.setattr(profileopt, "recover_loadings", no_convergence)
-    report, row = _run_cell(data, _cfg(), 1, initial_model=warm)
+    report, row = _run_cell(data, _cfg(monkeypatch), 1, initial_model=warm)
     assert report is None
     assert math.isinf(row.bic)
     assert row.status == "NoConvergence"
 
 
-def test_warm_cell_empty_cluster_records_its_class_name():
+def test_warm_cell_empty_cluster_records_its_class_name(monkeypatch):
     # a warm model whose second mean sits far from every row leaves that
     # cluster without mass at the first CM step
     data, _ = small_dataset(seed=103)
-    warm = fit(data, _cfg()).model
+    warm = fit(data, _cfg(monkeypatch)).model
     far = replace(warm.components[1], mean=warm.components[1].mean + 1e3)
     warm = replace(warm, components=(warm.components[0], far))
-    report, row = _run_cell(data, _cfg(), 1, initial_model=warm)
+    report, row = _run_cell(data, _cfg(monkeypatch), 1, initial_model=warm)
     assert report is None
     assert math.isinf(row.bic)
     assert row.status == "EmptyCluster"
@@ -160,7 +161,7 @@ def test_defect_inside_fit_propagates_from_the_search(monkeypatch):
         raise ValueError("defect inside the CM step")
 
     monkeypatch.setattr(ecm, "cm_step", defect)
-    grid = SearchGrid(k_values=(2,), q_max=1, fit_config=_cfg())
+    grid = SearchGrid(k_values=(2,), q_max=1, fit_config=_cfg(monkeypatch))
     with pytest.raises(ValueError, match="defect inside the CM step"):
         select_common_q(data, grid)
 
@@ -168,16 +169,16 @@ def test_defect_inside_fit_propagates_from_the_search(monkeypatch):
 # ---------------------------------------------------------------- per-cluster
 
 
-def test_per_cluster_never_worse_than_common():
+def test_per_cluster_never_worse_than_common(monkeypatch):
     data, _ = small_dataset(seed=89)
-    grid = SearchGrid(k_values=(2,), q_max=3, fit_config=_cfg())
+    grid = SearchGrid(k_values=(2,), q_max=3, fit_config=_cfg(monkeypatch))
     best_common, _ = select_common_q(data, grid)
     best_q, rows = select_per_cluster_q(data, grid)
     assert best_q.bic <= best_common.bic + 1e-6
     assert best_q.bic == min(r.bic for r in rows if math.isfinite(r.bic))
 
 
-def test_per_cluster_recovery_of_planted_q_vector():
+def test_per_cluster_recovery_of_planted_q_vector(monkeypatch):
     hits = 0
     for rep in range(20):
         spec = SimSpec(n=400, p=10, n_components=2, factor_spec=(3, 1),
@@ -185,20 +186,22 @@ def test_per_cluster_recovery_of_planted_q_vector():
         truth = draw_truth(spec)
         data = sample_dataset(truth, 400, seed=1900 + rep)
         grid = SearchGrid(k_values=(2,), q_max=4,
-                          fit_config=_cfg(seed=rep, tol=1e-5, max_iter=150))
+                          fit_config=_cfg(monkeypatch, seed=rep, tol=1e-5,
+                                          max_iter=150))
         best, _ = select_per_cluster_q(data, grid)
         got = tuple(sorted(best.model.factor_vector, reverse=True))
         hits += got == (3, 1)
     assert hits > 10, f"recovered (3,1) in only {hits}/20 replications"
 
 
-def test_nested_q_warm_start_is_monotone():
+def test_nested_q_warm_start_is_monotone(monkeypatch):
     data, _ = small_dataset(seed=97)
-    small = fit(data, _cfg(factor_spec=2))
+    small = fit(data, _cfg(monkeypatch, factor_spec=2))
     warm = small.model
     for k in range(2):
         warm = _adapt_factor_dim(warm, k, 3)
-    large = fit(data, _cfg(factor_spec=3, max_iter=300), initial_model=warm)
+    large = fit(data, _cfg(monkeypatch, factor_spec=3, max_iter=300),
+                initial_model=warm)
     assert large.loglik >= small.loglik - 1e-6
 
 
