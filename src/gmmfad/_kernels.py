@@ -3,7 +3,7 @@
 Three kernels dominate the fit at large p: the weighted-covariance product
 with a p x b block (two GEMMs over the data), which the block eigensolver
 applies once per iteration to scatters with n > p and the Lanczos uses to
-seed a warm start (a single product is its one-column case); the Lanczos
+image its start block (a single product is its one-column case); the Lanczos
 basis-growth cycle, which strings single products together with
 reorthogonalization and serves only scatters with n <= p (one call per
 restart instead of one per column keeps interpreter overhead off the hot
@@ -40,9 +40,9 @@ def weighted_stats(y, w):
     return weight_sum, mean, m2
 
 
-# basis-extension breakdown thresholds shared with linops: a direction whose
-# norm is below BREAKDOWN_ABS carries no information, and one reduced below
-# BREAKDOWN_REL by reorthogonalization lies in the span
+# breakdown thresholds of lanczos_grow: a direction whose norm is below
+# BREAKDOWN_ABS carries no information, and one reduced below BREAKDOWN_REL
+# by reorthogonalization lies in the span
 BREAKDOWN_ABS = 1e-12
 BREAKDOWN_REL = 1e-6
 

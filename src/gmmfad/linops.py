@@ -22,14 +22,17 @@ of n_s rows has rank at most n_s:
 * a scatter operator with n_s <= p: a thick-restart Lanczos
   (Wu & Simon 2000) with full reorthogonalization on the fused
   ``_kernels.lanczos_grow`` cycle.  Restarts keep a few Ritz vectors beyond
-  the requested q and continue along the dominant residual direction.
+  the requested q and continue along the residual of the first pair that
+  has not converged.
 * every other operator: a warm-started block Rayleigh-Ritz subspace
   iteration (Halko, Martinsson & Tropp 2011).  For a scatter with n_s > p each
   iteration is one GEMM-shaped kernel call on the whole p x b block; other
   operators are applied column by column.
 
-Both take a warm-start subspace, which the uniqueness solver uses to make
-successive eigensolves nearly free.  No solver fixes eigenvector signs.
+Both start from one orthonormalized block (``_start_basis``: the warm-start
+subspace, which the uniqueness solver uses to make successive eigensolves
+nearly free, then seeded random columns) and share one Rayleigh-Ritz step
+(``_rayleigh_ritz``).  No solver fixes eigenvector signs.
 
 A scoped allocation guard lets callers assert that nothing in a region
 materializes a dense matrix wider than a given limit; the only routines that
@@ -38,7 +41,6 @@ can build one funnel through the guard check.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -50,7 +52,8 @@ from . import _kernels
 DENSE_THRESHOLD = 64
 # restarts (block iterations) an iterative solve may take before NoConvergence
 MAX_RESTARTS = 200
-# seed of the random start vectors, drawn on cold starts and breakdowns
+# seed of every random column: the block solver's padding columns, a cold
+# Lanczos start and a Lanczos breakdown reseed
 SEED = 0
 
 
@@ -220,9 +223,6 @@ class ScaledCovOperator:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.scale * self.base.matvec(self.scale * v)
 
-    def diag(self) -> np.ndarray:
-        return self.scale**2 * self.base.diag()
-
     def to_dense(self) -> np.ndarray:
         dense = self.base.to_dense()
         return self.scale[:, None] * dense * self.scale[None, :]
@@ -270,38 +270,6 @@ class EigPairs:
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-class _LazyRng:
-    """Defers generator construction; most Lanczos calls never draw."""
-
-    __slots__ = ("_gen",)
-
-    def __init__(self):
-        self._gen = None
-
-    def standard_normal(self, size):
-        if self._gen is None:
-            self._gen = np.random.default_rng(np.random.Philox(SEED))
-        return self._gen.standard_normal(size)
-
-
-def _orthonormalize_against(v, basis, ncols, rng):
-    """Project v off the first ncols of basis twice; random restart on breakdown."""
-    for _ in range(3):
-        scale = math.sqrt(float(v @ v))
-        if scale <= _kernels.BREAKDOWN_ABS:
-            v = rng.standard_normal(v.shape[0])
-            scale = math.sqrt(float(v @ v))
-        v = v / scale
-        for _ in range(2):
-            if ncols:
-                v -= basis[:, :ncols] @ (basis[:, :ncols].T @ v)
-        nrm = math.sqrt(float(v @ v))
-        if nrm > _kernels.BREAKDOWN_REL:
-            return v / nrm
-        v = rng.standard_normal(v.shape[0])
-    raise NoConvergence("could not extend the Krylov basis")
 
 
 def _scatter_parts(op):
@@ -358,10 +326,31 @@ def _dense_eigpairs(op, q: int) -> EigPairs:
     )
 
 
-def _warm_block(v0, p: int) -> np.ndarray:
-    # a start vector or a p x j subspace, as p x j columns
-    v0 = np.atleast_2d(np.asarray(v0, dtype=np.float64))
-    return v0.T if v0.shape[0] != p else v0
+def _start_basis(v0, p: int, width: int, rng) -> np.ndarray:
+    """Orthonormal p x width start: the columns of ``v0``, then seeded ones.
+
+    ``v0`` is a start vector or a p x j subspace (a j x p one is transposed);
+    its first ``width`` columns come first, random columns fill the rest, and
+    one QR orthonormalizes the block.  A rank-deficient block still gives
+    orthonormal columns.
+    """
+    start = np.empty((p, width))
+    j = 0
+    if v0 is not None:
+        v0 = np.atleast_2d(np.asarray(v0, dtype=np.float64))
+        warm = (v0.T if v0.shape[0] != p else v0)[:, :width]
+        j = warm.shape[1]
+        start[:, :j] = warm
+    if j < width:
+        start[:, j:] = rng.standard_normal((p, width - j))
+    return np.linalg.qr(start)[0]
+
+
+def _rayleigh_ritz(basis, images):
+    """Ritz values (descending) and coefficients of A on span(basis)."""
+    h = basis.T @ images
+    theta, s = np.linalg.eigh(0.5 * (h + h.T))
+    return theta[::-1], s[:, ::-1]
 
 
 def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
@@ -374,23 +363,11 @@ def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
     convergence, moves the block to qr(A V S).
     """
     p = op.shape[0]
-    b = min(p - 1, 2 * q + 10)
-    start = np.empty((p, b))
-    j = 0
-    if v0 is not None:
-        warm = _warm_block(v0, p)[:, :b]
-        j = warm.shape[1]
-        start[:, :j] = warm
-    if j < b:
-        start[:, j:] = rng.standard_normal((p, b - j))
-    basis = np.linalg.qr(start)[0]
+    basis = _start_basis(v0, p, min(p - 1, 2 * q + 10), rng)
     res_norms = None
     for _ in range(MAX_RESTARTS):
         images = _block_images(op, basis)
-        h = basis.T @ images
-        theta, s = np.linalg.eigh(0.5 * (h + h.T))
-        theta = theta[::-1]
-        s = s[:, ::-1]
+        theta, s = _rayleigh_ritz(basis, images)
         ritz_images = images @ s
         ritz = basis @ s[:, :q]
         res_norms = np.linalg.norm(ritz_images[:, :q] - ritz * theta[:q], axis=0)
@@ -416,30 +393,10 @@ def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
     basis = np.empty((p, m), order="F")
     images = np.empty((p, m), order="F")
 
-    # seed the basis: warm subspace if given, else a single start vector
-    ncols = 0
-    if v0 is not None:
-        block = _warm_block(v0, p)[:, : m - 1]
-        qf, rf = np.linalg.qr(block)
-        full_rank = bool(
-            np.all(np.abs(np.diag(rf)) > 1e-8 * max(1.0, abs(rf[0, 0])))
-        )
-        if full_rank and qf.shape[1]:
-            ncols = qf.shape[1]
-            basis[:, :ncols] = qf
-        else:  # degenerate warm block: orthonormalize one column at a time
-            for j in range(block.shape[1]):
-                basis[:, ncols] = _orthonormalize_against(
-                    block[:, j].copy(), basis, ncols, rng
-                )
-                ncols += 1
-        if ncols:
-            images[:, :ncols] = _block_images(op, basis[:, :ncols])
-    if ncols == 0:
-        vec = _orthonormalize_against(rng.standard_normal(p), basis, 0, rng)
-        basis[:, 0] = vec
-        images[:, 0] = op.matvec(vec)
-        ncols = 1
+    # start from the warm columns (at most m - 1), or one random column
+    ncols = 1 if v0 is None else min(max(np.size(v0) // p, 1), m - 1)
+    basis[:, :ncols] = _start_basis(v0, p, ncols, rng)
+    images[:, :ncols] = _block_images(op, basis[:, :ncols])
 
     next_dir = images[:, ncols - 1].copy()
     last_res = None
@@ -449,12 +406,7 @@ def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
 
         # Rayleigh-Ritz on the full basis; h is tridiagonal-plus-arrowhead in
         # exact arithmetic but is formed whole since reorthogonalization is full
-        h = basis.T @ images
-        h = 0.5 * (h + h.T)
-        theta, s = np.linalg.eigh(h)
-        order = np.argsort(theta)[::-1]
-        theta = theta[order]
-        s = s[:, order]
+        theta, s = _rayleigh_ritz(basis, images)
 
         ritz = basis @ s[:, : max(q, keep)]
         ritz_images = images @ s[:, : max(q, keep)]
@@ -516,20 +468,23 @@ def top_eigenpairs(
     ||A y_j - theta_j y_j|| <= tol * max(1, theta_j).  The floor of tol
     protects near-null directions of rank-deficient scatters.  ``v0`` may be
     a single start vector or a p x j warm-start subspace (typically the
-    previous solve's vectors).  Values come back descending, and the vectors
-    as an orthonormal basis with no sign convention.
+    previous solve's vectors); both solvers orthonormalize it with one QR,
+    the Lanczos keeping at most min(p, 2q + 10) - 1 of its columns and the
+    block solver padding it with random columns.  It need not have full
+    rank.  Values come back descending, and the vectors as an orthonormal
+    basis with no sign convention.
 
     Raises NoConvergence when MAX_RESTARTS restarts (block iterations) do
-    not reach the tolerance, and InvalidRank unless 1 <= q < p.  Random
-    start vectors come from a generator seeded with SEED, so a solve is
-    deterministic.
+    not reach the tolerance, and InvalidRank unless 1 <= q < p.  Every
+    random column (padding, a cold start, a breakdown reseed) comes from one
+    generator seeded with SEED per solve, so a solve is deterministic.
     """
     p = op.shape[0]
     if not 1 <= q < p:
         raise InvalidRank(f"need 1 <= q < p, got q={q}, p={p}")
     if p <= dense_threshold:
         return _dense_eigpairs(op, q)
-    rng = _LazyRng()  # Lanczos draws only on cold starts and breakdowns
+    rng = np.random.Generator(np.random.Philox(SEED))
     parts = _scatter_parts(op)
     if parts is not None and parts[0].n_rows <= p:
         return _lanczos_eigpairs(op, parts, q, tol, v0, rng)

@@ -295,6 +295,46 @@ def test_overspecified_rank_small_gap_meets_residual_bound(rng):
                                rtol=1e-8)
 
 
+def test_rank_deficient_warm_blocks_on_the_lanczos(rng):
+    # n_s = 40 <= p: the Lanczos, started from warm blocks whose QR has a
+    # zero pivot
+    p, q, tol = 150, 4, 1e-8
+    op = ScaledCovOperator(_scatter(rng, 40, p), rng.uniform(0.5, 2.0, p))
+    a = op.to_dense()
+    want = np.linalg.eigvalsh(a)[::-1][:q]
+    cols = rng.standard_normal((p, q))
+    zero_column = cols.copy()
+    zero_column[:, 1] = 0.0
+    for warm in (cols[:, [0, 1, 1, 2]], zero_column, np.zeros((p, q))):
+        pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol, v0=warm)
+        v = pairs.vectors
+        np.testing.assert_allclose(pairs.values, want, rtol=0, atol=1e-8)
+        assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-8
+        res = np.linalg.norm(a @ v - v * pairs.values, axis=0)
+        assert np.all(res <= tol * max(1.0, pairs.values[0]))
+
+
+def test_solve_is_deterministic_across_breakdown_reseeds(rng, monkeypatch):
+    # 12 rows span at most 11 directions, so growing a Krylov basis of
+    # min(p, 2q + 10) = 16 columns breaks down and reseeds from the generator
+    p, q = 120, 3
+    op = _scatter(rng, 12, p)
+    breakdowns = []
+    grow = _kernels.lanczos_grow
+
+    def watched(*args):
+        filled = grow(*args)
+        breakdowns.append(filled < args[5].shape[1])
+        return filled
+
+    monkeypatch.setattr(_kernels, "lanczos_grow", watched)
+    first = top_eigenpairs(op, q, dense_threshold=0)
+    second = top_eigenpairs(op, q, dense_threshold=0)
+    assert any(breakdowns)
+    np.testing.assert_array_equal(first.values, second.values)
+    np.testing.assert_array_equal(first.vectors, second.vectors)
+
+
 def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
     # a scatter of n_s <= p weighted rows reaches the Lanczos growth kernel;
     # n_s > p, and an operator that is not a scatter, reach only the block
