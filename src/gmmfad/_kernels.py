@@ -1,7 +1,8 @@
 """Hot numerical kernels over the weighted data, in plain numpy.
 
-Three kernels dominate the fit at large p: the weighted-covariance product
-with a p x b block (two GEMMs over the data), which the block eigensolver
+Three kernels dominate the fit at large p: the unscaled weighted-covariance
+product with a p x b block (two GEMMs over the data; the whitening scale is
+applied by ``linops.ScaledCovOperator``), which the block eigensolver
 applies once per iteration to scatters with n > p and the Lanczos uses to
 image its start block (a single product is its one-column case); the Lanczos
 basis-growth cycle, which strings single products together with
@@ -18,17 +19,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def wcov_matmat(y, w, center, scale, V, weight_sum):
-    # D S D V for a p x b block, D = diag(scale), S the weighted scatter
-    # sum_i w_i (y_i - c)(y_i - c)^T / weight_sum; no n x p temporary
-    u = scale[:, None] * V
-    c = y @ u
-    c -= center @ u
+def wcov_matmat(y, w, center, V, weight_sum):
+    # S V for a p x b block, S the weighted scatter
+    # sum_i w_i (y_i - c)(y_i - c)^T / weight_sum; no n x p temporary.
+    # Whitening is the caller's (ScaledCovOperator.matmat)
+    c = y @ V
+    c -= center @ V
     c *= w[:, None]
     r = y.T @ c
     r -= np.outer(center, c.sum(axis=0))
     r /= weight_sum
-    r *= scale[:, None]
     return r
 
 

@@ -252,8 +252,7 @@ def cm_step(
             warm_vectors=warm,
         )
         psi_hat = profileopt.optimize_psi(
-            obj, np.clip(cur.uniquenesses, PSI_MIN, PSI_MAX),
-            max_inner_iter=max_inner_iter,
+            obj, cur.uniquenesses, max_inner_iter=max_inner_iter
         )
         lam_hat = profileopt.recover_loadings(obj, psi_hat)
         comps.append((scov.center, lam_hat, psi_hat))
@@ -359,6 +358,8 @@ def _advance(data, run, step_fn, *, max_iter, tol) -> _Run:
     """Step ``run`` until it converges or has taken ``max_iter`` steps in all."""
     while not run.converged and run.n_iter < max_iter:
         run.model = step_fn(data, run.resp, run.model)
+        # the last responsibilities die before the E-step builds the next
+        run.resp = None
         run.resp, ll = e_step(run.model, data)
         run.converged = ll - run.trace[-1] < tol
         run.trace.append(ll)

@@ -1,7 +1,8 @@
 """Matrix-free weighted-covariance operators and their leading eigenpairs.
 
 The CM step never needs the weighted scatter matrix itself, only its action
-on vectors and its diagonal.  For responsibilities w and weighted mean mu,
+on blocks of vectors and its diagonal.  For responsibilities w and weighted
+mean mu,
 
     S v = (1/sum(w)) * sum_i w_i (y_i - mu) <y_i - mu, v>
         = (1/sum(w)) * [ Y^T (w * c) - (sum_i w_i c_i) mu ],   c = Y v - (mu.v) 1,
@@ -13,11 +14,14 @@ zeros to every product, so the products run over the support, the n_s rows
 of non-zero weight: on separated clusters the E-step's exp underflows to
 exactly zero on many rows.
 
-Below ``dense_threshold`` the operator is materialized and handed to
-LAPACK; ``dense_scatter`` is the one routine that builds a scatter matrix,
-for the operator and for the dense AECM baseline alike.  Above it each kind
-of operator has one solver, chosen by the support size n_s, since a scatter
-of n_s rows has rank at most n_s:
+Every operator (``WeightedCovOperator``, ``ScaledCovOperator`` and
+``DenseSymOperator``) answers one protocol: its size ``p``, the block
+product ``matmat(block)`` and a guard-checked ``to_dense()``.  Below
+``dense_threshold`` the operator is materialized and handed to LAPACK;
+``dense_scatter`` is the one routine that builds a scatter matrix, for the
+operator and for the dense AECM baseline alike.  Above it each kind of
+operator has one solver, chosen by the support size n_s, since a scatter of
+n_s rows has rank at most n_s:
 
 * a scatter operator with n_s <= p: a thick-restart Lanczos
   (Wu & Simon 2000) with full reorthogonalization on the fused
@@ -25,9 +29,9 @@ of n_s rows has rank at most n_s:
   the requested q and continue along the residual of the first pair that
   has not converged.
 * every other operator: a warm-started block Rayleigh-Ritz subspace
-  iteration (Halko, Martinsson & Tropp 2011).  For a scatter with n_s > p each
-  iteration is one GEMM-shaped kernel call on the whole p x b block; other
-  operators are applied column by column.
+  iteration (Halko, Martinsson & Tropp 2011), one ``matmat`` on the whole
+  p x b block per iteration; for a scatter that is one GEMM-shaped kernel
+  call.
 
 Both start from one orthonormalized block (``_start_basis``: the warm-start
 subspace, which the uniqueness solver uses to make successive eigensolves
@@ -35,8 +39,8 @@ nearly free, then seeded random columns) and share one Rayleigh-Ritz step
 (``_rayleigh_ritz``).  No solver fixes eigenvector signs.
 
 A scoped allocation guard lets callers assert that nothing in a region
-materializes a dense matrix wider than a given limit; the only routines that
-can build one funnel through the guard check.
+materializes a dense matrix wider than a given limit; ``dense_scatter`` and
+every ``to_dense`` check it.
 """
 
 from __future__ import annotations
@@ -131,9 +135,9 @@ class WeightedCovOperator:
 
     The weighted moments, hence ``center`` and ``diag``, are taken over all
     n rows, and ``to_dense`` makes no copy.  The matrix-free products
-    (``matvec``, the block and Lanczos kernels) run over the ``n_rows`` rows
-    of non-zero weight: the first product copies those rows out, and the
-    copy replaces ``_y`` and ``_w`` for every later use.  With every weight
+    (``matmat``, ``matvec`` and the Lanczos kernel) run over the ``n_rows``
+    rows of non-zero weight: the first product copies those rows out, and
+    the copy replaces ``_y`` and ``_w`` for every later use.  With every weight
     positive there is no copy, and ``_y`` is the input itself when that is
     already C-contiguous float64.
     """
@@ -165,10 +169,6 @@ class WeightedCovOperator:
         return self._y.shape[1]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.p, self.p)
-
-    @property
     def n_rows(self) -> int:
         """Rows the matrix-free products run over: those of non-zero weight."""
         return self._y.shape[0] if self._support is None else self._support.size
@@ -180,16 +180,18 @@ class WeightedCovOperator:
             self._w = self._w[self._support]
             self._support = None
 
+    def matmat(self, block: np.ndarray) -> np.ndarray:
+        """S @ block (p x b): one kernel call over the weighted rows."""
+        self._drop_zero_rows()
+        return _kernels.wcov_matmat(self._y, self._w, self.center, block,
+                                    self.weight_sum)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """S v: the block kernel on one column, with a unit scale."""
+        """S v: ``matmat`` on one column."""
         v = np.ascontiguousarray(v, dtype=np.float64)
         if v.shape != (self.p,):
             raise ValueError(f"expected a length-{self.p} vector")
-        self._drop_zero_rows()
-        return _kernels.wcov_matmat(
-            self._y, self._w, self.center, np.ones(self.p), v[:, None],
-            self.weight_sum,
-        )[:, 0]
+        return self.matmat(v[:, None])[:, 0]
 
     def diag(self) -> np.ndarray:
         return self._diag
@@ -216,12 +218,11 @@ class ScaledCovOperator:
     def p(self) -> int:
         return self.base.p
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.p, self.p)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.scale * self.base.matvec(self.scale * v)
+    def matmat(self, block: np.ndarray) -> np.ndarray:
+        # D S D block, the images scaled in place
+        images = self.base.matmat(self.scale[:, None] * block)
+        images *= self.scale[:, None]
+        return images
 
     def to_dense(self) -> np.ndarray:
         dense = self.base.to_dense()
@@ -244,24 +245,15 @@ class DenseSymOperator:
     def p(self) -> int:
         return self.matrix.shape[0]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
-
-    def matvec(self, v):
-        return self.matrix @ v
+    def matmat(self, block):
+        return self.matrix @ block
 
     def diag(self):
         return np.diag(self.matrix).copy()
 
     def to_dense(self):
+        _check_dense_allowed(self.p)
         return self.matrix
-
-
-def operator_to_dense(op) -> np.ndarray:
-    """Densify an operator through its to_dense; guard-checked."""
-    _check_dense_allowed(op.shape[0])
-    return op.to_dense()
 
 
 @dataclass(frozen=True)
@@ -281,18 +273,6 @@ def _scatter_parts(op):
     ):
         return op.base, op.scale
     return None
-
-
-def _block_images(op, block):
-    """A @ block; one GEMM-shaped kernel call for the scatter operators."""
-    parts = _scatter_parts(op)
-    if parts is None:
-        return np.column_stack([op.matvec(col) for col in block.T])
-    base, scale = parts
-    base._drop_zero_rows()
-    return _kernels.wcov_matmat(
-        base._y, base._w, base.center, scale, block, base.weight_sum
-    )
 
 
 def _grow_basis(parts, basis, images, ncols, next_dir, rng):
@@ -319,7 +299,7 @@ def _grow_basis(parts, basis, images, ncols, next_dir, rng):
 
 def _dense_eigpairs(op, q: int) -> EigPairs:
     # LAPACK returns the eigenvalues ascending: the leading q are the last q
-    vals, vecs = np.linalg.eigh(operator_to_dense(op))
+    vals, vecs = np.linalg.eigh(op.to_dense())
     return EigPairs(
         values=np.ascontiguousarray(vals[: -q - 1 : -1]),
         vectors=np.ascontiguousarray(vecs[:, : -q - 1 : -1]),
@@ -362,11 +342,11 @@ def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
     leading q Ritz pairs against its own eigenvalue and, short of
     convergence, moves the block to qr(A V S).
     """
-    p = op.shape[0]
+    p = op.p
     basis = _start_basis(v0, p, min(p - 1, 2 * q + 10), rng)
     res_norms = None
     for _ in range(MAX_RESTARTS):
-        images = _block_images(op, basis)
+        images = op.matmat(basis)
         theta, s = _rayleigh_ritz(basis, images)
         ritz_images = images @ s
         ritz = basis @ s[:, :q]
@@ -386,7 +366,7 @@ def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
 
 def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
     """Thick-restart Lanczos on the fused growth kernel; scatters only."""
-    p = op.shape[0]
+    p = op.p
     m = min(p, 2 * q + 10)
     keep = min(q + 3, m - 2)
     # F-order keeps the column slices used by every projection contiguous
@@ -396,7 +376,7 @@ def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
     # start from the warm columns (at most m - 1), or one random column
     ncols = 1 if v0 is None else min(max(np.size(v0) // p, 1), m - 1)
     basis[:, :ncols] = _start_basis(v0, p, ncols, rng)
-    images[:, :ncols] = _block_images(op, basis[:, :ncols])
+    images[:, :ncols] = op.matmat(basis[:, :ncols])
 
     next_dir = images[:, ncols - 1].copy()
     last_res = None
@@ -437,7 +417,7 @@ def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
                 kr.T, ritz_images[:, :keep].T, lower=True
             ).T
         else:  # defensive: rebuild images directly on a degenerate restart
-            images[:, :keep] = _block_images(op, basis[:, :keep])
+            images[:, :keep] = op.matmat(basis[:, :keep])
         ncols = keep
 
     raise NoConvergence(
@@ -452,13 +432,14 @@ def top_eigenpairs(
     q: int,
     *,
     tol: float = 1e-8,
-    dense_threshold: int = DENSE_THRESHOLD,
+    dense_threshold: int | None = None,
     v0: np.ndarray | None = None,
 ) -> EigPairs:
     """Leading q eigenpairs of a symmetric PSD operator.
 
-    At p <= ``dense_threshold`` the operator is materialized and solved by
-    LAPACK.  Above it, a scatter operator (``WeightedCovOperator``, or a
+    At p <= ``dense_threshold`` (DENSE_THRESHOLD, read at call time, when
+    not given) the operator is materialized and solved by LAPACK.  Above
+    it, a scatter operator (``WeightedCovOperator``, or a
     ``ScaledCovOperator`` over one) with at most p rows of non-zero weight
     (``n_rows``) runs a thick-restart Lanczos on min(p, 2q + 10) vectors;
     it stops when every requested pair has
@@ -479,10 +460,10 @@ def top_eigenpairs(
     random column (padding, a cold start, a breakdown reseed) comes from one
     generator seeded with SEED per solve, so a solve is deterministic.
     """
-    p = op.shape[0]
+    p = op.p
     if not 1 <= q < p:
         raise InvalidRank(f"need 1 <= q < p, got q={q}, p={p}")
-    if p <= dense_threshold:
+    if p <= (DENSE_THRESHOLD if dense_threshold is None else dense_threshold):
         return _dense_eigpairs(op, q)
     rng = np.random.Generator(np.random.Philox(SEED))
     parts = _scatter_parts(op)

@@ -57,10 +57,10 @@ class ProfileObjective:
     previous solve's eigenvectors, which warm-start the next one.  Every
     eigensolve goes through linops.top_eigenpairs on the whitened operator
     ScaledCovOperator(scov, psi^{-1/2}), which picks the solver (dense at
-    p <= dense_threshold).  The last solve is kept with its psi, so asking
-    again at a bit-identical psi returns it without solving.  The vectors
-    come back with no sign convention; recover_loadings fixes the signs of
-    the loadings it hands out.
+    p <= linops.DENSE_THRESHOLD).  The last solve is kept with its psi, so
+    asking again at a bit-identical psi returns it without solving.  The
+    vectors come back with no sign convention; recover_loadings fixes the
+    signs of the loadings it hands out.
     """
 
     def __init__(
@@ -70,12 +70,11 @@ class ProfileObjective:
         q: int,
         *,
         eig_tol: float = 1e-8,
-        dense_threshold: int = linops.DENSE_THRESHOLD,
         warm_vectors: np.ndarray | None = None,
     ):
         if n_eff <= 0:
             raise ValueError("n_eff must be positive")
-        p = scov.shape[0]
+        p = scov.p
         if q < 0 or (q > 0 and q >= p):
             raise linops.InvalidRank(f"need 0 <= q < p, got q={q}, p={p}")
         self.scov = scov
@@ -84,7 +83,6 @@ class ProfileObjective:
         self.p = p
         self.scov_diag = np.maximum(np.asarray(scov.diag(), dtype=np.float64), 0.0)
         self.eig_tol = eig_tol
-        self.dense_threshold = dense_threshold
         self.warm_vectors = warm_vectors
         self._last = (None, None)  # (psi bytes, EigPairs) of the last solve
 
@@ -97,7 +95,6 @@ class ProfileObjective:
             linops.ScaledCovOperator(self.scov, 1.0 / np.sqrt(psi)),
             self.q,
             tol=self.eig_tol,
-            dense_threshold=self.dense_threshold,
             v0=self.warm_vectors,
         )
         self.warm_vectors = pairs.vectors

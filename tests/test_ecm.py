@@ -410,6 +410,29 @@ def test_a_finalist_continues_its_short_run_without_a_second_e_step(monkeypatch)
     assert len(e_steps) == len(report.loglik_trace)
 
 
+def test_each_e_step_runs_after_the_last_responsibilities_die(monkeypatch):
+    # one run, from the k-means start: every E-step after the first follows
+    # a CM step of the same run, and the responsibilities that step used
+    # must be dead by then, so the E-step's end holds two n x K arrays, not
+    # three
+    data, _ = small_dataset(seed=19, n=120, p=6, q=1)
+    results = []
+    previous_alive = []
+
+    def tracked_e_step(model, d, _e_step=ecm.e_step):
+        if results:
+            gc.collect()
+            previous_alive.append(results[-1]() is not None)
+        resp, ll = _e_step(model, d)
+        results.append(weakref.ref(resp))
+        return resp, ll
+
+    monkeypatch.setattr(ecm, "e_step", tracked_e_step)
+    fit(data, _fast_config(monkeypatch, factor_spec=1, n_random_starts=0,
+                           n_finalists=1))
+    assert len(previous_alive) > 1 and not any(previous_alive)
+
+
 def test_a_finalist_whose_long_run_fails_is_dropped(monkeypatch):
     # the first finalist's long run empties a cluster at its first step; its
     # model and responsibilities must be dead while the second one runs

@@ -3,7 +3,7 @@ import pytest
 
 import gmmfad
 from gmmfad import _kernels
-from gmmfad.linops import WeightedCovOperator
+from gmmfad.linops import ScaledCovOperator, WeightedCovOperator
 
 from .helpers import dense_weighted_cov
 
@@ -27,14 +27,18 @@ def test_operator_matvec_matches_dense_loop_oracle(rng):
 
 
 def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
+    # the kernel is the unscaled product; ScaledCovOperator applies the scale
     for y, w, center, _ in _instances(rng):
         p = y.shape[1]
         block = rng.standard_normal((p, 4))
         scale = rng.uniform(0.5, 2.0, p)
         dense = dense_weighted_cov(y, w, center)
+        got = _kernels.wcov_matmat(y, w, center, block, w.sum())
+        np.testing.assert_allclose(got, dense @ block, rtol=1e-10, atol=1e-12)
+        op = ScaledCovOperator(WeightedCovOperator(y, w), scale)
         want = np.column_stack([scale * (dense @ (scale * v)) for v in block.T])
-        got = _kernels.wcov_matmat(y, w, center, scale, block, w.sum())
-        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(op.matmat(block), want, rtol=1e-10,
+                                   atol=1e-12)
 
 
 def test_weighted_stats_matches_direct_formulas(rng):

@@ -13,7 +13,6 @@ from gmmfad.linops import (
     ScaledCovOperator,
     WeightedCovOperator,
     forbid_dense_above,
-    operator_to_dense,
     top_eigenpairs,
 )
 from gmmfad.model import DataMatrix
@@ -113,8 +112,7 @@ def test_products_run_exactly_over_the_weighted_rows(n, n_zero):
     scale = rng.uniform(0.5, 2.0, p)
     for a, b in ((full, kept),
                  (ScaledCovOperator(full, scale), ScaledCovOperator(kept, scale))):
-        np.testing.assert_allclose(linops._block_images(a, block),
-                                   linops._block_images(b, block),
+        np.testing.assert_allclose(a.matmat(block), b.matmat(block),
                                    rtol=0, atol=1e-12)
         pa = top_eigenpairs(a, 3, dense_threshold=0)
         pb = top_eigenpairs(b, 3, dense_threshold=0)
@@ -137,6 +135,34 @@ def test_only_products_copy_the_weighted_rows(rng):
     top_eigenpairs(positive, 2, dense_threshold=0)
     positive.matvec(rng.standard_normal(70))
     assert np.shares_memory(positive._y, y) and positive.n_rows == 60
+
+
+def _protocol_operators(rng, p=12):
+    y, w = _with_zero_weights(rng, 30, p, 10)
+    scatter = WeightedCovOperator(y, w)
+    dense = DenseSymOperator(matrix=random_spd(p, rng))
+    scale = rng.uniform(0.5, 2.0, p)
+    return {
+        "weighted": scatter,
+        "scaled_weighted": ScaledCovOperator(scatter, scale),
+        "dense": dense,
+        "scaled_dense": ScaledCovOperator(dense, scale),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind", ["weighted", "scaled_weighted", "dense", "scaled_dense"]
+)
+def test_every_operator_answers_matmat_and_a_guarded_to_dense(kind):
+    rng = make_rng(17)
+    op = _protocol_operators(rng)[kind]
+    assert op.p == 12
+    block = rng.standard_normal((12, 5))
+    np.testing.assert_allclose(op.matmat(block), op.to_dense() @ block,
+                               rtol=1e-12, atol=1e-12)
+    with forbid_dense_above(11):
+        with pytest.raises(DenseAllocationError):
+            op.to_dense()
 
 
 def test_degenerate_weights_raise(rng):
@@ -166,7 +192,8 @@ def test_scaled_operator_whitens(rng):
     sig = dense_weighted_cov(y, w, base.center)
     dense_g = sig / np.sqrt(np.outer(psi, psi))
     v = rng.standard_normal(9)
-    np.testing.assert_allclose(scaled.matvec(v), dense_g @ v, atol=1e-10)
+    np.testing.assert_allclose(scaled.matmat(v[:, None])[:, 0], dense_g @ v,
+                               atol=1e-10)
 
 
 def test_scaled_eigenvalues_invariant_to_row_order(rng):
@@ -447,7 +474,7 @@ def test_operator_to_dense_round_trip(rng):
     y = rng.standard_normal((15, 9))
     w = rng.uniform(0.1, 1.0, 15)
     op = WeightedCovOperator(y, w)
-    np.testing.assert_allclose(operator_to_dense(op),
+    np.testing.assert_allclose(op.to_dense(),
                                dense_weighted_cov(y, w, op.center), atol=1e-12)
 
 

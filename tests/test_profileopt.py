@@ -14,9 +14,8 @@ from gmmfad.profileopt import (
 from .helpers import count_calls, make_rng, random_spd
 
 
-def _objective(scov_dense, q, n_eff=100.0, dense_threshold=64):
-    return ProfileObjective(DenseSymOperator(matrix=scov_dense), n_eff, q,
-                            dense_threshold=dense_threshold)
+def _objective(scov_dense, q, n_eff=100.0):
+    return ProfileObjective(DenseSymOperator(matrix=scov_dense), n_eff, q)
 
 
 def fd_gradient(obj, log_psi, h=1e-5):
@@ -86,7 +85,7 @@ def _planted_scatter(rng, n, p, q):
     return WeightedCovOperator(y, rng.uniform(0.1, 1.0, n))
 
 
-def test_value_agrees_between_dense_and_lanczos_paths(rng):
+def test_value_agrees_between_dense_and_lanczos_paths(rng, monkeypatch):
     p, q = 80, 3
 
     def operators():
@@ -97,11 +96,13 @@ def test_value_agrees_between_dense_and_lanczos_paths(rng):
         yield _planted_scatter(rng, 40, p, q)
 
     for scov in operators():
-        dense = ProfileObjective(scov, 100.0, q, dense_threshold=200)
-        iterative = ProfileObjective(scov, 100.0, q, dense_threshold=0)
         log_psi = np.log(rng.uniform(0.3, 2.0, p))
-        vd, gd = profile_value_and_gradient(dense, log_psi)
-        vl, gl = profile_value_and_gradient(iterative, log_psi)
+        solved = []
+        for threshold in (200, 0):  # dense, then iterative
+            monkeypatch.setattr(linops, "DENSE_THRESHOLD", threshold)
+            obj = ProfileObjective(scov, 100.0, q)
+            solved.append(profile_value_and_gradient(obj, log_psi))
+        (vd, gd), (vl, gl) = solved
         assert vd == pytest.approx(vl, rel=1e-9)
         np.testing.assert_allclose(gd, gl, atol=1e-7)
 
@@ -110,9 +111,9 @@ def test_repeated_psi_is_solved_once(rng, monkeypatch):
     # optimize_psi evaluates the start, L-BFGS-B evaluates it again, and
     # recover_loadings asks at exp of the last iterate: one solve for all
     calls = count_calls(monkeypatch, linops, "top_eigenpairs")
+    monkeypatch.setattr(linops, "DENSE_THRESHOLD", 0)
     p, q = 80, 3
-    obj = ProfileObjective(_planted_scatter(rng, 40, p, q), 100.0, q,
-                           dense_threshold=0)
+    obj = ProfileObjective(_planted_scatter(rng, 40, p, q), 100.0, q)
     log_psi = np.log(rng.uniform(0.3, 2.0, p))
     first = profile_value_and_gradient(obj, log_psi)
     again = profile_value_and_gradient(obj, log_psi.copy())
@@ -270,15 +271,16 @@ def test_truncation_consistency(rng):
     np.testing.assert_allclose(lam_large[:, :1], lam_small, atol=1e-9)
 
 
-def test_loadings_signs_fixed_on_every_solver_path(rng):
-    # dense (p <= dense_threshold), block (n > p) and Lanczos (n <= p)
+def test_loadings_signs_fixed_on_every_solver_path(rng, monkeypatch):
+    # dense (p <= DENSE_THRESHOLD), block (n > p) and Lanczos (n <= p)
     # solves: each loadings column's largest-magnitude entry is positive
     # (the planted factors keep every column non-zero)
     p, q = 80, 3
     for scov, threshold in ((_planted_scatter(rng, 200, p, q), 200),
                             (_planted_scatter(rng, 200, p, q), 0),
                             (_planted_scatter(rng, 40, p, q), 0)):
-        obj = ProfileObjective(scov, 100.0, q, dense_threshold=threshold)
+        monkeypatch.setattr(linops, "DENSE_THRESHOLD", threshold)
+        obj = ProfileObjective(scov, 100.0, q)
         lam = recover_loadings(obj, rng.uniform(0.3, 2.0, p))
         peak = lam[np.argmax(np.abs(lam), axis=0), np.arange(q)]
         assert np.all(peak > 0)
@@ -290,13 +292,13 @@ def test_zero_factor_request_gives_empty_loadings():
     assert lam.shape == (4, 0)
 
 
-def test_warm_started_eigen_cache_reused(rng):
+def test_warm_started_eigen_cache_reused(rng, monkeypatch):
+    monkeypatch.setattr(linops, "DENSE_THRESHOLD", 0)
     p, q = 90, 3
     scov = random_spd(p, rng, gap_at=q)
     op = DenseSymOperator(matrix=scov)
-    cold = ProfileObjective(op, 50.0, q, dense_threshold=0)
+    cold = ProfileObjective(op, 50.0, q)
     pairs = cold.eigenpairs(np.ones(p))
-    warm = ProfileObjective(op, 50.0, q, dense_threshold=0,
-                            warm_vectors=pairs.vectors)
+    warm = ProfileObjective(op, 50.0, q, warm_vectors=pairs.vectors)
     pairs2 = warm.eigenpairs(np.ones(p))
     np.testing.assert_allclose(pairs2.values, pairs.values, rtol=1e-9)
