@@ -108,9 +108,15 @@ def _parse_label_col(text):
 def _read_label_file(path: str):
     """One label per line; returns (codes array, first-appearance mapping)."""
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         cells = []
-        for row in csv.reader(fh):
+        for row in reader:
             vals = [c.strip() for c in row if c.strip()]
+            if len(vals) > 1:
+                raise CsvFormatError(
+                    f"{path}, line {reader.line_num}: {len(vals)} cells, "
+                    "expected one label per line"
+                )
             cells.extend(vals)
     if not cells:
         raise CsvFormatError(f"{path}: no labels found")

@@ -240,10 +240,11 @@ def cm_step(
     comps = []
     for k, cur in enumerate(current.components):
         scov = linops.WeightedCovOperator(y, gamma[:, k])
+        # the whitened loadings Lambda / sqrt(psi) warm-start the eigensolves
+        # as they are: top_eigenpairs orthonormalizes a warm block itself
         warm = None
         if qs[k]:
-            whitened = cur.loadings / np.sqrt(cur.uniquenesses)[:, None]
-            warm, _ = np.linalg.qr(whitened)
+            warm = cur.loadings / np.sqrt(cur.uniquenesses)[:, None]
         obj = profileopt.ProfileObjective(
             scov,
             n_eff=masses[k],

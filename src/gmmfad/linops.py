@@ -25,9 +25,9 @@ n_s rows has rank at most n_s:
 
 * a scatter operator with n_s <= p: a thick-restart Lanczos
   (Wu & Simon 2000) with full reorthogonalization on the fused
-  ``_kernels.lanczos_grow`` cycle.  Restarts keep a few Ritz vectors beyond
-  the requested q and continue along the residual of the first pair that
-  has not converged.
+  ``_kernels.lanczos_grow`` cycle.  A restart keeps a few Ritz pairs beyond
+  the requested q as they are, already orthonormal, and continues along the
+  residual of the first pair that has not converged.
 * every other operator: a warm-started block Rayleigh-Ritz subspace
   iteration (Halko, Martinsson & Tropp 2011), one ``matmat`` on the whole
   p x b block per iteration; for a scatter that is one GEMM-shaped kernel
@@ -36,7 +36,9 @@ n_s rows has rank at most n_s:
 Both start from one orthonormalized block (``_start_basis``: the warm-start
 subspace, which the uniqueness solver uses to make successive eigensolves
 nearly free, then seeded random columns) and share one Rayleigh-Ritz step
-(``_rayleigh_ritz``).  No solver fixes eigenvector signs.
+with one residual test (``_ritz_pairs``): a pair is accepted when
+||A y_j - theta_j y_j|| <= tol * max(1, theta_j).  No solver fixes
+eigenvector signs.
 
 A scoped allocation guard lets callers assert that nothing in a region
 materializes a dense matrix wider than a given limit; ``dense_scatter`` and
@@ -49,7 +51,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import _kernels
 
@@ -326,41 +327,45 @@ def _start_basis(v0, p: int, width: int, rng) -> np.ndarray:
     return np.linalg.qr(start)[0]
 
 
-def _rayleigh_ritz(basis, images):
-    """Ritz values (descending) and coefficients of A on span(basis)."""
+def _ritz_pairs(basis, images, q, tol):
+    """Rayleigh-Ritz of A on span(basis), given images = A @ basis.
+
+    Returns theta (descending) and s, the q leading Ritz vectors y_j, their
+    residuals A y_j - theta_j y_j and whether each is <= tol * max(1, theta_j).
+    """
     h = basis.T @ images
     theta, s = np.linalg.eigh(0.5 * (h + h.T))
-    return theta[::-1], s[:, ::-1]
+    theta, s = theta[::-1], s[:, ::-1]
+    ritz = basis @ s[:, :q]
+    resid = images @ s[:, :q]
+    resid -= ritz * theta[:q]
+    bound = tol * np.maximum(1.0, np.abs(theta[:q]))
+    ok = np.linalg.norm(resid, axis=0) <= bound
+    return theta, s, ritz, resid, ok
 
 
 def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
     """Warm block Rayleigh-Ritz subspace iteration, one block product a step.
 
-    The b = min(p - 1, 2q + 10) columns start from ``v0`` padded with random
-    columns.  Each iteration applies the operator to the whole block, solves
-    the b x b Rayleigh-Ritz problem, tests the true residual of each of the
-    leading q Ritz pairs against its own eigenvalue and, short of
-    convergence, moves the block to qr(A V S).
+    The b = min(p - 1, 2q + 10) columns start from ``v0``, which need not be
+    orthonormal, padded with random columns.  Each iteration applies the
+    operator to the whole block, tests the leading q Ritz pairs
+    (``_ritz_pairs``) and, short of convergence, moves the block to
+    qr(A V S).
     """
     p = op.p
     basis = _start_basis(v0, p, min(p - 1, 2 * q + 10), rng)
-    res_norms = None
     for _ in range(MAX_RESTARTS):
         images = op.matmat(basis)
-        theta, s = _rayleigh_ritz(basis, images)
-        ritz_images = images @ s
-        ritz = basis @ s[:, :q]
-        res_norms = np.linalg.norm(ritz_images[:, :q] - ritz * theta[:q], axis=0)
-        if bool(np.all(res_norms <= tol * np.maximum(1.0, np.abs(theta[:q])))):
-            return EigPairs(
-                values=np.ascontiguousarray(theta[:q]),
-                vectors=np.ascontiguousarray(ritz),
-            )
-        basis = np.linalg.qr(ritz_images)[0]
+        theta, s, ritz, resid, ok = _ritz_pairs(basis, images, q, tol)
+        if bool(np.all(ok)):
+            return EigPairs(values=np.ascontiguousarray(theta[:q]), vectors=ritz)
+        del ritz
+        basis = np.linalg.qr(images @ s)[0]
     raise NoConvergence(
         f"block subspace iteration did not converge in {MAX_RESTARTS} iterations",
         n_restarts=MAX_RESTARTS,
-        residuals=res_norms,
+        residuals=np.linalg.norm(resid, axis=0),
     )
 
 
@@ -379,51 +384,29 @@ def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
     images[:, :ncols] = op.matmat(basis[:, :ncols])
 
     next_dir = images[:, ncols - 1].copy()
-    last_res = None
     for _ in range(MAX_RESTARTS):
         # grow the basis to m columns along the Krylov/residual directions
         ncols = _grow_basis(parts, basis, images, ncols, next_dir, rng)
 
-        # Rayleigh-Ritz on the full basis; h is tridiagonal-plus-arrowhead in
-        # exact arithmetic but is formed whole since reorthogonalization is full
-        theta, s = _rayleigh_ritz(basis, images)
-
-        ritz = basis @ s[:, : max(q, keep)]
-        ritz_images = images @ s[:, : max(q, keep)]
-        resid = ritz_images[:, :q] - ritz[:, :q] * theta[:q]
-        res_norms = np.linalg.norm(resid, axis=0)
-        last_res = res_norms
-        scale = max(1.0, abs(theta[0]))
-        ok = res_norms <= tol * scale
+        # the projection is tridiagonal-plus-arrowhead in exact arithmetic
+        # but is formed whole since reorthogonalization is full
+        theta, s, ritz, resid, ok = _ritz_pairs(basis, images, q, tol)
         if bool(np.all(ok)):
-            return EigPairs(
-                values=np.ascontiguousarray(theta[:q]),
-                vectors=np.ascontiguousarray(ritz[:, :q]),
-            )
+            return EigPairs(values=np.ascontiguousarray(theta[:q]), vectors=ritz)
 
-        # thick restart: keep leading Ritz vectors, continue along the first
-        # unconverged residual.  A(kq) = A(ritz R^{-1}) = ritz_images R^{-1},
-        # so the kept images come from a triangular solve, not fresh matvecs;
-        # R is near-identity because Ritz vectors are already orthonormal.
-        # Each p-row temporary is dropped as soon as it has been read.
-        next_dir = resid[:, int(np.argmin(ok))].copy()
-        del resid
-        kq, kr = np.linalg.qr(ritz[:, :keep])
+        # thick restart: the leading Ritz pairs, orthonormal as they are,
+        # replace the basis and their images, and growth continues along
+        # the residual of the first pair that has not converged
         del ritz
-        basis[:, :keep] = kq
-        del kq
-        if np.all(np.abs(np.diag(kr)) > 1e-10):
-            images[:, :keep] = solve_triangular(
-                kr.T, ritz_images[:, :keep].T, lower=True
-            ).T
-        else:  # defensive: rebuild images directly on a degenerate restart
-            images[:, :keep] = op.matmat(basis[:, :keep])
+        next_dir = resid[:, int(np.argmin(ok))]
+        basis[:, :keep] = basis @ s[:, :keep]
+        images[:, :keep] = images @ s[:, :keep]
         ncols = keep
 
     raise NoConvergence(
         f"Lanczos did not converge in {MAX_RESTARTS} restarts",
         n_restarts=MAX_RESTARTS,
-        residuals=last_res,
+        residuals=np.linalg.norm(resid, axis=0),
     )
 
 
@@ -442,18 +425,17 @@ def top_eigenpairs(
     it, a scatter operator (``WeightedCovOperator``, or a
     ``ScaledCovOperator`` over one) with at most p rows of non-zero weight
     (``n_rows``) runs a thick-restart Lanczos on min(p, 2q + 10) vectors;
-    it stops when every requested pair has
-    ||A y_j - theta_j y_j|| <= tol * max(1, theta_1).
-    Every other operator runs a warm block Rayleigh-Ritz subspace iteration
-    on min(p - 1, 2q + 10) columns; it stops when every requested pair has
-    ||A y_j - theta_j y_j|| <= tol * max(1, theta_j).  The floor of tol
+    every other operator runs a warm block Rayleigh-Ritz subspace iteration
+    on min(p - 1, 2q + 10) columns.  Both stop when every requested pair has
+    ||A y_j - theta_j y_j|| <= tol * max(1, theta_j); the floor of tol
     protects near-null directions of rank-deficient scatters.  ``v0`` may be
     a single start vector or a p x j warm-start subspace (typically the
-    previous solve's vectors); both solvers orthonormalize it with one QR,
-    the Lanczos keeping at most min(p, 2q + 10) - 1 of its columns and the
-    block solver padding it with random columns.  It need not have full
-    rank.  Values come back descending, and the vectors as an orthonormal
-    basis with no sign convention.
+    previous solve's vectors, or whitened loadings); both solvers
+    orthonormalize it with one QR, the Lanczos keeping at most
+    min(p, 2q + 10) - 1 of its columns and the block solver padding it with
+    random columns.  It need not be orthonormal or have full rank.  Values
+    come back descending, and the vectors as an orthonormal basis with no
+    sign convention.
 
     Raises NoConvergence when MAX_RESTARTS restarts (block iterations) do
     not reach the tolerance, and InvalidRank unless 1 <= q < p.  Every

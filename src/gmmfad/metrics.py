@@ -92,7 +92,7 @@ def confusion_metrics(pred, truth, positive_class) -> ConfusionMetrics:
 
     best = None
     for perm in (pred_vals, pred_vals[::-1]):
-        as_positive = np.isin(pred, perm[:1]) if perm.size == 1 else pred == perm[0]
+        as_positive = pred == perm[0]
         acc = float(np.mean(as_positive == positive))
         if best is None or acc > best[0]:
             best = (acc, as_positive, tuple(perm))

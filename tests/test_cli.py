@@ -309,6 +309,18 @@ def test_eval_length_mismatch_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_eval_rejects_multi_column_label_files(tmp_path, capsys):
+    # id,label rows used to be flattened, ids and header cells scored as labels
+    truth = tmp_path / "truth.csv"
+    pred = tmp_path / "pred.csv"
+    _write_lines(truth, ["id,truth", "a,B", "b,B", "c,M", "d,M"])
+    _write_lines(pred, ["id,cluster", "a,0", "b,0", "c,1", "d,1"])
+    rc = main(["eval", "--pred", str(pred), "--truth", str(truth),
+               "--out-dir", str(tmp_path / "e")])
+    assert rc == 2
+    assert "line 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

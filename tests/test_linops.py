@@ -260,14 +260,17 @@ def test_weighted_cov_eigs_match_dense_assembly_p150(rng):
 
 
 def test_eigpairs_invariants_hold(rng):
-    # every pair meets its own residual bound on the block solver, for an
-    # explicit matrix and for scatters of n > p rows
+    # every pair meets its own residual bound, and the vectors stay
+    # orthonormal across restarts, on both iterative solvers: the block
+    # solver for an explicit matrix and for scatters of n > p rows, the
+    # Lanczos for scatters of n <= p rows
     tol = 1e-8
     p, q = 60, 6
     ops = [DenseSymOperator(matrix=random_spd(p, rng, eig_low=0.5,
                                               eig_high=30.0))
            for _ in range(5)]
     ops += [_scatter(rng, 200, p) for _ in range(10)]
+    ops += [_scatter(rng, n, p) for n in (20, 40, 59, 60) for _ in range(10)]
     for op in ops:
         a = op.to_dense()
         pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol)
@@ -322,23 +325,27 @@ def test_overspecified_rank_small_gap_meets_residual_bound(rng):
                                rtol=1e-8)
 
 
-def test_rank_deficient_warm_blocks_on_the_lanczos(rng):
-    # n_s = 40 <= p: the Lanczos, started from warm blocks whose QR has a
-    # zero pivot
+@pytest.mark.parametrize("n", [40, 200], ids=["lanczos", "block"])
+def test_warm_blocks_need_not_be_orthonormal(rng, n):
+    # n_s = 40 <= p runs the Lanczos, n_s = 200 > p the block solver; each
+    # starts from warm blocks whose QR has a zero pivot, and from columns
+    # scaled like whitened loadings, 1e-3 to 1e3, with one zero column
     p, q, tol = 150, 4, 1e-8
-    op = ScaledCovOperator(_scatter(rng, 40, p), rng.uniform(0.5, 2.0, p))
+    op = ScaledCovOperator(_scatter(rng, n, p), rng.uniform(0.5, 2.0, p))
     a = op.to_dense()
     want = np.linalg.eigvalsh(a)[::-1][:q]
     cols = rng.standard_normal((p, q))
     zero_column = cols.copy()
     zero_column[:, 1] = 0.0
-    for warm in (cols[:, [0, 1, 1, 2]], zero_column, np.zeros((p, q))):
+    scaled = cols * np.logspace(-3, 3, q)
+    scaled[:, 2] = 0.0
+    for warm in (cols[:, [0, 1, 1, 2]], zero_column, np.zeros((p, q)), scaled):
         pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol, v0=warm)
         v = pairs.vectors
         np.testing.assert_allclose(pairs.values, want, rtol=0, atol=1e-8)
         assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-8
         res = np.linalg.norm(a @ v - v * pairs.values, axis=0)
-        assert np.all(res <= tol * max(1.0, pairs.values[0]))
+        assert np.all(res <= tol * np.maximum(1.0, pairs.values))
 
 
 def test_solve_is_deterministic_across_breakdown_reseeds(rng, monkeypatch):
