@@ -31,6 +31,7 @@ from .metrics import adjusted_rand_index, confusion_metrics
 from .model import DataMatrix, FitReport, free_param_count
 from .preprocess import (
     CsvFormatError,
+    _first_row_is_header,
     feature_tie_counts,
     gaussian_distributional_transform,
     load_csv,
@@ -106,10 +107,15 @@ def _parse_label_col(text):
 
 
 def _read_label_file(path: str):
-    """One label per line; returns (codes array, first-appearance mapping)."""
+    """One label per line; returns (codes array, first-appearance mapping).
+
+    The first label is a header when it does not occur again in the file,
+    as ``load_csv`` decides for a label column given by index, with the same
+    warning; the usual label-column names are headers without one.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        cells = []
+        rows = []
         for row in reader:
             vals = [c.strip() for c in row if c.strip()]
             if len(vals) > 1:
@@ -117,13 +123,16 @@ def _read_label_file(path: str):
                     f"{path}, line {reader.line_num}: {len(vals)} cells, "
                     "expected one label per line"
                 )
-            cells.extend(vals)
-    if not cells:
+            if vals:
+                rows.append((reader.line_num, vals))
+    if not rows:
         raise CsvFormatError(f"{path}: no labels found")
-    if cells[0].lower() in {"label", "labels", "cluster", "class", "truth"}:
-        cells = cells[1:]
-    if not cells:
+    named = rows[0][1][0].lower() in {"label", "labels", "cluster", "class", "truth"}
+    if named or _first_row_is_header(rows, 0, path):
+        rows = rows[1:]
+    if not rows:
         raise CsvFormatError(f"{path}: header only, no labels")
+    cells = [vals[0] for _, vals in rows]
     mapping: dict = {}
     for c in cells:
         if c not in mapping:

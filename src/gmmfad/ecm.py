@@ -3,8 +3,10 @@
 Both engines share the E-step (Woodbury low-rank Gaussian densities,
 log-sum-exp responsibilities) and the start protocol, a small emEM scheme
 (Biernacki, Celeux & Govaert 2003): several random starts plus one k-means
-start are each run for ``SHORT_RUN_ITERS`` iterations, the most promising
-finalists continue to convergence, and the best final log-likelihood wins.
+start are each run for ``SHORT_RUN_ITERS`` iterations (one), the most
+promising finalists continue to convergence, and the best final
+log-likelihood wins.  Short and long runs take the same step: each engine
+has one step function, and a short run is only a run with fewer steps.
 Stopping is an absolute log-likelihood increase below ``tol``.  Each start
 is built when its short run begins and handed to it, so it is freed once
 the run's first CM step has replaced it, and at most ``threads`` are alive
@@ -69,8 +71,9 @@ from .model import (
 )
 
 AECM_P_LIMIT = 500
-# steps of each start's short run in the emEM start protocol
-SHORT_RUN_ITERS = 5
+# steps of each start's short run in the emEM start protocol, for both
+# engines; a short run takes the same step as a long one
+SHORT_RUN_ITERS = 1
 # Lloyd restarts of the k-means start, and the iteration cap of each
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
@@ -109,7 +112,8 @@ class DimensionTooLarge(EcmError, ValueError):
 class FitConfig:
     """Engine settings; defaults follow the calibration used throughout.
 
-    The short runs of the start protocol take ``SHORT_RUN_ITERS`` steps.
+    The short runs of the start protocol take ``SHORT_RUN_ITERS`` steps of
+    the same engine step as the long runs.
     """
 
     n_components: int
@@ -217,21 +221,17 @@ def e_step(model: MixtureModel, data: DataMatrix):
 
 
 def cm_step(
-    data: DataMatrix,
-    resp: Responsibilities,
-    current: MixtureModel,
-    *,
-    eig_tol: float = 1e-8,
-    max_inner_iter: int = profileopt.MAX_INNER_ITER,
+    data: DataMatrix, resp: Responsibilities, current: MixtureModel
 ) -> MixtureModel:
     """One conditional maximization sweep given fixed responsibilities.
 
     Per component: weighted moments in one pass, uniquenesses by bounded
     L-BFGS-B on the profile objective warm-started at the current values,
-    loadings recovered in closed form.  Factor counts are those of
-    ``current``.  Raises EmptyCluster when a component's mass drops below
-    max(q_k + 1, 2); every mass is checked before any component's moments
-    or eigensolves.
+    loadings recovered in closed form.  It has no settings of its own: every
+    run of the engine, short or long, takes this same step.  Factor counts
+    are those of ``current``.  Raises EmptyCluster when a component's mass
+    drops below max(q_k + 1, 2); every mass is checked before any
+    component's moments or eigensolves.
     """
     gamma = resp.gamma
     y = data.values
@@ -246,15 +246,9 @@ def cm_step(
         if qs[k]:
             warm = cur.loadings / np.sqrt(cur.uniquenesses)[:, None]
         obj = profileopt.ProfileObjective(
-            scov,
-            n_eff=masses[k],
-            q=qs[k],
-            eig_tol=eig_tol,
-            warm_vectors=warm,
+            scov, n_eff=masses[k], q=qs[k], warm_vectors=warm
         )
-        psi_hat = profileopt.optimize_psi(
-            obj, cur.uniquenesses, max_inner_iter=max_inner_iter
-        )
+        psi_hat = profileopt.optimize_psi(obj, cur.uniquenesses)
         lam_hat = profileopt.recover_loadings(obj, psi_hat)
         comps.append((scov.center, lam_hat, psi_hat))
         # the operator's copy of its rows must not sit beside the next
@@ -269,13 +263,6 @@ def cm_step(
             for mass, (mean, lam, psi) in zip(masses, comps)
         )
     )
-
-
-def _gmmfad_short_step(data, resp, current):
-    # start ranking only needs coarse CM sweeps: a truncated inner solve at a
-    # loose eigen tolerance is still an improvement step, so per-run ascent
-    # is preserved while the ranking loglik stays exact
-    return cm_step(data, resp, current, max_inner_iter=2, eig_tol=1e-5)
 
 
 def _aecm_step(data, resp, current):
@@ -472,8 +459,7 @@ def _map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
-def _fit_protocol(data, config, *, engine, step_fn, short_step_fn, initial_model,
-                  threads):
+def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads):
     started = time.perf_counter()
     config.validate_for(data)
     qs = config.factor_vector()
@@ -504,7 +490,7 @@ def _fit_protocol(data, config, *, engine, step_fn, short_step_fn, initial_model
     def short_run(build):
         try:
             return _advance(
-                data, _start_run(data, build()), short_step_fn,
+                data, _start_run(data, build()), step_fn,
                 max_iter=SHORT_RUN_ITERS, tol=config.tol,
             )
         except _START_FAILURES:
@@ -579,7 +565,6 @@ def fit(
         config,
         engine="gmmfad",
         step_fn=cm_step,
-        short_step_fn=_gmmfad_short_step,
         initial_model=initial_model,
         threads=threads,
     )
@@ -612,7 +597,6 @@ def fit_baseline_aecm(
         config,
         engine="aecm",
         step_fn=_aecm_step,
-        short_step_fn=_aecm_step,
         initial_model=initial_model,
         threads=threads,
     )

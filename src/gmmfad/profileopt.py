@@ -64,13 +64,7 @@ class ProfileObjective:
     """
 
     def __init__(
-        self,
-        scov,
-        n_eff: float,
-        q: int,
-        *,
-        eig_tol: float = 1e-8,
-        warm_vectors: np.ndarray | None = None,
+        self, scov, n_eff: float, q: int, *, warm_vectors: np.ndarray | None = None
     ):
         if n_eff <= 0:
             raise ValueError("n_eff must be positive")
@@ -82,7 +76,6 @@ class ProfileObjective:
         self.q = int(q)
         self.p = p
         self.scov_diag = np.maximum(np.asarray(scov.diag(), dtype=np.float64), 0.0)
-        self.eig_tol = eig_tol
         self.warm_vectors = warm_vectors
         self._last = (None, None)  # (psi bytes, EigPairs) of the last solve
 
@@ -94,7 +87,6 @@ class ProfileObjective:
         pairs = linops.top_eigenpairs(
             linops.ScaledCovOperator(self.scov, 1.0 / np.sqrt(psi)),
             self.q,
-            tol=self.eig_tol,
             v0=self.warm_vectors,
         )
         self.warm_vectors = pairs.vectors
@@ -126,15 +118,11 @@ def profile_value_and_gradient(obj: ProfileObjective, log_psi: np.ndarray):
     return obj.value_and_gradient(log_psi)
 
 
-def optimize_psi(
-    obj: ProfileObjective,
-    psi_init: np.ndarray,
-    *,
-    max_inner_iter: int = MAX_INNER_ITER,
-) -> np.ndarray:
+def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     """Maximize the profile objective over psi inside [PSI_MIN, PSI_MAX].
 
-    Runs bounded L-BFGS-B on u = log psi from the (clipped) warm start and
+    Runs bounded L-BFGS-B on u = log psi from the (clipped) warm start, for
+    at most MAX_INNER_ITER iterations and twice as many evaluations, and
     returns the best iterate seen.  A start whose projected gradient has
     max-norm at most PGTOL is returned as it is, which is where L-BFGS-B
     would stop before its first iteration.  The result never has a lower
@@ -179,10 +167,10 @@ def optimize_psi(
             method="L-BFGS-B",
             bounds=bounds,
             options={
-                "maxiter": max_inner_iter,
+                "maxiter": MAX_INNER_ITER,
                 # the budget caps objective evaluations too: line searches
                 # inside one iteration may otherwise spend several solves
-                "maxfun": max(2 * max_inner_iter, 4),
+                "maxfun": 2 * MAX_INNER_ITER,
                 "maxcor": LBFGSB_MEMORY,
                 "gtol": PGTOL,
             },

@@ -7,6 +7,7 @@ and artifacts can be asserted directly.  Fits are kept deliberately tiny.
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +320,38 @@ def test_eval_rejects_multi_column_label_files(tmp_path, capsys):
                "--out-dir", str(tmp_path / "e")])
     assert rc == 2
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("headers", [("diagnosis", "group"), ("truth", "cluster"),
+                                     None],
+                         ids=["diagnosis-group", "truth-cluster", "no-header"])
+def test_eval_drops_a_first_label_only_when_it_does_not_recur(tmp_path, capsys,
+                                                               headers):
+    # a header of any name is not scored as one more label, and a headerless
+    # file keeps its first label, which recurs
+    truth = tmp_path / "truth.csv"
+    pred = tmp_path / "pred.csv"
+    truth_rows, pred_rows = ["B", "M", "B", "M", "B", "M"], [0, 0, 0, 1, 1, 1]
+    if headers:
+        truth_rows, pred_rows = [headers[0]] + truth_rows, [headers[1]] + pred_rows
+    _write_lines(truth, truth_rows)
+    _write_lines(pred, pred_rows)
+    args = ["eval", "--pred", str(pred), "--truth", str(truth),
+            "--out-dir", str(tmp_path / "e")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(args)
+    assert rc == 0
+    # only a header outside the usual label-column names warns
+    warned = [str(w.message) for w in caught]
+    assert len(warned) == (2 if headers == ("diagnosis", "group") else 0)
+    assert all("read as a header" in m for m in warned)
+    metrics = json.loads(capsys.readouterr().out.strip())
+    # contingency {2,1;1,2}: index 2, expected 2.4, max 6
+    assert metrics["ari"] == pytest.approx(-1.0 / 9.0)
+    assert round(metrics["ari"], 3) == -0.111
+    assert metrics["accuracy"] == pytest.approx(2.0 / 3.0)
+    assert metrics["positive_class"] == "B"
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,26 @@ def _fast_config(monkeypatch, short_run_iters=4, **kw):
     return FitConfig(**base)
 
 
+def _is_long_run(max_iter, config):
+    # both kinds of run take the same step; only the step budget that
+    # ecm._advance receives tells a finalist's long run from a short run
+    assert config.max_iter != ecm.SHORT_RUN_ITERS
+    assert max_iter in (ecm.SHORT_RUN_ITERS, config.max_iter)
+    return max_iter == config.max_iter
+
+
+def _track_run_kind(monkeypatch, config) -> dict:
+    """Wrap ``ecm._advance``; ``kind["long"]`` says which run is stepping."""
+    kind = {"long": None}
+
+    def recording(data, run, step_fn, *, max_iter, tol, _advance=ecm._advance):
+        kind["long"] = _is_long_run(max_iter, config)
+        return _advance(data, run, step_fn, max_iter=max_iter, tol=tol)
+
+    monkeypatch.setattr(ecm, "_advance", recording)
+    return kind
+
+
 def test_fit_recovers_planted_clusters(rng, monkeypatch):
     data, _ = small_dataset(seed=11)
     report = fit(data, _fast_config(monkeypatch))
@@ -339,8 +359,11 @@ def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
     short_runs = []
     alive_non_finalists = []
 
-    def checking(data, run, step_fn, **kwargs):
-        if step_fn is cm_step:
+    config = _fast_config(monkeypatch)
+
+    def checking(data, run, step_fn, *, max_iter, tol):
+        long = _is_long_run(max_iter, config)
+        if long:
             gc.collect()
             alive_at_long_runs.append(sum(ref() is not None for ref in refs))
             if not alive_non_finalists:
@@ -348,13 +371,13 @@ def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
                 alive_non_finalists.append(
                     sum(ref() is not None for _, ref in ranked[2:])
                 )
-        run = advance(data, run, step_fn, **kwargs)
-        if step_fn is not cm_step:
+        run = advance(data, run, step_fn, max_iter=max_iter, tol=tol)
+        if not long:
             short_runs.append((run.trace[-1], weakref.ref(run)))
         return run
 
     monkeypatch.setattr(ecm, "_advance", checking)
-    fit(data, _fast_config(monkeypatch), threads=threads)
+    fit(data, config, threads=threads)
     assert len(refs) == 9  # 8 random starts and the k-means start
     assert alive_at_long_runs and not any(alive_at_long_runs)
     assert len(short_runs) > 2 and alive_non_finalists == [0]
@@ -363,14 +386,18 @@ def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
 def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
     # a short run is an E-step on its start model, then CM and E-steps in
     # turn, so an E-step that follows no CM step begins one; a finalist's
-    # long run continues its short run with a full CM step on the model the
-    # short run ended with, so a full CM step after a short one, or on a model
-    # the last E-step did not score, begins one too.  By the run's second CM
-    # step only the current model may be alive, for short and long runs alike
+    # long run continues its short run with a CM step on the model the short
+    # run ended with, so a long run's CM step after a short run's, or one on
+    # a model the last E-step did not score, begins one too.  By the run's
+    # second CM step only the current model may be alive, for short and long
+    # runs alike.  The tight tol keeps every run stepping past its short run
     data, _ = small_dataset(seed=19)
+    config = _fast_config(monkeypatch, tol=1e-10)
+    kind = _track_run_kind(monkeypatch, config)
     run = {"start": None, "steps": 0, "after_cm": False, "scored": None,
            "short": None}
     dead_at_second_step = []
+    long_runs_checked = []
 
     def tracked_e_step(model, d, _e_step=ecm.e_step):
         if not run["after_cm"]:
@@ -379,8 +406,8 @@ def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
         run["scored"] = weakref.ref(model)
         return _e_step(model, d)
 
-    def tracked_cm_step(d, resp, current, _cm_step=ecm.cm_step, **kwargs):
-        short = "max_inner_iter" in kwargs
+    def tracked_cm_step(d, resp, current, _cm_step=ecm.cm_step):
+        short = not kind["long"]
         if (run["short"] and not short) or current is not run["scored"]():
             run.update(start=weakref.ref(current), steps=0)
         run["short"] = short
@@ -388,15 +415,17 @@ def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
         if run["steps"] == 2:
             gc.collect()
             dead_at_second_step.append(run["start"]() is None)
-        out = _cm_step(d, resp, current, **kwargs)
+            long_runs_checked.append(not short)
+        out = _cm_step(d, resp, current)
         run["after_cm"] = True
         return out
 
     monkeypatch.setattr(ecm, "e_step", tracked_e_step)
     monkeypatch.setattr(ecm, "cm_step", tracked_cm_step)
-    fit(data, _fast_config(monkeypatch))
+    fit(data, config)
     # the short runs of the surviving starts and both finalists' long runs
     assert len(dead_at_second_step) > 2 and all(dead_at_second_step)
+    assert sum(long_runs_checked) == config.n_finalists
 
 
 def test_a_finalist_continues_its_short_run_without_a_second_e_step(monkeypatch):
@@ -408,6 +437,23 @@ def test_a_finalist_continues_its_short_run_without_a_second_e_step(monkeypatch)
                                     n_random_starts=0, n_finalists=1))
     assert report.n_iter > 1
     assert len(e_steps) == len(report.loglik_trace)
+
+
+@pytest.mark.parametrize("short_run_iters", [1, 4])
+def test_a_lone_start_fits_as_a_run_from_that_start(monkeypatch, short_run_iters):
+    # a short run takes the same step as a long one, so the k-means start's
+    # short run and its continuation are one run from that start model
+    data, _ = small_dataset(seed=19)
+    config = _fast_config(monkeypatch, short_run_iters=short_run_iters,
+                          n_random_starts=0, n_finalists=1, seed=3)
+    start = ecm._kmeans_start(data, 2, config.factor_vector(),
+                              ecm._start_rngs(config)[0])
+    protocol = fit(data, config)
+    direct = fit(data, config, initial_model=start)
+    assert protocol.n_iter == direct.n_iter
+    np.testing.assert_array_equal(protocol.loglik_trace, direct.loglik_trace)
+    np.testing.assert_array_equal(protocol.responsibilities.gamma,
+                                  direct.responsibilities.gamma)
 
 
 def test_each_e_step_runs_after_the_last_responsibilities_die(monkeypatch):
@@ -435,23 +481,26 @@ def test_each_e_step_runs_after_the_last_responsibilities_die(monkeypatch):
 
 def test_a_finalist_whose_long_run_fails_is_dropped(monkeypatch):
     # the first finalist's long run empties a cluster at its first step; its
-    # model and responsibilities must be dead while the second one runs
+    # model and responsibilities must be dead while the second one runs.  The
+    # tight tol keeps both finalists stepping past their short runs
     data, _ = small_dataset(seed=19)
+    config = _fast_config(monkeypatch, tol=1e-10)
+    kind = _track_run_kind(monkeypatch, config)
     failed = []
     dead_during_second = []
 
-    def failing_cm_step(d, resp, current, _cm_step=ecm.cm_step, **kwargs):
-        if "max_inner_iter" not in kwargs:
+    def failing_cm_step(d, resp, current, _cm_step=ecm.cm_step):
+        if kind["long"]:
             if not failed:
                 failed.extend((weakref.ref(current), weakref.ref(resp)))
                 raise EmptyCluster(1, 1.0, 3.0)
             if not dead_during_second:
                 gc.collect()
                 dead_during_second.append([ref() is None for ref in failed])
-        return _cm_step(d, resp, current, **kwargs)
+        return _cm_step(d, resp, current)
 
     monkeypatch.setattr(ecm, "cm_step", failing_cm_step)
-    report = fit(data, _fast_config(monkeypatch))
+    report = fit(data, config)
     assert dead_during_second == [[True, True]]
     assert report.converged
 
