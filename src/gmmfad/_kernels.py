@@ -8,15 +8,39 @@ image its start block (a single product is its one-column case); the Lanczos
 basis-growth cycle, which strings single products together with
 reorthogonalization and serves only scatters with n <= p (one call per
 restart instead of one per column keeps interpreter overhead off the hot
-path); and the fused weighted first/second moment pass (one read of the
-data per CM step per component).
+path); and the weighted moment pass (the mean, then the centred second
+moment, per CM step and component).
 Everything BLAS-shaped beyond them (densities, eigendecompositions) lives
 with its callers.
+
+Every pass of a fit that would otherwise hold an n x p temporary (the
+moment pass here, the densities, the dense scatter, the k-means start's
+row norms) walks the data in ``row_blocks``: runs of rows of about
+BLOCK_BYTES, so that each temporary is a block that stays in cache, and
+when the whole sample fits in one block the pass is a single slice.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# bytes of data rows per block of a row pass
+BLOCK_BYTES = 256 * 1024
+# a block is a whole number of these rows, and at least one of them: BLAS
+# kernels (OpenBLAS's among them) tile the rows of a product in groups that
+# divide 64, so a product on a block gives each row the same bits as one
+# product over all rows, and a per-row result such as a density does not
+# depend on BLOCK_BYTES
+_ROW_TILE = 64
+
+
+def row_blocks(y):
+    """Slices of consecutive rows of ``y``, about BLOCK_BYTES each, in order."""
+    n = y.shape[0]
+    tiles = BLOCK_BYTES // (_ROW_TILE * y.itemsize * max(1, y.shape[1]))
+    step = _ROW_TILE * max(1, tiles)
+    for start in range(0, n, step):
+        yield slice(start, min(start + step, n))
 
 
 def wcov_matmat(y, w, center, V, weight_sum):
@@ -33,10 +57,18 @@ def wcov_matmat(y, w, center, V, weight_sum):
 
 
 def weighted_stats(y, w):
-    # (weight_sum, weighted mean, weighted raw second moment), one logical pass
+    # (weight_sum, weighted mean, weighted centred second moment
+    # sum_i w_i (y_i - mean)^2 / weight_sum): the mean in one product, then
+    # the centred squares a block of rows at a time, so the second moment
+    # has no cancellation however far the data sit from the origin
     weight_sum = float(np.sum(w))
     mean = (w @ y) / weight_sum
-    m2 = (w @ np.square(y)) / weight_sum
+    m2 = np.zeros(y.shape[1])
+    for rows in row_blocks(y):
+        d = y[rows] - mean
+        d *= d
+        m2 += w[rows] @ d
+    m2 /= weight_sum
     return weight_sum, mean, m2
 
 

@@ -14,18 +14,22 @@ during the sweep.  A finalist continues its short run in place, with no
 E-step repeated, until it has taken ``max_iter`` steps in all; the other
 short runs are dropped once the finalists are chosen.
 
-Memory: the E-step, the k-means start and the dense scatter each hold at
-most one n x p temporary at a time (whitened residuals, standardized data,
-weighted centred rows), updated in place; everything else a step allocates
-is n x K, p x q or smaller, apart from the p x p scatter of the dense paths.
+Memory: no pass over the data holds an n x p temporary.  The densities,
+the moment pass, the dense scatter and the k-means start's row norms each
+walk the data in ``_kernels.row_blocks`` blocks of about 256 KiB of rows
+(whitened residuals, centred squares, weighted centred rows and
+standardized rows are block-sized); the k-means start keeps no
+standardized copy, and the starts take their means and variances from the
+moment pass, not from copied rows.  Everything else a step allocates is
+n x K, p x q or smaller, apart from the p x p scatter of the dense paths.
 
 The primary engine alternates the usual weight/mean updates with a
 conditional maximization over each component's uniquenesses on the profile
 objective (see profileopt), recovering loadings in closed form afterwards.
 Nothing in that path assembles a p x p matrix, so it scales to p far beyond
-n.  Per CM step and component the work is one fused pass over the data for
-the weighted moments plus a handful of operator-vector products inside the
-eigensolver.
+n.  Per CM step and component the work is one moment pass over the data
+(the weighted mean, then the centred squares) plus a handful of
+operator-vector products inside the eigensolver.
 
 The baseline engine is the standard two-cycle AECM for factor-analyzer
 mixtures (Ghahramani & Hinton 1996; McLachlan & Peel 2000, ch. 8): cycle one
@@ -77,6 +81,8 @@ SHORT_RUN_ITERS = 1
 # Lloyd restarts of the k-means start, and the iteration cap of each
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
+# relative inertia gap below which two k-means restarts count as tied
+_INERTIA_TIE = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -173,13 +179,11 @@ def component_log_densities(component: ComponentParams, y: np.ndarray) -> np.nda
     the quadratic form is ||u||^2 - ||L^{-1} W^T u||^2 for whitened
     residuals u, and log det Sigma = log det M + sum log psi.  Cost is
     O(n p q + q^3); no p x p object appears, and the whitened residuals are
-    the only n x p temporary.
+    formed one ``_kernels.row_blocks`` block at a time, with the same
+    arithmetic per row whatever the block size.
     """
     psi = component.uniquenesses
     inv_sqrt = 1.0 / np.sqrt(psi)
-    u = y - component.mean
-    u *= inv_sqrt
-    quad = np.einsum("ij,ij->i", u, u)
     logdet = float(np.sum(np.log(psi)))
     q = component.n_factors
     if q:
@@ -187,9 +191,15 @@ def component_log_densities(component: ComponentParams, y: np.ndarray) -> np.nda
         m = np.eye(q) + w.T @ w
         chol = np.linalg.cholesky(m)
         linv = solve_triangular(chol, np.eye(q), lower=True)
-        z = (u @ w) @ linv.T
-        quad -= np.einsum("ij,ij->i", z, z)
         logdet += 2.0 * float(np.sum(np.log(np.diag(chol))))
+    quad = np.empty(y.shape[0])
+    for rows in _kernels.row_blocks(y):
+        u = y[rows] - component.mean
+        u *= inv_sqrt
+        out = np.einsum("ij,ij->i", u, u, out=quad[rows])
+        if q:
+            z = (u @ w) @ linv.T
+            out -= np.einsum("ij,ij->i", z, z)
     return -0.5 * (component.p * _LOG_2PI + logdet + quad)
 
 
@@ -377,38 +387,63 @@ def _random_start(data: DataMatrix, K: int, qs, rng, var) -> MixtureModel:
 
 
 def _kmeans_labels(y, K, rng):
-    """Plain Lloyd iterations on standardized data; best of KMEANS_RESTARTS."""
+    """Plain Lloyd iterations on standardized data; best of KMEANS_RESTARTS.
+
+    The centres c live in standardized units, but the data are never
+    standardized: with column means m and standard deviations s, the
+    scores z.c = y.(c/s) - m.(c/s) are one GEMM on y, the updated centres
+    are (onehot y / counts - m) / s, and only the row norms ||z||^2 are
+    formed from standardized rows, one ``_kernels.row_blocks`` block at a
+    time.  Each row goes to its first nearest centre, as ``argmin`` picks.
+    """
     n = y.shape[0]
-    std = y.std(axis=0)
+    _, mean, var = _kernels.weighted_stats(y, np.ones(n))
+    std = np.sqrt(var)
     std = np.where(std < 1e-12, 1.0, std)
-    z = y - y.mean(axis=0)
-    z /= std
-    zsq = np.einsum("ij,ij->i", z, z)
+    zsq = np.empty(n)
+    for block in _kernels.row_blocks(y):
+        z = y[block] - mean
+        z /= std
+        np.einsum("ij,ij->i", z, z, out=zsq[block])
     rows = np.arange(n)
-    onehot = np.zeros((n, K))
+    onehot = np.zeros((K, n))
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):
-        centers = z[rng.choice(n, size=K, replace=False)].copy()
+        centers = y[rng.choice(n, size=K, replace=False)] - mean
+        centers /= std
         labels = None
         for _ in range(KMEANS_MAX_ITER):
-            # zsq - 2 z.c + |c|^2, in place on the n x K product
-            d2 = z @ centers.T
+            # zsq - 2 z.c + |c|^2 as K x n, one contiguous row per centre;
+            # the m.(c/s) part of z.c joins the per-centre |c|^2
+            scaled = centers / std
+            d2 = scaled @ y.T
             d2 *= -2.0
-            d2 += zsq[:, None]
-            d2 += np.einsum("ij,ij->i", centers, centers)
-            new_labels = np.argmin(d2, axis=1)
+            d2 += zsq
+            d2 += (np.einsum("ij,ij->i", centers, centers)
+                   + 2.0 * (scaled @ mean))[:, None]
+            # the first nearest centre, a row of d2 at a time
+            new_labels = np.zeros(n, dtype=np.intp)
+            nearest = d2[0].copy()
+            for k in range(1, K):
+                new_labels[d2[k] < nearest] = k
+                np.minimum(nearest, d2[k], out=nearest)
             if labels is not None and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
             # every centre's sum in one product; an empty cluster's centre
             # stays where it was
             onehot.fill(0.0)
-            onehot[rows, labels] = 1.0
+            onehot[labels, rows] = 1.0
             counts = np.bincount(labels, minlength=K)
             filled = counts > 0
-            centers[filled] = (onehot.T @ z)[filled] / counts[filled, None]
-        inertia = float(np.take_along_axis(d2, labels[:, None], 1).sum())
-        if inertia < best_inertia:
+            sums = (onehot @ y)[filled] / counts[filled, None]
+            sums -= mean
+            sums /= std
+            centers[filled] = sums
+        # restarts that reach one partition under permuted labels differ
+        # in inertia by rounding only, and the first of them is kept
+        inertia = float(nearest.sum())
+        if inertia < (1.0 - _INERTIA_TIE) * best_inertia:
             best_inertia, best_labels = inertia, labels
     return best_labels
 
@@ -422,19 +457,16 @@ def _start_from_labels(data, labels, K, qs, rng):
             raise EmptyCluster(k, float(counts[k]), 2.0)
     comps = []
     for k in range(K):
-        rows = y[labels == k]
-        mean = rows.mean(axis=0)
-        # centre the copy in place; the same arithmetic as rows.var(axis=0)
-        rows -= mean
-        rows *= rows
-        var = np.clip(rows.sum(axis=0) / counts[k], PSI_MIN, PSI_MAX)
+        # the cluster's mean and variance from the moment pass on 0/1
+        # weights, with no copy of its rows
+        _, mean, var = _kernels.weighted_stats(y, (labels == k).astype(np.float64))
         lam = 0.01 * rng.standard_normal((p, qs[k]))
         comps.append(
             ComponentParams(
                 weight=counts[k] / n,
                 mean=mean,
                 loadings=lam,
-                uniquenesses=var,
+                uniquenesses=np.clip(var, PSI_MIN, PSI_MAX),
             )
         )
     return MixtureModel(components=tuple(comps))
@@ -480,7 +512,9 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads):
     # start model dies at the run's first CM step and at most ``threads`` are
     # alive at once
     rngs = _start_rngs(config)
-    var = np.clip(data.values.var(axis=0), PSI_MIN, PSI_MAX)
+    var = np.clip(
+        _kernels.weighted_stats(data.values, np.ones(data.n))[2], PSI_MIN, PSI_MAX
+    )
     builders = [
         partial(_random_start, data, K, qs, rngs[s], var)
         for s in range(config.n_random_starts)

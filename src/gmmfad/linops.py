@@ -112,14 +112,23 @@ def _check_dense_allowed(dim: int):
 def dense_scatter(y, w, center, weight_sum) -> np.ndarray:
     """The p x p scatter sum_i w_i (y_i - c)(y_i - c)^T / weight_sum.
 
-    Guard-checked.  Z = diag(sqrt(w)) (Y - center) is built in place, so the
-    one n x p temporary is Z itself, and S = Z^T Z / weight_sum is exactly
+    Guard-checked.  Z = diag(sqrt(w)) (Y - center) is built in place one
+    ``_kernels.row_blocks`` block at a time and S = sum of the blocks'
+    Z^T Z, over weight_sum, so no n x p temporary is held and S is exactly
     symmetric.
     """
     _check_dense_allowed(y.shape[1])
-    z = y - center
-    z *= np.sqrt(w)[:, None]
-    return z.T @ z / weight_sum
+    s = None
+    for rows in _kernels.row_blocks(y):
+        z = y[rows] - center
+        z *= np.sqrt(w[rows])[:, None]
+        zz = z.T @ z
+        if s is None:
+            s = zz
+        else:
+            s += zz
+    s /= weight_sum
+    return s
 
 
 class WeightedCovOperator:
@@ -159,9 +168,9 @@ class WeightedCovOperator:
         self._w = w
         support = np.flatnonzero(w)
         self._support = support if support.size < n else None
-        weight_sum, mean, m2 = _kernels.weighted_stats(y, w)
+        weight_sum, mean, var = _kernels.weighted_stats(y, w)
         self.center = mean
-        self._diag = np.maximum(m2 - mean * mean, 0.0)
+        self._diag = var
         self.weight_sum = float(weight_sum)
         self._dense = None
 

@@ -354,6 +354,60 @@ def test_eval_drops_a_first_label_only_when_it_does_not_recur(tmp_path, capsys,
     assert metrics["positive_class"] == "B"
 
 
+def test_eval_scores_every_line_of_short_files_of_one_length(tmp_path, capsys):
+    # no label recurs in either file, so neither first line is a header
+    truth = tmp_path / "truth.csv"
+    pred = tmp_path / "pred.csv"
+    _write_lines(truth, ["B", "M"])
+    _write_lines(pred, [0, 1])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--pred", str(pred), "--truth", str(truth),
+                   "--out-dir", str(tmp_path / "e")])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    metrics = json.loads(capsys.readouterr().out.strip())
+    assert metrics["ari"] == pytest.approx(1.0)
+    assert metrics["accuracy"] == pytest.approx(1.0)  # 2 of 2 labels
+
+
+@pytest.mark.parametrize("header_in", ["pred", "truth"])
+def test_eval_drops_the_header_that_makes_the_lengths_agree(tmp_path, capsys,
+                                                            header_in):
+    files = {"truth": ["B", "M", "B", "M"], "pred": [0, 1, 0, 1]}
+    files[header_in] = ["group"] + files[header_in]
+    for name, lines in files.items():
+        _write_lines(tmp_path / f"{name}.csv", lines)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["eval", "--pred", str(tmp_path / "pred.csv"),
+                   "--truth", str(tmp_path / "truth.csv"),
+                   "--out-dir", str(tmp_path / "e")])
+    assert rc == 0
+    assert [str(w.message) for w in caught] == []
+    assert json.loads(capsys.readouterr().out.strip())["accuracy"] == 1.0
+
+
+@pytest.mark.parametrize("first", ["grp", "9"])
+def test_fit_label_sidecar_header_follows_the_data_length(tmp_path, first):
+    # a first label that does not recur is a header only in an n + 1 line file
+    data_csv, labels_csv = _simulate(
+        tmp_path, "sim", n=40, p=5, k=2, q=1, separation=3.0, seed=1
+    )
+    labels = [row[0] for row in _read_csv(labels_csv)[1:]]
+    sidecar = tmp_path / "labels.csv"
+    lines = [first] + labels if first == "grp" else [first] + labels[1:]
+    _write_lines(sidecar, lines)
+    out = tmp_path / "fit"
+    rc = main(["fit", "--data", str(data_csv), "--labels", str(sidecar),
+               "--k", "2", "--q", "1", "--seed", "1", "--out-dir", str(out)]
+              + _FAST_FIT)
+    assert rc == 0
+    mapping = _read_json(out / "fit.json")["label_mapping"]
+    assert ("9" in mapping) == (first == "9")
+    assert "grp" not in mapping
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

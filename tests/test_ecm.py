@@ -142,24 +142,69 @@ def _memory_case():
     return data, random_mixture(50, (2, 2, 2), rng)
 
 
-def test_density_pass_holds_one_data_sized_temporary():
+def test_density_pass_holds_no_data_sized_temporary():
     data, model = _memory_case()
     peak = traced_peak(
         lambda: component_log_densities(model.components[0], data.values)
     )
-    assert peak <= 1.5 * data.values.nbytes
+    assert peak <= 0.6 * data.values.nbytes
 
 
-def test_e_step_holds_one_data_sized_temporary():
+def test_e_step_holds_no_data_sized_temporary():
     data, model = _memory_case()
     peak = traced_peak(lambda: e_step(model, data))
-    assert peak <= 1.5 * data.values.nbytes
+    assert peak <= 0.6 * data.values.nbytes
 
 
-def test_kmeans_start_holds_one_data_sized_temporary():
+def test_kmeans_labels_hold_no_data_sized_temporary():
     data, _ = _memory_case()
     peak = traced_peak(lambda: _kmeans_labels(data.values, 3, make_rng(1)))
-    assert peak <= 1.5 * data.values.nbytes
+    assert peak <= 0.6 * data.values.nbytes
+
+
+def test_kmeans_start_holds_no_data_sized_temporary():
+    # the start's cluster means and variances come from the moment pass on
+    # 0/1 weights, not from copies of the clusters' rows
+    data, _ = _memory_case()
+    peak = traced_peak(lambda: ecm._kmeans_start(data, 3, (2, 2, 2), make_rng(1)))
+    assert peak <= 0.6 * data.values.nbytes
+
+
+# ----------------------------------------------------------- row blocks
+
+
+def test_e_step_is_bit_identical_across_block_sizes(monkeypatch):
+    # BLOCK_BYTES = 0 gives the smallest blocks: here 15 of 64 rows and a
+    # ragged last one, against one block of all 1000 rows
+    rng = make_rng(227)
+    data = DataMatrix(values=rng.standard_normal((1000, 40))
+                      @ rng.standard_normal((40, 40)))
+    model = random_mixture(40, (2, 3, 0), rng)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 0)
+    assert len(list(_kernels.row_blocks(data.values))) == 16
+    resp, ll = e_step(model, data)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 2**62)
+    want_resp, want_ll = e_step(model, data)
+    np.testing.assert_array_equal(resp.gamma, want_resp.gamma)
+    assert ll == want_ll
+
+
+def test_kmeans_labels_do_not_depend_on_block_size(monkeypatch):
+    data, _ = small_dataset(seed=301, n=700, k=3)
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 0)
+    got = _kmeans_labels(data.values, 3, make_rng(2))
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 2**62)
+    np.testing.assert_array_equal(got, _kmeans_labels(data.values, 3, make_rng(2)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kmeans_partition_does_not_move_with_the_origin(seed):
+    # the centres stay in standardized units, so an offset far above the
+    # spread cancels before it meets a distance
+    data, _ = small_dataset(seed=300 + seed, k=3)
+    want = _kmeans_labels(data.values, 3, make_rng(seed))
+    got = _kmeans_labels(data.values + 1e6, 3, make_rng(seed))
+    assert adjusted_rand_index(got, want) == 1.0
 
 
 # -------------------------------------------------------------------- cm_step

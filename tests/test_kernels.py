@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gmmfad
-from gmmfad import _kernels
+from gmmfad import _kernels, linops
 from gmmfad.linops import ScaledCovOperator, WeightedCovOperator
 
 from .helpers import dense_weighted_cov
@@ -42,11 +42,41 @@ def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
 
 
 def test_weighted_stats_matches_direct_formulas(rng):
+    # the second moment is the centred one, the diagonal of the scatter
     for y, w, _, _ in _instances(rng):
         ws, mean, m2 = _kernels.weighted_stats(y, w)
         assert ws == pytest.approx(w.sum())
         np.testing.assert_allclose(mean, (w @ y) / w.sum(), rtol=1e-12)
-        np.testing.assert_allclose(m2, (w @ y**2) / w.sum(), rtol=1e-12)
+        np.testing.assert_allclose(m2, w @ (y - mean) ** 2 / w.sum(), rtol=1e-12)
+
+
+def test_row_blocks_cover_the_rows_in_order(monkeypatch):
+    y = np.zeros((1000, 7))
+    for block_bytes in (0, 8 * 7 * 100, 2**62):
+        monkeypatch.setattr(_kernels, "BLOCK_BYTES", block_bytes)
+        blocks = list(_kernels.row_blocks(y))
+        assert blocks[0].start == 0 and blocks[-1].stop == 1000
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        # whole row tiles, within the byte budget when a tile fits in it
+        sizes = [b.stop - b.start for b in blocks[:-1]]
+        assert all(s % _kernels._ROW_TILE == 0 for s in sizes)
+        assert all(s * 7 * 8 <= max(block_bytes, 7 * 8 * _kernels._ROW_TILE)
+                   for s in sizes)
+
+
+def test_row_passes_agree_across_block_sizes(rng, monkeypatch):
+    y = rng.standard_normal((1000, 9)) + 5.0
+    w = rng.uniform(0.0, 1.0, 1000)
+
+    def passes():
+        ws, mean, m2 = _kernels.weighted_stats(y, w)
+        scatter = linops.dense_scatter(y, w, mean, ws)
+        return np.concatenate([[ws], mean, m2, scatter.ravel()])
+
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 0)
+    blocked = passes()
+    monkeypatch.setattr(_kernels, "BLOCK_BYTES", 2**62)
+    np.testing.assert_allclose(blocked, passes(), rtol=1e-12)
 
 
 def _grow_once(y, w, center, v, m):

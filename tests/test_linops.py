@@ -485,9 +485,21 @@ def test_operator_to_dense_round_trip(rng):
                                dense_weighted_cov(y, w, op.center), atol=1e-12)
 
 
-def test_to_dense_holds_one_data_sized_temporary():
+def test_to_dense_holds_no_data_sized_temporary():
     rng = make_rng(211)
     y = rng.standard_normal((4000, 50))
     op = WeightedCovOperator(y, rng.uniform(0.1, 1.0, 4000))
-    assert traced_peak(op.to_dense) <= 1.5 * y.nbytes
+    assert traced_peak(op.to_dense) <= 0.6 * y.nbytes
     np.testing.assert_allclose(op.to_dense(), op.to_dense().T, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+def test_diag_is_exact_far_from_the_origin(rng, offset):
+    # the diagonal is the centred second moment, not m2 - mean^2, which
+    # cancels once the offset dwarfs the spread
+    y = rng.standard_normal((500, 5)) + offset
+    w = rng.uniform(0.0, 1.0, 500)
+    op = WeightedCovOperator(y, w)
+    exact = w @ (y - op.center) ** 2 / w.sum()
+    np.testing.assert_allclose(op.diag(), exact, rtol=1e-9)
+    np.testing.assert_allclose(op.diag(), np.diag(op.to_dense()), rtol=1e-9)
