@@ -22,7 +22,6 @@ import os
 import sys
 import tempfile
 import time
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,10 +30,12 @@ from .ecm import FIT_FAILURES, FitConfig, fit, fit_baseline_aecm
 from .metrics import adjusted_rand_index, confusion_metrics
 from .model import DataMatrix, FitReport, free_param_count
 from .preprocess import (
-    CsvFormatError,
     feature_tie_counts,
     gaussian_distributional_transform,
+    label_codes,
     load_csv,
+    read_label_pair,
+    read_labels,
 )
 from .selection import SearchGrid, select_common_q, select_per_cluster_q, write_bic_table
 from .simgen import SimSpec, draw_truth, sample_dataset
@@ -104,95 +105,6 @@ def _parse_label_col(text):
         return int(text)
     except ValueError:
         return text
-
-
-_LABEL_HEADERS = {"label", "labels", "cluster", "class", "truth"}
-
-
-def _read_label_cells(path: str) -> list[str]:
-    """The labels of a one-label-per-line file; a usual label-column name
-    (``label``, ``cluster``, ...) on the first line is dropped as a header.
-
-    Any other first label may be a header too, which the number of samples
-    settles (``_read_label_file``, ``_read_label_pair``).
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        cells = []
-        for row in reader:
-            vals = [c.strip() for c in row if c.strip()]
-            if len(vals) > 1:
-                raise CsvFormatError(
-                    f"{path}, line {reader.line_num}: {len(vals)} cells, "
-                    "expected one label per line"
-                )
-            cells.extend(vals)
-    if not cells:
-        raise CsvFormatError(f"{path}: no labels found")
-    if cells[0].lower() in _LABEL_HEADERS:
-        cells = cells[1:]
-        if not cells:
-            raise CsvFormatError(f"{path}: header only, no labels")
-    return cells
-
-
-def _header_candidate(cells) -> bool:
-    # a first label that does not occur again may name the column
-    return cells[0] not in cells[1:]
-
-
-def _label_codes(cells):
-    """(codes array, first-appearance mapping) of a list of labels."""
-    mapping: dict = {}
-    for c in cells:
-        if c not in mapping:
-            mapping[c] = len(mapping)
-    codes = np.array([mapping[c] for c in cells], dtype=np.int64)
-    return codes, mapping
-
-
-def _read_label_file(path: str, n: int):
-    """The ``n`` labels of ``path`` as (codes array, first-appearance mapping).
-
-    A first label that does not occur again is a header exactly when the
-    file holds n + 1 labels; any other length disagreeing with n is an error.
-    """
-    cells = _read_label_cells(path)
-    if len(cells) == n + 1 and _header_candidate(cells):
-        cells = cells[1:]
-    if len(cells) != n:
-        raise CsvFormatError("label file length disagrees with the data")
-    return _label_codes(cells)
-
-
-def _read_label_pair(pred_path: str, truth_path: str):
-    """Codes and mappings of two label files that must be of one length.
-
-    A first label that does not occur again is a header when dropping it
-    makes the lengths agree.  When they agree already and both files start
-    with such a label, both are headers if each is the odd one out, its file
-    having some other label that recurs, and both are dropped with a
-    warning; otherwise every line is a sample.
-    """
-    pred, truth = _read_label_cells(pred_path), _read_label_cells(truth_path)
-    if len(pred) == len(truth) + 1 and _header_candidate(pred):
-        pred = pred[1:]
-    elif len(truth) == len(pred) + 1 and _header_candidate(truth):
-        truth = truth[1:]
-    elif len(pred) == len(truth) and all(
-        _header_candidate(c) and len(set(c[1:])) < len(c) - 1 for c in (pred, truth)
-    ):
-        for path, cells in ((pred_path, pred), (truth_path, truth)):
-            warnings.warn(
-                f"{path}: line 1 is read as a header because its label "
-                f"{cells[0]!r} does not occur again; if it is a sample, it is "
-                "dropped",
-                stacklevel=3,
-            )
-        pred, truth = pred[1:], truth[1:]
-    if len(pred) != len(truth):
-        raise ValueError("prediction and truth files disagree on length")
-    return _label_codes(pred), _label_codes(truth)
 
 
 def _rep_seed(seed: int, rep: int) -> int:
@@ -281,10 +193,8 @@ def _prepare_data(args):
     )
     truth = data.labels
     if args.labels:
-        codes, label_map = _read_label_file(args.labels, data.n)
-        data = DataMatrix(values=data.values, labels=codes)
-        truth = codes
-        mapping = label_map
+        truth, mapping = label_codes(read_labels(args.labels, data.n))
+        data = DataMatrix(values=data.values, labels=truth)
     if args.gdt:
         ties = feature_tie_counts(data)
         data = gaussian_distributional_transform(data)
@@ -402,7 +312,9 @@ def cmd_select(args):
 
 
 def cmd_eval(args):
-    (pred, _), (truth, truth_map) = _read_label_pair(args.pred, args.truth)
+    (pred, _), (truth, truth_map) = map(
+        label_codes, read_label_pair(args.pred, args.truth)
+    )
     positive = None
     if args.positive_class is not None:
         if args.positive_class not in truth_map:
@@ -593,7 +505,7 @@ def main(argv=None) -> int:
     except FIT_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (CsvFormatError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

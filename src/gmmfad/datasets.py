@@ -5,7 +5,8 @@ scikit-learn, an optional dependency here.  The diffuse large B-cell
 lymphoma expression matrix (62 x 4026, three subtypes) is not
 redistributable with this package; point the loader at a local CSV export
 (see README for how to produce one) directly or through environment
-variables.
+variables.  Its label file is read by ``preprocess.read_labels``, under the
+same header rule as ``gmmfad fit --labels``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import numpy as np
 
 from .model import DataMatrix
-from .preprocess import load_csv
+from .preprocess import load_csv, read_labels
 
 LYMPHOMA_X_ENV = "GMMFAD_LYMPHOMA_X"
 LYMPHOMA_Y_ENV = "GMMFAD_LYMPHOMA_Y"
@@ -45,7 +46,9 @@ def load_lymphoma(
     """Lymphoma expression matrix from local CSV exports.
 
     ``features_csv`` is a headerless 62 x 4026 numeric CSV; ``labels_csv``
-    holds one integer subtype label (0, 1, 2) per line; a label that is not a
+    holds one integer subtype label (0, 1, 2) per feature row, read by
+    ``preprocess.read_labels``: a header line is dropped, and a line of two
+    cells or a wrong count raises CsvFormatError.  A label that is not a
     whole number raises ValueError.  Defaults come from the
     GMMFAD_LYMPHOMA_X / GMMFAD_LYMPHOMA_Y environment variables.
     """
@@ -58,10 +61,11 @@ def load_lymphoma(
             "GMMFAD_LYMPHOMA_Y to local CSV exports (see README)"
         )
     data = load_csv(features_csv)
-    raw = load_csv(labels_csv).values.reshape(-1)
+    labels = read_labels(labels_csv, data.n)
+    try:
+        raw = np.array(labels, dtype=np.float64)
+    except ValueError:  # a label that is not a number fails the test below
+        raw = np.array([np.nan])
     if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
         raise ValueError(f"{labels_csv}: subtype labels must be whole numbers")
-    labels = raw.astype(np.int64)
-    if labels.shape[0] != data.n:
-        raise ValueError("feature and label row counts disagree")
-    return DataMatrix(values=data.values, labels=labels)
+    return DataMatrix(values=data.values, labels=raw.astype(np.int64))

@@ -371,33 +371,35 @@ def _start_rngs(config: FitConfig):
 
 
 def _random_start(data: DataMatrix, K: int, qs, rng, var) -> MixtureModel:
-    """K random rows as means, tiny random loadings, ``var`` as uniquenesses."""
+    """K random rows as means, tiny random loadings, ``var`` clipped to the
+    uniqueness box as uniquenesses."""
     y = data.values
     n, p = y.shape
+    psi = np.clip(var, PSI_MIN, PSI_MAX)
     idx = rng.choice(n, size=K, replace=False)
     comps = []
     for k in range(K):
         lam = 0.01 * rng.standard_normal((p, qs[k]))
         comps.append(
             ComponentParams(
-                weight=1.0 / K, mean=y[idx[k]], loadings=lam, uniquenesses=var
+                weight=1.0 / K, mean=y[idx[k]], loadings=lam, uniquenesses=psi
             )
         )
     return MixtureModel(components=tuple(comps))
 
 
-def _kmeans_labels(y, K, rng):
+def _kmeans_labels(y, K, rng, mean, var):
     """Plain Lloyd iterations on standardized data; best of KMEANS_RESTARTS.
 
     The centres c live in standardized units, but the data are never
-    standardized: with column means m and standard deviations s, the
-    scores z.c = y.(c/s) - m.(c/s) are one GEMM on y, the updated centres
-    are (onehot y / counts - m) / s, and only the row norms ||z||^2 are
-    formed from standardized rows, one ``_kernels.row_blocks`` block at a
-    time.  Each row goes to its first nearest centre, as ``argmin`` picks.
+    standardized: with the column ``mean`` m and ``var`` s^2 of y (the
+    fit's unit-weight moment pass), the scores z.c = y.(c/s) - m.(c/s) are
+    one GEMM on y, the updated centres are (onehot y / counts - m) / s, and
+    only the row norms ||z||^2 are formed from standardized rows, one
+    ``_kernels.row_blocks`` block at a time.  Each row goes to its first
+    nearest centre, as ``argmin`` picks.
     """
     n = y.shape[0]
-    _, mean, var = _kernels.weighted_stats(y, np.ones(n))
     std = np.sqrt(var)
     std = np.where(std < 1e-12, 1.0, std)
     zsq = np.empty(n)
@@ -472,9 +474,10 @@ def _start_from_labels(data, labels, K, qs, rng):
     return MixtureModel(components=tuple(comps))
 
 
-def _kmeans_start(data, K, qs, rng):
+def _kmeans_start(data, K, qs, rng, mean, var):
     """The k-means start; EmptyCluster when a cluster has fewer than two rows."""
-    return _start_from_labels(data, _kmeans_labels(data.values, K, rng), K, qs, rng)
+    labels = _kmeans_labels(data.values, K, rng, mean, var)
+    return _start_from_labels(data, labels, K, qs, rng)
 
 
 _START_FAILURES = (EmptyCluster, linops.DegenerateWeights, linops.NoConvergence)
@@ -512,14 +515,14 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads):
     # start model dies at the run's first CM step and at most ``threads`` are
     # alive at once
     rngs = _start_rngs(config)
-    var = np.clip(
-        _kernels.weighted_stats(data.values, np.ones(data.n))[2], PSI_MIN, PSI_MAX
-    )
+    _, mean, var = _kernels.weighted_stats(data.values, np.ones(data.n))
     builders = [
         partial(_random_start, data, K, qs, rngs[s], var)
         for s in range(config.n_random_starts)
     ]
-    builders.append(partial(_kmeans_start, data, K, qs, rngs[config.n_random_starts]))
+    builders.append(
+        partial(_kmeans_start, data, K, qs, rngs[config.n_random_starts], mean, var)
+    )
 
     def short_run(build):
         try:

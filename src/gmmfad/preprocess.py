@@ -1,4 +1,8 @@
-"""CSV ingestion with precise diagnostics and the Gaussian rank transform.
+"""CSV and label-file ingestion and the Gaussian rank transform.
+
+Only this module decides whether a first line is a header, in a table
+(``load_csv``) or a label file (``read_labels``, ``read_label_pair``), and
+it codes labels by first appearance (``label_codes``).
 
 The Gaussian distributional transform (GDT) replaces each feature by the
 normal scores of its mid-offset ranks: with average ranks r_j over n rows,
@@ -50,6 +54,31 @@ class NonNumericCell(CsvFormatError):
         self.column = column
 
 
+_LABEL_HEADERS = frozenset({"label", "labels", "cluster", "class", "truth"})
+
+
+def _lone_first(labels) -> bool:
+    """Whether the first label does not occur again, so it may name the column."""
+    return labels[0] not in labels[1:]
+
+
+def _warn_header(path, label, where=""):
+    warnings.warn(
+        f"{path}: line 1 is read as a header because its label {label!r} does "
+        f"not occur again{where}; if it is a sample, it is dropped",
+        stacklevel=4,
+    )
+
+
+def label_codes(labels):
+    """(int64 codes, mapping) of a list of labels, coded by first appearance."""
+    mapping: dict = {}
+    for v in labels:
+        if v not in mapping:
+            mapping[v] = len(mapping)
+    return np.array([mapping[v] for v in labels], dtype=np.int64), mapping
+
+
 def _first_row_is_header(rows, label_idx, path) -> bool:
     """Whether the first of the numbered ``rows`` names the columns.
 
@@ -66,17 +95,72 @@ def _first_row_is_header(rows, label_idx, path) -> bool:
                 return True
     if label_idx is None:
         return False
-    name = first[label_idx].strip()
-    if any(
-        row[label_idx].strip() == name for _, row in rows[1:] if len(row) > label_idx
-    ):
+    column = [row[label_idx].strip() for _, row in rows if len(row) > label_idx]
+    if not _lone_first(column):
         return False
-    warnings.warn(
-        f"{path}: line 1 is read as a header because its label {name!r} does "
-        f"not occur again in column {label_idx}; if it is a sample, it is dropped",
-        stacklevel=3,
-    )
+    _warn_header(path, column[0], f" in column {label_idx}")
     return True
+
+
+def _label_lines(path) -> list[str]:
+    """A one-label-per-line file's labels, less a usual column name on line 1."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        labels = []
+        for row in reader:
+            cells = [c.strip() for c in row if c.strip()]
+            if len(cells) > 1:
+                raise CsvFormatError(
+                    f"{path}, line {reader.line_num}: {len(cells)} cells, "
+                    "expected one label per line"
+                )
+            labels.extend(cells)
+    if not labels:
+        raise CsvFormatError(f"{path}: no labels found")
+    if labels[0].lower() in _LABEL_HEADERS:
+        labels = labels[1:]
+        if not labels:
+            raise CsvFormatError(f"{path}: header only, no labels")
+    return labels
+
+
+def _drop_to_count(labels, n):
+    # a lone first label is a header when dropping it leaves n labels
+    return labels[1:] if len(labels) == n + 1 and _lone_first(labels) else labels
+
+
+def read_labels(path, n: int) -> list[str]:
+    """The ``n`` labels of a one-label-per-line file, as stripped strings.
+
+    A first label that does not occur again is a header exactly when the
+    file holds n + 1 labels; any other count but n is a CsvFormatError.
+    """
+    labels = _drop_to_count(_label_lines(path), n)
+    if len(labels) != n:
+        raise CsvFormatError(f"{path}: {len(labels)} labels for {n} data rows")
+    return labels
+
+
+def read_label_pair(path_a, path_b) -> tuple[list[str], list[str]]:
+    """The labels of two one-label-per-line files that must be of one length.
+
+    A first label that does not occur again is a header when dropping it
+    makes the lengths agree.  When they agree already and both files start
+    with such a label, both are headers if each is the odd one out, its file
+    having some other label that recurs, and both are dropped with a
+    warning; otherwise every line is a sample.
+    """
+    a, b = _label_lines(path_a), _label_lines(path_b)
+    if len(a) != len(b):
+        a = _drop_to_count(a, len(b))
+        b = _drop_to_count(b, len(a))
+    elif all(_lone_first(c) and len(set(c[1:])) < len(c) - 1 for c in (a, b)):
+        _warn_header(path_a, a[0])
+        _warn_header(path_b, b[0])
+        a, b = a[1:], b[1:]
+    if len(a) != len(b):
+        raise CsvFormatError(f"{path_a} holds {len(a)} labels, {path_b} {len(b)}")
+    return a, b
 
 
 def load_csv(
@@ -141,13 +225,9 @@ def load_csv(
                 raise NonNumericCell(line, j + 1, cell) from None
             c += 1
 
-    labels = None
-    mapping: dict = {}
+    labels, mapping = None, {}
     if raw_labels is not None:
-        for v in raw_labels:
-            if v not in mapping:
-                mapping[v] = len(mapping)
-        labels = np.array([mapping[v] for v in raw_labels], dtype=np.int64)
+        labels, mapping = label_codes(raw_labels)
 
     data = DataMatrix(values=values, labels=labels)
     if return_mapping:

@@ -426,15 +426,19 @@ def test_ragged_csv_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_label_sidecar_length_mismatch_exits_2(tmp_path):
+def test_label_sidecar_length_mismatch_exits_2(tmp_path, capsys):
     data_csv, _ = _simulate(
         tmp_path, "sim", n=40, p=5, k=2, q=1, separation=2.0, seed=1
     )
     labels = tmp_path / "short_labels.csv"
-    _write_lines(labels, [0, 1, 0])
-    rc = main(["fit", "--data", str(data_csv), "--labels", str(labels),
-               "--k", "2", "--q", "1", "--out-dir", str(tmp_path / "o")])
-    assert rc == 2
+    # a short file, and an id,label file whose cells would number 2n
+    for lines, line in (([0, 1, 0], None), ([f"{i},{i % 2}" for i in range(40)], 1)):
+        _write_lines(labels, lines)
+        rc = main(["fit", "--data", str(data_csv), "--labels", str(labels),
+                   "--k", "2", "--q", "1", "--out-dir", str(tmp_path / "o")])
+        assert rc == 2
+        if line is not None:
+            assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_aecm_dimension_guard_exits_2(tmp_path):

@@ -11,6 +11,7 @@ from gmmfad.datasets import (
     load_lymphoma,
     load_wdbc,
 )
+from gmmfad.preprocess import CsvFormatError
 
 
 def test_wdbc_shape_and_class_balance():
@@ -51,12 +52,14 @@ def test_lymphoma_round_trip_via_env(tmp_path, monkeypatch):
     x_path = tmp_path / "x.csv"
     y_path = tmp_path / "y.csv"
     np.savetxt(x_path, values, delimiter=",", fmt="%.12g")
-    y_path.write_text("0\n1\n2\n0\n")
     monkeypatch.setenv(LYMPHOMA_X_ENV, str(x_path))
     monkeypatch.setenv(LYMPHOMA_Y_ENV, str(y_path))
-    data = load_lymphoma()
-    np.testing.assert_allclose(data.values, values, atol=1e-10)
-    assert data.labels.tolist() == [0, 1, 2, 0]
+    # a header line over the n labels is dropped, as ``fit --labels`` does
+    for text in ("0\n1\n2\n0\n", "subtype\n0\n1\n2\n0\n"):
+        y_path.write_text(text)
+        data = load_lymphoma()
+        np.testing.assert_allclose(data.values, values, atol=1e-10)
+        assert data.labels.tolist() == [0, 1, 2, 0]
 
 
 def test_lymphoma_label_length_mismatch(tmp_path):
@@ -72,6 +75,19 @@ def test_lymphoma_rejects_fractional_labels(tmp_path):
     x_path = tmp_path / "x.csv"
     y_path = tmp_path / "y.csv"
     np.savetxt(x_path, np.eye(3), delimiter=",", fmt="%.1f")
-    y_path.write_text("0\n1.7\n2\n")
-    with pytest.raises(ValueError, match="whole numbers"):
+    for text in ("0\n1.7\n2\n", "0\nGCB\n2\n"):
+        y_path.write_text(text)
+        with pytest.raises(ValueError, match="whole numbers"):
+            load_lymphoma(str(x_path), str(y_path))
+
+
+def test_lymphoma_rejects_a_label_line_of_two_cells(tmp_path):
+    # id,label rows used to be flattened: 2 such lines over 4 feature rows
+    # loaded as the 4 labels [1, 0, 2, 1]
+    x_path = tmp_path / "x.csv"
+    y_path = tmp_path / "y.csv"
+    np.savetxt(x_path, np.eye(4), delimiter=",", fmt="%.1f")
+    y_path.write_text("1,0\n2,1\n")
+    with pytest.raises(CsvFormatError, match="line 1") as exc:
         load_lymphoma(str(x_path), str(y_path))
+    assert str(y_path) in str(exc.value)

@@ -37,6 +37,12 @@ from .helpers import (
 )
 
 
+def _moments(y):
+    # the fit's unit-weight moment pass (mean, variance), which the k-means
+    # start takes from the fit
+    return _kernels.weighted_stats(y, np.ones(y.shape[0]))[1:]
+
+
 def _diag_component(weight, mean, psi):
     mean = np.asarray(mean, dtype=np.float64)
     return ComponentParams(weight=weight, mean=mean,
@@ -158,7 +164,8 @@ def test_e_step_holds_no_data_sized_temporary():
 
 def test_kmeans_labels_hold_no_data_sized_temporary():
     data, _ = _memory_case()
-    peak = traced_peak(lambda: _kmeans_labels(data.values, 3, make_rng(1)))
+    moments = _moments(data.values)
+    peak = traced_peak(lambda: _kmeans_labels(data.values, 3, make_rng(1), *moments))
     assert peak <= 0.6 * data.values.nbytes
 
 
@@ -166,7 +173,9 @@ def test_kmeans_start_holds_no_data_sized_temporary():
     # the start's cluster means and variances come from the moment pass on
     # 0/1 weights, not from copies of the clusters' rows
     data, _ = _memory_case()
-    peak = traced_peak(lambda: ecm._kmeans_start(data, 3, (2, 2, 2), make_rng(1)))
+    moments = _moments(data.values)
+    peak = traced_peak(
+        lambda: ecm._kmeans_start(data, 3, (2, 2, 2), make_rng(1), *moments))
     assert peak <= 0.6 * data.values.nbytes
 
 
@@ -192,9 +201,10 @@ def test_e_step_is_bit_identical_across_block_sizes(monkeypatch):
 def test_kmeans_labels_do_not_depend_on_block_size(monkeypatch):
     data, _ = small_dataset(seed=301, n=700, k=3)
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 0)
-    got = _kmeans_labels(data.values, 3, make_rng(2))
+    got = _kmeans_labels(data.values, 3, make_rng(2), *_moments(data.values))
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 2**62)
-    np.testing.assert_array_equal(got, _kmeans_labels(data.values, 3, make_rng(2)))
+    np.testing.assert_array_equal(
+        got, _kmeans_labels(data.values, 3, make_rng(2), *_moments(data.values)))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -202,8 +212,9 @@ def test_kmeans_partition_does_not_move_with_the_origin(seed):
     # the centres stay in standardized units, so an offset far above the
     # spread cancels before it meets a distance
     data, _ = small_dataset(seed=300 + seed, k=3)
-    want = _kmeans_labels(data.values, 3, make_rng(seed))
-    got = _kmeans_labels(data.values + 1e6, 3, make_rng(seed))
+    want = _kmeans_labels(data.values, 3, make_rng(seed), *_moments(data.values))
+    shifted = data.values + 1e6
+    got = _kmeans_labels(shifted, 3, make_rng(seed), *_moments(shifted))
     assert adjusted_rand_index(got, want) == 1.0
 
 
@@ -492,7 +503,7 @@ def test_a_lone_start_fits_as_a_run_from_that_start(monkeypatch, short_run_iters
     config = _fast_config(monkeypatch, short_run_iters=short_run_iters,
                           n_random_starts=0, n_finalists=1, seed=3)
     start = ecm._kmeans_start(data, 2, config.factor_vector(),
-                              ecm._start_rngs(config)[0])
+                              ecm._start_rngs(config)[0], *_moments(data.values))
     protocol = fit(data, config)
     direct = fit(data, config, initial_model=start)
     assert protocol.n_iter == direct.n_iter
@@ -553,7 +564,7 @@ def test_a_finalist_whose_long_run_fails_is_dropped(monkeypatch):
 @pytest.mark.parametrize("seed", range(6))
 def test_kmeans_partition_matches_masked_mean_lloyd(seed):
     data, _ = small_dataset(seed=300 + seed, k=3)
-    got = _kmeans_labels(data.values, 3, make_rng(seed))
+    got = _kmeans_labels(data.values, 3, make_rng(seed), *_moments(data.values))
     want, _ = kmeans_labels_masked(data.values, 3, make_rng(seed))
     np.testing.assert_array_equal(got, want)
 
@@ -563,7 +574,7 @@ def test_kmeans_empty_cluster_keeps_its_centre():
     # centres leaves the later cluster empty through the argmin tie
     y = np.repeat(make_rng(100).standard_normal((5, 4)), 40, axis=0)
     for seed in range(4):
-        got = _kmeans_labels(y, 4, make_rng(seed))
+        got = _kmeans_labels(y, 4, make_rng(seed), *_moments(y))
         want, empty_updates = kmeans_labels_masked(y, 4, make_rng(seed))
         assert empty_updates > 0
         np.testing.assert_array_equal(got, want)
