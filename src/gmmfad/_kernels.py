@@ -6,12 +6,14 @@ applied by ``linops.ScaledCovOperator``), which the block eigensolver
 applies once per iteration to scatters with n > p and the Lanczos uses to
 image its start block (a single product is its one-column case); the Lanczos
 basis-growth cycle, which strings single products together with
-reorthogonalization and serves only scatters with n <= p (one call per
-restart instead of one per column keeps interpreter overhead off the hot
-path); and the weighted moment pass (the mean, then the centred second
-moment, per CM step and component).
-Everything BLAS-shaped beyond them (densities, eigendecompositions) lives
-with its callers.
+reorthogonalization and serves only scatters of at most p/2 weighted rows
+(one call per restart instead of one per column keeps interpreter overhead
+off the hot path); and the weighted moment pass (the mean, then the centred
+second moment) for the start protocol, the AECM means and each CM-step
+scatter above linops.DENSE_THRESHOLD; a smaller scatter reads its diagonal
+off its dense matrix, built in one pass.  Everything BLAS-shaped beyond
+them (densities, dense scatters, eigendecompositions) lives with its
+callers.
 
 Every pass of a fit that would otherwise hold an n x p temporary (the
 moment pass here, the densities, the dense scatter, the k-means start's

@@ -17,19 +17,23 @@ short runs are dropped once the finalists are chosen.
 Memory: no pass over the data holds an n x p temporary.  The densities,
 the moment pass, the dense scatter and the k-means start's row norms each
 walk the data in ``_kernels.row_blocks`` blocks of about 256 KiB of rows
-(whitened residuals, centred squares, weighted centred rows and
-standardized rows are block-sized); the k-means start keeps no
-standardized copy, and the starts take their means and variances from the
-moment pass, not from copied rows.  Everything else a step allocates is
-n x K, p x q or smaller, apart from the p x p scatter of the dense paths.
+(residuals and their squares, weighted centred rows and standardized rows
+are block-sized); the k-means start keeps no standardized copy, and the
+starts take their means and variances from the moment pass, not from
+copied rows.  The responsibilities are one K x n array, built by the
+E-step and kept by ``Responsibilities`` without a copy; each component's
+weights are a contiguous row of it, which the CM step reads in place.
+Everything else a step allocates is n x K, p x q or smaller, apart from
+the p x p scatter of the dense paths.
 
 The primary engine alternates the usual weight/mean updates with a
 conditional maximization over each component's uniquenesses on the profile
 objective (see profileopt), recovering loadings in closed form afterwards.
 Nothing in that path assembles a p x p matrix, so it scales to p far beyond
-n.  Per CM step and component the work is one moment pass over the data
-(the weighted mean, then the centred squares) plus a handful of
-operator-vector products inside the eigensolver.
+n.  Per CM step and component the work is one pass over the data after the
+weighted mean (the centred squares, or at p <= linops.DENSE_THRESHOLD the
+dense scatter whose diagonal they are) plus a handful of operator-vector
+products inside the eigensolver.
 
 The baseline engine is the standard two-cycle AECM for factor-analyzer
 mixtures (Ghahramani & Hinton 1996; McLachlan & Peel 2000, ch. 8): cycle one
@@ -155,7 +159,7 @@ class FitConfig:
                 raise ValueError(f"q={q} must be below min(n, p)={min(data.n, data.p)}")
 
 
-def _component_masses(gamma: np.ndarray, qs) -> list[float]:
+def _component_masses(resp: Responsibilities, qs) -> list[float]:
     """Each component's responsibility mass, checked against its floor.
 
     Raises EmptyCluster for the first component whose mass is below
@@ -164,7 +168,7 @@ def _component_masses(gamma: np.ndarray, qs) -> list[float]:
     """
     masses = []
     for k, q in enumerate(qs):
-        mass = float(np.sum(np.ascontiguousarray(gamma[:, k])))
+        mass = float(np.sum(resp.by_component[k]))
         floor = float(max(q + 1, 2))
         if mass < floor:
             raise EmptyCluster(k, mass, floor)
@@ -175,32 +179,45 @@ def _component_masses(gamma: np.ndarray, qs) -> list[float]:
 def component_log_densities(component: ComponentParams, y: np.ndarray) -> np.ndarray:
     """Log N(y | mean, Lambda Lambda^T + Psi) for each row, via Woodbury.
 
-    With W = Psi^{-1/2} Lambda and M = I + W^T W = L L^T,
-    the quadratic form is ||u||^2 - ||L^{-1} W^T u||^2 for whitened
-    residuals u, and log det Sigma = log det M + sum log psi.  Cost is
-    O(n p q + q^3); no p x p object appears, and the whitened residuals are
-    formed one ``_kernels.row_blocks`` block at a time, with the same
-    arithmetic per row whatever the block size.
+    With W = Psi^{-1/2} Lambda, M = I + W^T W = L L^T and the p x q
+    P = Psi^{-1} Lambda L^{-T}, the quadratic form of a residual d = y - mean
+    is d^T Psi^{-1} d - ||P^T d||^2, and log det Sigma = log det M +
+    sum log psi.  Each residual is centred on this component's own mean, so
+    no offset of the data cancels in the sum.  Per ``_kernels.row_blocks``
+    block that is two products: z = d P, then the squares d * d times the
+    vector 1/psi, written straight into the result, less the row sums of
+    z * z.  P is formed once per call from the q x q inverse of L.  Cost is
+    O(n p q + p q^2); no p x p object appears, and every row gets the same
+    arithmetic whatever the block size.
     """
     psi = component.uniquenesses
-    inv_sqrt = 1.0 / np.sqrt(psi)
+    inv_psi = 1.0 / psi
     logdet = float(np.sum(np.log(psi)))
     q = component.n_factors
     if q:
-        w = component.loadings * inv_sqrt[:, None]
-        m = np.eye(q) + w.T @ w
-        chol = np.linalg.cholesky(m)
+        # M from the symmetric product W^T W: formed as I + Lambda^T
+        # (Lambda / psi), three draws of the psi = 1e-4 case that the
+        # extended-precision test in tests/test_ecm.py builds came out up
+        # to 5.2e-6 nats off, against 1.9e-6
+        w = component.loadings * (1.0 / np.sqrt(psi))[:, None]
+        chol = np.linalg.cholesky(np.eye(q) + w.T @ w)
         linv = solve_triangular(chol, np.eye(q), lower=True)
         logdet += 2.0 * float(np.sum(np.log(np.diag(chol))))
+        proj = (component.loadings * inv_psi[:, None]) @ linv.T
+        ones = np.ones(q)
     quad = np.empty(y.shape[0])
     for rows in _kernels.row_blocks(y):
-        u = y[rows] - component.mean
-        u *= inv_sqrt
-        out = np.einsum("ij,ij->i", u, u, out=quad[rows])
+        d = y[rows] - component.mean
         if q:
-            z = (u @ w) @ linv.T
-            out -= np.einsum("ij,ij->i", z, z)
-    return -0.5 * (component.p * _LOG_2PI + logdet + quad)
+            z = d @ proj
+        d *= d
+        out = np.matmul(d, inv_psi, out=quad[rows])
+        if q:
+            z *= z
+            out -= z @ ones
+    quad += component.p * _LOG_2PI + logdet
+    quad *= -0.5
+    return quad
 
 
 def log_density(component: ComponentParams, y: np.ndarray) -> float:
@@ -214,20 +231,27 @@ def log_density(component: ComponentParams, y: np.ndarray) -> float:
 
 
 def e_step(model: MixtureModel, data: DataMatrix):
-    """Responsibilities and the observed-data log-likelihood."""
+    """Responsibilities and the observed-data log-likelihood.
+
+    The log-joint is built K x n, one contiguous row per component, and
+    normalized in place along axis 0; the finished array is made read-only
+    and handed to ``Responsibilities`` as its n x K transpose, which keeps
+    it without a copy.
+    """
     y = data.values
-    n, K = data.n, model.n_components
-    logjoint = np.empty((n, K))
+    logjoint = np.empty((model.n_components, data.n))
     for k, comp in enumerate(model.components):
-        logjoint[:, k] = math.log(comp.weight) + component_log_densities(comp, y)
+        logjoint[k] = component_log_densities(comp, y)
+        logjoint[k] += math.log(comp.weight)
     # normalize in place: logjoint becomes the responsibilities
-    mx = logjoint.max(axis=1)
-    logjoint -= mx[:, None]
+    mx = logjoint.max(axis=0)
+    logjoint -= mx
     gamma = np.exp(logjoint, out=logjoint)
-    rowsum = gamma.sum(axis=1)
-    gamma /= rowsum[:, None]
-    lse = mx + np.log(rowsum)
-    return Responsibilities(gamma=gamma), float(np.sum(lse))
+    colsum = gamma.sum(axis=0)
+    gamma /= colsum
+    lse = mx + np.log(colsum)
+    gamma.setflags(write=False)
+    return Responsibilities(gamma=gamma.T), float(np.sum(lse))
 
 
 def cm_step(
@@ -243,13 +267,12 @@ def cm_step(
     drops below max(q_k + 1, 2); every mass is checked before any
     component's moments or eigensolves.
     """
-    gamma = resp.gamma
     y = data.values
     qs = current.factor_vector
-    masses = _component_masses(gamma, qs)
+    masses = _component_masses(resp, qs)
     comps = []
     for k, cur in enumerate(current.components):
-        scov = linops.WeightedCovOperator(y, gamma[:, k])
+        scov = linops.WeightedCovOperator(y, resp.by_component[k])
         # the whitened loadings Lambda / sqrt(psi) warm-start the eigensolves
         # as they are: top_eigenpairs orthonormalizes a warm block itself
         warm = None
@@ -278,12 +301,11 @@ def cm_step(
 def _aecm_step(data, resp, current):
     """One AECM iteration: (weights, means) cycle then (loadings, psi) cycle."""
     y = data.values
-    gamma = resp.gamma
     qs = current.factor_vector
-    masses = _component_masses(gamma, qs)
+    masses = _component_masses(resp, qs)
     mid = []
     for k, comp in enumerate(current.components):
-        _, mean, _ = _kernels.weighted_stats(y, np.ascontiguousarray(gamma[:, k]))
+        _, mean, _ = _kernels.weighted_stats(y, resp.by_component[k])
         mid.append((mean, comp))
     total = math.fsum(masses)
     mid_model = MixtureModel(
@@ -299,11 +321,10 @@ def _aecm_step(data, resp, current):
     )
 
     resp2, _ = e_step(mid_model, data)
-    g2 = resp2.gamma
-    _component_masses(g2, qs)
+    _component_masses(resp2, qs)
     comps = []
     for k, comp in enumerate(mid_model.components):
-        w = np.ascontiguousarray(g2[:, k])
+        w = resp2.by_component[k]
         scatter = linops.dense_scatter(y, w, comp.mean, float(np.sum(w)))
         q = comp.n_factors
         if q == 0:
@@ -572,7 +593,7 @@ def _make_report(data, config, engine, run, started) -> FitReport:
     return FitReport(
         model=model,
         responsibilities=run.resp,
-        hard_assignment=np.argmax(run.resp.gamma, axis=1),
+        hard_assignment=np.argmax(run.resp.by_component, axis=0),
         loglik_trace=np.asarray(run.trace, dtype=np.float64),
         bic=float(bic),
         n_iter=run.n_iter,

@@ -19,11 +19,14 @@ Every operator (``WeightedCovOperator``, ``ScaledCovOperator`` and
 product ``matmat(block)`` and a guard-checked ``to_dense()``.  Below
 ``dense_threshold`` the operator is materialized and handed to LAPACK;
 ``dense_scatter`` is the one routine that builds a scatter matrix, for the
-operator and for the dense AECM baseline alike.  Above it each kind of
-operator has one solver, chosen by the support size n_s, since a scatter of
-n_s rows has rank at most n_s:
+operator and for the dense AECM baseline alike.  A scatter operator of
+p <= DENSE_THRESHOLD builds it in its constructor, when the active guard
+allows, and reads its diagonal off it, so its moments take one centred
+pass over the data, not two.  Above the threshold each kind of operator has
+one solver, chosen by the support size n_s, since a scatter of n_s rows has
+rank at most n_s:
 
-* a scatter operator with n_s <= p: a thick-restart Lanczos
+* a scatter operator with 2 n_s <= p: a thick-restart Lanczos
   (Wu & Simon 2000) with full reorthogonalization on the fused
   ``_kernels.lanczos_grow`` cycle.  A restart keeps a few Ritz pairs beyond
   the requested q as they are, already orthonormal, and continues along the
@@ -31,7 +34,8 @@ n_s rows has rank at most n_s:
 * every other operator: a warm-started block Rayleigh-Ritz subspace
   iteration (Halko, Martinsson & Tropp 2011), one ``matmat`` on the whole
   p x b block per iteration; for a scatter that is one GEMM-shaped kernel
-  call.
+  call.  A scatter whose support is between p/2 and p rows solves faster
+  here than on the Lanczos's one product per column.
 
 Both start from one orthonormalized block (``_start_basis``: the warm-start
 subspace, which the uniqueness solver uses to make successive eigensolves
@@ -144,12 +148,15 @@ class WeightedCovOperator:
         raised for the engine to handle.
 
     The weighted moments, hence ``center`` and ``diag``, are taken over all
-    n rows, and ``to_dense`` makes no copy.  The matrix-free products
-    (``matmat``, ``matvec`` and the Lanczos kernel) run over the ``n_rows``
-    rows of non-zero weight: the first product copies those rows out, and
-    the copy replaces ``_y`` and ``_w`` for every later use.  With every weight
-    positive there is no copy, and ``_y`` is the input itself when that is
-    already C-contiguous float64.
+    n rows, and ``to_dense`` makes no copy.  At p <= DENSE_THRESHOLD, unless
+    a guard forbids that size, the constructor builds the scatter after the
+    weighted mean and reads ``diag`` off it, so the moments take one centred
+    pass; otherwise ``_kernels.weighted_stats`` makes that pass.  The
+    matrix-free products (``matmat``, ``matvec`` and the Lanczos kernel) run
+    over the ``n_rows`` rows of non-zero weight: the first product copies
+    those rows out, and the copy replaces ``_y`` and ``_w`` for every later
+    use.  With every weight positive there is no copy, and ``_y`` is the
+    input itself when that is already C-contiguous float64.
     """
 
     def __init__(self, values, weights):
@@ -168,11 +175,18 @@ class WeightedCovOperator:
         self._w = w
         support = np.flatnonzero(w)
         self._support = support if support.size < n else None
-        weight_sum, mean, var = _kernels.weighted_stats(y, w)
-        self.center = mean
-        self._diag = var
-        self.weight_sum = float(weight_sum)
         self._dense = None
+        p = y.shape[1]
+        if p <= DENSE_THRESHOLD and (_dense_limit is None or p <= _dense_limit):
+            # the solve will want the scatter: build it now, one centred
+            # pass, and read the diagonal off it
+            self.weight_sum = float(np.sum(w))
+            self.center = (w @ y) / self.weight_sum
+            self._dense = dense_scatter(y, w, self.center, self.weight_sum)
+            self._diag = np.diag(self._dense)
+        else:
+            weight_sum, self.center, self._diag = _kernels.weighted_stats(y, w)
+            self.weight_sum = float(weight_sum)
 
     @property
     def p(self) -> int:
@@ -432,15 +446,15 @@ def top_eigenpairs(
     At p <= ``dense_threshold`` (DENSE_THRESHOLD, read at call time, when
     not given) the operator is materialized and solved by LAPACK.  Above
     it, a scatter operator (``WeightedCovOperator``, or a
-    ``ScaledCovOperator`` over one) with at most p rows of non-zero weight
-    (``n_rows``) runs a thick-restart Lanczos on min(p, 2q + 10) vectors;
-    every other operator runs a warm block Rayleigh-Ritz subspace iteration
-    on min(p - 1, 2q + 10) columns.  Both stop when every requested pair has
-    ||A y_j - theta_j y_j|| <= tol * max(1, theta_j); the floor of tol
-    protects near-null directions of rank-deficient scatters.  ``v0`` may be
-    a single start vector or a p x j warm-start subspace (typically the
-    previous solve's vectors, or whitened loadings); both solvers
-    orthonormalize it with one QR, the Lanczos keeping at most
+    ``ScaledCovOperator`` over one) with at most p / 2 rows of non-zero
+    weight (``n_rows``) runs a thick-restart Lanczos on min(p, 2q + 10)
+    vectors; every other operator runs a warm block Rayleigh-Ritz subspace
+    iteration on min(p - 1, 2q + 10) columns.  Both stop when every
+    requested pair has ||A y_j - theta_j y_j|| <= tol * max(1, theta_j); the
+    floor of tol protects near-null directions of rank-deficient scatters.
+    ``v0`` may be a single start vector or a p x j warm-start subspace
+    (typically the previous solve's vectors, or whitened loadings); both
+    solvers orthonormalize it with one QR, the Lanczos keeping at most
     min(p, 2q + 10) - 1 of its columns and the block solver padding it with
     random columns.  It need not be orthonormal or have full rank.  Values
     come back descending, and the vectors as an orthonormal basis with no
@@ -458,6 +472,6 @@ def top_eigenpairs(
         return _dense_eigpairs(op, q)
     rng = np.random.Generator(np.random.Philox(SEED))
     parts = _scatter_parts(op)
-    if parts is not None and parts[0].n_rows <= p:
+    if parts is not None and 2 * parts[0].n_rows <= p:
         return _lanczos_eigpairs(op, parts, q, tol, v0, rng)
     return _block_eigpairs(op, q, tol, v0, rng)

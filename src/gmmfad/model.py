@@ -139,18 +139,39 @@ class MixtureModel:
 
 @dataclass(frozen=True)
 class Responsibilities:
-    """Posterior component memberships, one row per observation."""
+    """Posterior component memberships, one row per observation.
+
+    Stored component-major: ``by_component`` is the C-contiguous K x n
+    array, so each component's weights are one contiguous row, and
+    ``gamma`` is its read-only n x K transpose.  A read-only float64 array
+    whose transpose is C-contiguous (what ``ecm.e_step`` hands over) is kept
+    without a copy; any other array, a caller's writeable one included, is
+    copied.
+    """
 
     gamma: np.ndarray
 
     def __post_init__(self):
-        gamma = _frozen_array(self.gamma, ndim=2)
-        if np.any(gamma < 0):
+        gamma = self.gamma
+        if not (isinstance(gamma, np.ndarray) and gamma.dtype == np.float64
+                and gamma.ndim == 2 and not gamma.flags.writeable
+                and gamma.T.flags.c_contiguous):
+            gamma = np.asarray(gamma, dtype=np.float64)
+            if gamma.ndim != 2:
+                raise ValueError(f"expected a 2-d array, got shape {gamma.shape}")
+            gamma = np.array(gamma.T, order="C").T
+            gamma.setflags(write=False)
+        by_component = gamma.T
+        if np.any(by_component < 0):
             raise ValueError("responsibilities must be non-negative")
-        rowsums = gamma.sum(axis=1)
-        if not np.allclose(rowsums, 1.0, rtol=0.0, atol=1e-12):
+        if not np.allclose(by_component.sum(axis=0), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("responsibility rows must sum to one within 1e-12")
         object.__setattr__(self, "gamma", gamma)
+
+    @property
+    def by_component(self) -> np.ndarray:
+        """The K x n responsibilities, one contiguous row per component."""
+        return self.gamma.T
 
     @property
     def n(self) -> int:

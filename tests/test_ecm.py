@@ -137,6 +137,103 @@ def test_e_step_survives_extreme_underflow():
     assert np.isfinite(ll)
 
 
+def _long_double_loglik(model, y):
+    # the observed-data log-likelihood by Woodbury in extended precision:
+    # d^T Psi^{-1} d - b^T M^{-1} b with b = Lambda^T Psi^{-1} d and
+    # M = I + Lambda^T Psi^{-1} Lambda, by a hand-written Cholesky of M
+    ld = np.longdouble
+    y = y.astype(ld)
+    n, p = y.shape
+    logjoint = []
+    for comp in model.components:
+        psi = comp.uniquenesses.astype(ld)
+        lam = comp.loadings.astype(ld)
+        q = lam.shape[1]
+        d = y - comp.mean.astype(ld)
+        scaled = lam / psi[:, None]
+        m = np.eye(q, dtype=ld) + lam.T @ scaled
+        chol = np.zeros((q, q), dtype=ld)
+        for i in range(q):
+            for j in range(i + 1):
+                s = m[i, j] - np.sum(chol[i, :j] * chol[j, :j])
+                chol[i, j] = np.sqrt(s) if i == j else s / chol[j, j]
+        b = d @ scaled
+        x = np.zeros((n, q), dtype=ld)
+        for i in range(q):
+            x[:, i] = (b[:, i] - x[:, :i] @ chol[i, :i]) / chol[i, i]
+        quad = (d * d) @ (1 / psi) - np.sum(x * x, axis=1)
+        logdet = np.sum(np.log(psi)) + 2 * np.sum(np.log(np.diag(chol)))
+        logjoint.append(np.log(ld(comp.weight))
+                        - (ld(p) * np.log(2 * ld(np.pi)) + logdet + quad) / 2)
+    logjoint = np.stack(logjoint)
+    mx = logjoint.max(axis=0)
+    return float(np.sum(mx + np.log(np.sum(np.exp(logjoint - mx), axis=0))))
+
+
+def test_e_step_loglik_matches_extended_precision_woodbury():
+    # 90% of uniquenesses at 1e-4 make d^T Psi^{-1} d and ||P^T d||^2 both
+    # several million per row, and the offset of 1e4 sits on data and means
+    # alike; the log-likelihood must still meet the fits' tolerance
+    rng = make_rng(229)
+    K, q, n, p, offset = 3, 3, 400, 2000, 1e4
+    comps = []
+    for k in range(K):
+        psi = np.ones(p)
+        psi[rng.choice(p, size=9 * p // 10, replace=False)] = 1e-4
+        comps.append(ComponentParams(
+            weight=1.0 / K, mean=offset + 30.0 * k + rng.standard_normal(p),
+            loadings=rng.standard_normal((p, q)), uniquenesses=psi))
+    model = MixtureModel(components=tuple(comps))
+    labels = np.arange(n) % K
+    y = np.empty((n, p))
+    for k, comp in enumerate(comps):
+        rows = labels == k
+        y[rows] = (comp.mean + rng.standard_normal((rows.sum(), q)) @ comp.loadings.T
+                   + np.sqrt(comp.uniquenesses) * rng.standard_normal((rows.sum(), p)))
+    _, ll = e_step(model, DataMatrix(values=y))
+    assert abs(ll - _long_double_loglik(model, y)) <= 1e-5
+
+
+def test_responsibilities_are_kept_one_row_per_component():
+    rng = make_rng(233)
+    data = DataMatrix(values=rng.standard_normal((300, 8)))
+    model = random_mixture(8, (2, 1, 0), rng)
+    resp, _ = e_step(model, data)
+    gamma = resp.gamma
+    assert gamma.shape == (300, 3) and not gamma.flags.writeable
+    assert gamma.T.flags.c_contiguous and resp.by_component.flags.c_contiguous
+    # the E-step's read-only array is kept as it is
+    assert np.shares_memory(Responsibilities(gamma=gamma).gamma, gamma)
+    # a caller's writeable array is copied, and later writes do not reach it
+    mine = np.array(gamma)
+    kept = Responsibilities(gamma=mine)
+    assert not np.shares_memory(kept.gamma, mine)
+    assert kept.gamma.T.flags.c_contiguous and not kept.gamma.flags.writeable
+    mine[:] = 0.0
+    np.testing.assert_array_equal(kept.gamma, gamma)
+
+
+def test_cm_step_reads_each_components_weights_in_place(monkeypatch):
+    # the scatter operators get the contiguous rows of the responsibilities,
+    # not strided columns copied out
+    seen = []
+    original = linops.WeightedCovOperator
+
+    class Recording(original):
+        def __init__(self, values, weights):
+            seen.append(weights)
+            super().__init__(values, weights)
+
+    monkeypatch.setattr(linops, "WeightedCovOperator", Recording)
+    data, truth = small_dataset(seed=5)
+    resp, _ = e_step(truth, data)
+    cm_step(data, resp, truth)
+    assert len(seen) == truth.n_components
+    for k, weights in enumerate(seen):
+        assert weights.flags.c_contiguous and np.shares_memory(weights, resp.gamma)
+        np.testing.assert_array_equal(weights, resp.gamma[:, k])
+
+
 # -------------------------------------------------------------------- memory
 
 

@@ -98,10 +98,10 @@ def _with_zero_weights(rng, n, p, n_zero):
 
 @pytest.mark.parametrize("n, n_zero", [(200, 150), (300, 100)])
 def test_products_run_exactly_over_the_weighted_rows(n, n_zero):
-    # 50 weighted rows of p = 80 take the Lanczos, 200 the block solver; a
+    # 50 weighted rows of p = 100 take the Lanczos, 200 the block solver; a
     # zero-weight row adds exact zeros, so both agree with the weighted rows
     rng = make_rng(n)
-    p = 80
+    p = 100
     y, w = _with_zero_weights(rng, n, p, n_zero)
     full = WeightedCovOperator(y, w)
     kept = WeightedCovOperator(y[w > 0], w[w > 0])
@@ -246,9 +246,9 @@ def _scatter(rng, n, p, factors=0):
 
 
 def test_weighted_cov_eigs_match_dense_assembly_p150(rng):
-    # n <= p runs the Lanczos, n > p the block subspace iteration
+    # 2n <= p runs the Lanczos, 2n > p the block subspace iteration
     q = 4
-    for n, p in ((80, 150), (300, 150)):
+    for n, p in ((70, 150), (300, 150)):
         op = _scatter(rng, n, p)
         scaled = ScaledCovOperator(op, rng.uniform(0.5, 2.0, p))
         for which in (op, scaled):
@@ -262,15 +262,15 @@ def test_weighted_cov_eigs_match_dense_assembly_p150(rng):
 def test_eigpairs_invariants_hold(rng):
     # every pair meets its own residual bound, and the vectors stay
     # orthonormal across restarts, on both iterative solvers: the block
-    # solver for an explicit matrix and for scatters of n > p rows, the
-    # Lanczos for scatters of n <= p rows
+    # solver for an explicit matrix and for scatters of 2n > p rows, the
+    # Lanczos for scatters of 2n <= p rows
     tol = 1e-8
     p, q = 60, 6
     ops = [DenseSymOperator(matrix=random_spd(p, rng, eig_low=0.5,
                                               eig_high=30.0))
            for _ in range(5)]
     ops += [_scatter(rng, 200, p) for _ in range(10)]
-    ops += [_scatter(rng, n, p) for n in (20, 40, 59, 60) for _ in range(10)]
+    ops += [_scatter(rng, n, p) for n in (20, 30, 31, 59, 60) for _ in range(10)]
     for op in ops:
         a = op.to_dense()
         pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol)
@@ -327,7 +327,7 @@ def test_overspecified_rank_small_gap_meets_residual_bound(rng):
 
 @pytest.mark.parametrize("n", [40, 200], ids=["lanczos", "block"])
 def test_warm_blocks_need_not_be_orthonormal(rng, n):
-    # n_s = 40 <= p runs the Lanczos, n_s = 200 > p the block solver; each
+    # 2 n_s = 80 <= p runs the Lanczos, 2 n_s = 400 > p the block solver; each
     # starts from warm blocks whose QR has a zero pivot, and from columns
     # scaled like whitened loadings, 1e-3 to 1e3, with one zero column
     p, q, tol = 150, 4, 1e-8
@@ -370,9 +370,9 @@ def test_solve_is_deterministic_across_breakdown_reseeds(rng, monkeypatch):
 
 
 def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
-    # a scatter of n_s <= p weighted rows reaches the Lanczos growth kernel;
-    # n_s > p, and an operator that is not a scatter, reach only the block
-    # solver
+    # a scatter of 2 n_s <= p weighted rows reaches the Lanczos growth
+    # kernel; 2 n_s > p, and an operator that is not a scatter, reach only
+    # the block solver
     calls = {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 0}
 
     def counted(module, name):
@@ -395,7 +395,12 @@ def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
     assert calls["_block_eigpairs"] == 1
     calls.update(wcov_matmat=0, _block_eigpairs=0)
     # the count that decides is of rows with non-zero weight: 100 of 300
+    # rows is more than p / 2, 60 of 300 is not
     top_eigenpairs(WeightedCovOperator(*_with_zero_weights(rng, 300, 120, 200)),
+                   3, dense_threshold=0)
+    assert calls["lanczos_grow"] == 0 and calls["_block_eigpairs"] == 1
+    calls.update(wcov_matmat=0, _block_eigpairs=0)
+    top_eigenpairs(WeightedCovOperator(*_with_zero_weights(rng, 300, 120, 240)),
                    3, dense_threshold=0)
     assert calls["lanczos_grow"] > 0 and calls["_block_eigpairs"] == 0
     calls.update(lanczos_grow=0, wcov_matmat=0)
@@ -503,3 +508,27 @@ def test_diag_is_exact_far_from_the_origin(rng, offset):
     exact = w @ (y - op.center) ** 2 / w.sum()
     np.testing.assert_allclose(op.diag(), exact, rtol=1e-9)
     np.testing.assert_allclose(op.diag(), np.diag(op.to_dense()), rtol=1e-9)
+
+
+def test_small_scatter_takes_its_moments_in_one_pass(rng, monkeypatch):
+    # at p <= DENSE_THRESHOLD the constructor builds the scatter and reads
+    # the diagonal off it, with no separate moment pass; a guard below p,
+    # or p above the threshold, keeps the moment pass and builds nothing
+    stats = []
+    original = _kernels.weighted_stats
+    monkeypatch.setattr(_kernels, "weighted_stats",
+                        lambda y, w: stats.append(y.shape) or original(y, w))
+    y = rng.standard_normal((300, 20)) + 1e6
+    w = rng.uniform(0.0, 1.0, 300)
+    op = WeightedCovOperator(y, w)
+    assert not stats and op._dense is not None
+    np.testing.assert_array_equal(op.center, (w @ y) / float(np.sum(w)))
+    np.testing.assert_array_equal(op.diag(), np.diag(op.to_dense()))
+    np.testing.assert_allclose(op.to_dense(), dense_weighted_cov(y, w, op.center),
+                               rtol=1e-9)
+    with forbid_dense_above(10):
+        guarded = WeightedCovOperator(y, w)
+    assert stats == [(300, 20)] and guarded._dense is None
+    np.testing.assert_allclose(guarded.diag(), op.diag(), rtol=1e-12)
+    wide = WeightedCovOperator(rng.standard_normal((30, 70)), np.ones(30))
+    assert stats[-1] == (30, 70) and wide._dense is None

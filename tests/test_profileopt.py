@@ -89,8 +89,8 @@ def test_value_agrees_between_dense_and_lanczos_paths(rng, monkeypatch):
     p, q = 80, 3
 
     def operators():
-        # an explicit matrix and a scatter of n > p rows run the block
-        # subspace iteration; a scatter of n <= p rows runs the Lanczos
+        # an explicit matrix and a scatter of 2n > p rows run the block
+        # subspace iteration; a scatter of 2n <= p rows runs the Lanczos
         yield DenseSymOperator(matrix=random_spd(p, rng, gap_at=q))
         yield _planted_scatter(rng, 200, p, q)
         yield _planted_scatter(rng, 40, p, q)
@@ -272,7 +272,7 @@ def test_truncation_consistency(rng):
 
 
 def test_loadings_signs_fixed_on_every_solver_path(rng, monkeypatch):
-    # dense (p <= DENSE_THRESHOLD), block (n > p) and Lanczos (n <= p)
+    # dense (p <= DENSE_THRESHOLD), block (2n > p) and Lanczos (2n <= p)
     # solves: each loadings column's largest-magnitude entry is positive
     # (the planted factors keep every column non-zero)
     p, q = 80, 3
