@@ -16,8 +16,8 @@ them (densities, dense scatters, eigendecompositions) lives with its
 callers.
 
 Every pass of a fit that would otherwise hold an n x p temporary (the
-moment pass here, the densities, the dense scatter, the k-means start's
-row norms) walks the data in ``row_blocks``: runs of rows of about
+moment pass here, the densities, the dense scatter) walks the data in
+``row_blocks``: runs of rows of about
 BLOCK_BYTES, so that each temporary is a block that stays in cache, and
 when the whole sample fits in one block the pass is a single slice.
 """

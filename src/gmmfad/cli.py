@@ -191,10 +191,9 @@ def _prepare_data(args):
     data, mapping = load_csv(
         args.data, label_column=_parse_label_col(args.label_col), return_mapping=True
     )
-    truth = data.labels
     if args.labels:
-        truth, mapping = label_codes(read_labels(args.labels, data.n))
-        data = DataMatrix(values=data.values, labels=truth)
+        codes, mapping = label_codes(read_labels(args.labels, data.n))
+        data = DataMatrix(values=data.values, labels=codes)
     if args.gdt:
         ties = feature_tie_counts(data)
         data = gaussian_distributional_transform(data)
@@ -206,7 +205,7 @@ def _prepare_data(args):
                 "features_with_ties": int(np.sum(ties > 0)),
             },
         )
-    return data, truth, mapping
+    return data, mapping
 
 
 def cmd_simulate(args):
@@ -261,7 +260,7 @@ def _fit_config(args, n_components, factor_spec) -> FitConfig:
 
 
 def cmd_fit(args):
-    data, truth, mapping = _prepare_data(args)
+    data, mapping = _prepare_data(args)
     config = _fit_config(args, args.k, _parse_q(args.q))
     if args.engine == "aecm":
         report = fit_baseline_aecm(
@@ -273,7 +272,7 @@ def cmd_fit(args):
         report,
         args.out_dir,
         config=config,
-        truth_labels=truth,
+        truth_labels=data.labels,
         label_mapping=mapping,
     )
     print(
@@ -283,7 +282,7 @@ def cmd_fit(args):
 
 
 def cmd_select(args):
-    data, truth, mapping = _prepare_data(args)
+    data, mapping = _prepare_data(args)
     config = _fit_config(args, 2, 1)  # K and q replaced per cell
     grid = SearchGrid(
         k_values=_parse_k_range(args.k_range), q_max=args.q_max, fit_config=config
@@ -302,7 +301,7 @@ def cmd_select(args):
         factor_spec=report.model.factor_vector,
     )
     _write_fit_artifacts(
-        report, args.out_dir, config=best_config, truth_labels=truth,
+        report, args.out_dir, config=best_config, truth_labels=data.labels,
         label_mapping=mapping,
     )
     print(

@@ -15,16 +15,15 @@ E-step repeated, until it has taken ``max_iter`` steps in all; the other
 short runs are dropped once the finalists are chosen.
 
 Memory: no pass over the data holds an n x p temporary.  The densities,
-the moment pass, the dense scatter and the k-means start's row norms each
-walk the data in ``_kernels.row_blocks`` blocks of about 256 KiB of rows
-(residuals and their squares, weighted centred rows and standardized rows
-are block-sized); the k-means start keeps no standardized copy, and the
-starts take their means and variances from the moment pass, not from
-copied rows.  The responsibilities are one K x n array, built by the
-E-step and kept by ``Responsibilities`` without a copy; each component's
-weights are a contiguous row of it, which the CM step reads in place.
-Everything else a step allocates is n x K, p x q or smaller, apart from
-the p x p scatter of the dense paths.
+the moment pass and the dense scatter each walk the data in
+``_kernels.row_blocks`` blocks of about 256 KiB of rows (residuals and
+their squares and weighted centred rows are block-sized); the k-means start
+standardizes no row, and the starts take their means and variances from
+the moment pass, not from copied rows.  The responsibilities are one K x n
+array, built by the E-step and kept by ``Responsibilities`` without a copy;
+each component's weights are a contiguous row of it, which the CM step
+reads in place.  Everything else a step allocates is n x K, p x q or
+smaller, apart from the p x p scatter of the dense paths.
 
 The primary engine alternates the usual weight/mean updates with a
 conditional maximization over each component's uniquenesses on the profile
@@ -415,19 +414,15 @@ def _kmeans_labels(y, K, rng, mean, var):
     The centres c live in standardized units, but the data are never
     standardized: with the column ``mean`` m and ``var`` s^2 of y (the
     fit's unit-weight moment pass), the scores z.c = y.(c/s) - m.(c/s) are
-    one GEMM on y, the updated centres are (onehot y / counts - m) / s, and
-    only the row norms ||z||^2 are formed from standardized rows, one
-    ``_kernels.row_blocks`` block at a time.  Each row goes to its first
-    nearest centre, as ``argmin`` picks.
+    one GEMM on y and the updated centres are (onehot y / counts - m) / s.
+    A row's ||z||^2 adds the same to each centre's distance, so no label
+    needs it; a restart's inertia adds their sum, n * sum(var / s^2).  Each
+    row goes to its first nearest centre, as ``argmin`` picks.
     """
     n = y.shape[0]
     std = np.sqrt(var)
     std = np.where(std < 1e-12, 1.0, std)
-    zsq = np.empty(n)
-    for block in _kernels.row_blocks(y):
-        z = y[block] - mean
-        z /= std
-        np.einsum("ij,ij->i", z, z, out=zsq[block])
+    norm_sum = n * float(np.sum(var / std**2))
     rows = np.arange(n)
     onehot = np.zeros((K, n))
     best_labels, best_inertia = None, np.inf
@@ -436,12 +431,12 @@ def _kmeans_labels(y, K, rng, mean, var):
         centers /= std
         labels = None
         for _ in range(KMEANS_MAX_ITER):
-            # zsq - 2 z.c + |c|^2 as K x n, one contiguous row per centre;
-            # the m.(c/s) part of z.c joins the per-centre |c|^2
+            # ||z - c||^2 - ||z||^2 = -2 z.c + |c|^2 as K x n, one
+            # contiguous row per centre; the m.(c/s) part of z.c joins the
+            # per-centre |c|^2
             scaled = centers / std
             d2 = scaled @ y.T
             d2 *= -2.0
-            d2 += zsq
             d2 += (np.einsum("ij,ij->i", centers, centers)
                    + 2.0 * (scaled @ mean))[:, None]
             # the first nearest centre, a row of d2 at a time
@@ -465,7 +460,7 @@ def _kmeans_labels(y, K, rng, mean, var):
             centers[filled] = sums
         # restarts that reach one partition under permuted labels differ
         # in inertia by rounding only, and the first of them is kept
-        inertia = float(nearest.sum())
+        inertia = norm_sum + float(nearest.sum())
         if inertia < (1.0 - _INERTIA_TIE) * best_inertia:
             best_inertia, best_labels = inertia, labels
     return best_labels

@@ -10,9 +10,9 @@ mean mu,
 two GEMV-shaped passes over the data and a rank-one correction, O(np) time
 and O(n + p) extra memory.  The whitened operator D S D with
 D = diag(psi^{-1/2}) composes the same way.  A row with w_i = 0 adds exact
-zeros to every product, so the products run over the support, the n_s rows
-of non-zero weight: on separated clusters the E-step's exp underflows to
-exactly zero on many rows.
+zeros to every product, so a matrix-free scatter operator keeps, from its
+construction on, only the support, the n_s rows of non-zero weight: on
+separated clusters the E-step's exp underflows to exactly zero on many rows.
 
 Every operator (``WeightedCovOperator``, ``ScaledCovOperator`` and
 ``DenseSymOperator``) answers one protocol: its size ``p``, the block
@@ -148,15 +148,15 @@ class WeightedCovOperator:
         raised for the engine to handle.
 
     The weighted moments, hence ``center`` and ``diag``, are taken over all
-    n rows, and ``to_dense`` makes no copy.  At p <= DENSE_THRESHOLD, unless
-    a guard forbids that size, the constructor builds the scatter after the
-    weighted mean and reads ``diag`` off it, so the moments take one centred
-    pass; otherwise ``_kernels.weighted_stats`` makes that pass.  The
-    matrix-free products (``matmat``, ``matvec`` and the Lanczos kernel) run
-    over the ``n_rows`` rows of non-zero weight: the first product copies
-    those rows out, and the copy replaces ``_y`` and ``_w`` for every later
-    use.  With every weight positive there is no copy, and ``_y`` is the
-    input itself when that is already C-contiguous float64.
+    n rows.  At p <= DENSE_THRESHOLD, unless a guard forbids that size, the
+    constructor builds the scatter after the weighted mean and reads
+    ``diag`` off it, so the moments take one centred pass, and ``_y`` and
+    ``_w`` are the inputs.  Otherwise ``_kernels.weighted_stats`` makes that
+    pass, and the constructor then keeps in ``_y`` and ``_w`` only the
+    ``n_rows`` rows of non-zero weight, in order, which every matrix-free
+    product (``matmat``, ``matvec`` and the Lanczos kernel) and
+    ``to_dense`` read.  With every weight positive there is no copy, and
+    ``_y`` is the input itself when that is already C-contiguous float64.
     """
 
     def __init__(self, values, weights):
@@ -166,27 +166,28 @@ class WeightedCovOperator:
             raise ValueError("values must be (n, p) and weights (n,)")
         if np.any(w < 0):
             raise ValueError("weights must be non-negative")
-        n = y.shape[0]
-        if float(np.sum(w)) < 1e-10 * n:
+        n, p = y.shape
+        self.weight_sum = float(np.sum(w))
+        if self.weight_sum < 1e-10 * n:
             raise DegenerateWeights(
-                f"weight sum {float(np.sum(w)):.3e} below 1e-10 * n"
+                f"weight sum {self.weight_sum:.3e} below 1e-10 * n"
             )
-        self._y = y
-        self._w = w
-        support = np.flatnonzero(w)
-        self._support = support if support.size < n else None
         self._dense = None
-        p = y.shape[1]
         if p <= DENSE_THRESHOLD and (_dense_limit is None or p <= _dense_limit):
             # the solve will want the scatter: build it now, one centred
             # pass, and read the diagonal off it
-            self.weight_sum = float(np.sum(w))
             self.center = (w @ y) / self.weight_sum
             self._dense = dense_scatter(y, w, self.center, self.weight_sum)
             self._diag = np.diag(self._dense)
         else:
-            weight_sum, self.center, self._diag = _kernels.weighted_stats(y, w)
-            self.weight_sum = float(weight_sum)
+            _, self.center, self._diag = _kernels.weighted_stats(y, w)
+            # the products keep only the rows of non-zero weight; copied
+            # after the moment pass, the copy adds nothing to its peak
+            support = np.flatnonzero(w)
+            if support.size < n:
+                y, w = y[support], w[support]
+        self._y = y
+        self._w = w
 
     @property
     def p(self) -> int:
@@ -194,19 +195,11 @@ class WeightedCovOperator:
 
     @property
     def n_rows(self) -> int:
-        """Rows the matrix-free products run over: those of non-zero weight."""
-        return self._y.shape[0] if self._support is None else self._support.size
-
-    def _drop_zero_rows(self) -> None:
-        # on first use, the rows of non-zero weight replace _y and _w
-        if self._support is not None:
-            self._y = self._y[self._support]
-            self._w = self._w[self._support]
-            self._support = None
+        """Rows the matrix-free products run over."""
+        return self._y.shape[0]
 
     def matmat(self, block: np.ndarray) -> np.ndarray:
-        """S @ block (p x b): one kernel call over the weighted rows."""
-        self._drop_zero_rows()
+        """S @ block (p x b): one kernel call over the kept rows."""
         return _kernels.wcov_matmat(self._y, self._w, self.center, block,
                                     self.weight_sum)
 
@@ -302,7 +295,6 @@ def _scatter_parts(op):
 def _grow_basis(parts, basis, images, ncols, next_dir, rng):
     """Fill basis/images up to full width; NoConvergence on stalled growth."""
     base, scale = parts
-    base._drop_zero_rows()
     m = basis.shape[1]
     attempts = 0
     while ncols < m:

@@ -43,7 +43,6 @@ from . import linops
 from .model import PSI_MAX, PSI_MIN
 
 MAX_INNER_ITER = 50
-LBFGSB_MEMORY = 10
 # L-BFGS-B stops when the max-norm of the projected gradient is at most
 # this (scipy's default); optimize_psi applies the same test to the start
 PGTOL = 1e-5
@@ -171,7 +170,6 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
                 # the budget caps objective evaluations too: line searches
                 # inside one iteration may otherwise spend several solves
                 "maxfun": 2 * MAX_INNER_ITER,
-                "maxcor": LBFGSB_MEMORY,
                 "gtol": PGTOL,
             },
         )

@@ -423,7 +423,7 @@ def test_aecm_empty_cluster_raised_before_any_component_work(monkeypatch):
 # ------------------------------------------------------------------------ fit
 
 
-def _fast_config(monkeypatch, short_run_iters=4, **kw):
+def _fast_config(monkeypatch, short_run_iters=1, **kw):
     monkeypatch.setattr(ecm, "SHORT_RUN_ITERS", short_run_iters)
     base = dict(n_components=2, factor_spec=2, n_random_starts=8,
                 n_finalists=2, seed=0)
@@ -545,7 +545,7 @@ def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
     # second CM step only the current model may be alive, for short and long
     # runs alike.  The tight tol keeps every run stepping past its short run
     data, _ = small_dataset(seed=19)
-    config = _fast_config(monkeypatch, tol=1e-10)
+    config = _fast_config(monkeypatch, short_run_iters=4, tol=1e-10)
     kind = _track_run_kind(monkeypatch, config)
     run = {"start": None, "steps": 0, "after_cm": False, "scored": None,
            "short": None}
@@ -586,8 +586,8 @@ def test_a_finalist_continues_its_short_run_without_a_second_e_step(monkeypatch)
     # the fit is one entry of the trace
     data, _ = small_dataset(seed=19)
     e_steps = count_calls(monkeypatch, ecm, "e_step")
-    report = fit(data, _fast_config(monkeypatch, short_run_iters=1,
-                                    n_random_starts=0, n_finalists=1))
+    report = fit(data, _fast_config(monkeypatch, n_random_starts=0,
+                                    n_finalists=1))
     assert report.n_iter > 1
     assert len(e_steps) == len(report.loglik_trace)
 

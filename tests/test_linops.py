@@ -4,6 +4,7 @@ import pytest
 from gmmfad import _kernels, linops
 from gmmfad.ecm import FitConfig, fit_baseline_aecm
 from gmmfad.linops import (
+    DENSE_THRESHOLD,
     DegenerateWeights,
     DenseAllocationError,
     DenseSymOperator,
@@ -121,20 +122,23 @@ def test_products_run_exactly_over_the_weighted_rows(n, n_zero):
         np.testing.assert_allclose(pa.vectors, pb.vectors * signs, rtol=0, atol=1e-12)
 
 
-def test_only_products_copy_the_weighted_rows(rng):
+def test_the_operator_keeps_only_its_weighted_rows(rng):
     y, w = _with_zero_weights(rng, 60, 70, 40)
     op = WeightedCovOperator(y, w)
-    dense = op.to_dense()
-    assert op._y is y  # the dense path reads the rows in place
-    top_eigenpairs(op, 2, dense_threshold=0)
-    assert op._y.shape == (20, 70) and op._w.shape == (20,)
+    # from construction on, the 20 rows of non-zero weight, in order
+    assert op.n_rows == 20
+    np.testing.assert_array_equal(op._y, y[w > 0])
     np.testing.assert_array_equal(op._w, w[w > 0])
-    op._dense = None
-    np.testing.assert_allclose(op.to_dense(), dense, rtol=0, atol=1e-12)
+    kept = WeightedCovOperator(y[w > 0], w[w > 0])
+    np.testing.assert_allclose(op.center, kept.center, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.diag(), kept.diag(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.to_dense(), dense_weighted_cov(y, w, op.center),
+                               rtol=0, atol=1e-12)
     positive = WeightedCovOperator(y, rng.uniform(0.05, 1.0, 60))
-    top_eigenpairs(positive, 2, dense_threshold=0)
-    positive.matvec(rng.standard_normal(70))
     assert np.shares_memory(positive._y, y) and positive.n_rows == 60
+    # the dense path reads the rows in place, zero weights and all
+    small = np.ascontiguousarray(y[:, :DENSE_THRESHOLD])
+    assert WeightedCovOperator(small, w)._y is small
 
 
 def _protocol_operators(rng, p=12):

@@ -26,7 +26,7 @@ from gmmfad.simgen import SimSpec, draw_truth, sample_dataset
 from .helpers import small_dataset
 
 
-def _cfg(monkeypatch, short_run_iters=4, **kw):
+def _cfg(monkeypatch, short_run_iters=1, **kw):
     monkeypatch.setattr(ecm, "SHORT_RUN_ITERS", short_run_iters)
     base = dict(n_components=2, factor_spec=2, n_random_starts=6,
                 n_finalists=2, max_iter=200, seed=0)
