@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -613,8 +614,10 @@ def test_each_e_step_runs_after_the_last_responsibilities_die(monkeypatch):
     # one run, from the k-means start: every E-step after the first follows
     # a CM step of the same run, and the responsibilities that step used
     # must be dead by then, so the E-step's end holds two n x K arrays, not
-    # three
+    # three.  The K = 3 run is long and steps in SQUAREM cycles, whose
+    # proposal, stabilizing and re-scoring E-steps obey the same rule
     data, _ = small_dataset(seed=19, n=120, p=6, q=1)
+    extrapolations = count_calls(monkeypatch, ecm, "_extrapolate")
     results = []
     previous_alive = []
 
@@ -627,9 +630,14 @@ def test_each_e_step_runs_after_the_last_responsibilities_die(monkeypatch):
         return resp, ll
 
     monkeypatch.setattr(ecm, "e_step", tracked_e_step)
-    fit(data, _fast_config(monkeypatch, factor_spec=1, n_random_starts=0,
-                           n_finalists=1))
-    assert len(previous_alive) > 1 and not any(previous_alive)
+    for n_components, tol in ((2, 1e-6), (3, 1e-8)):
+        results.clear()
+        previous_alive.clear()
+        fit(data, _fast_config(monkeypatch, n_components=n_components,
+                               factor_spec=1, n_random_starts=0,
+                               n_finalists=1, tol=tol))
+        assert len(previous_alive) > 1 and not any(previous_alive)
+        assert bool(extrapolations) == (n_components == 3)
 
 
 def test_a_finalist_whose_long_run_fails_is_dropped(monkeypatch):
@@ -716,6 +724,114 @@ def test_fit_config_validation(rng):
         FitConfig(n_components=2, factor_spec=9).validate_for(data)  # cap is 5
     with pytest.raises(ValueError):
         FitConfig(n_components=500, factor_spec=1).validate_for(data)
+
+
+# ------------------------------------------------------------------- SQUAREM
+
+
+def _plain_run(data, model, resp, trace, *, max_iter, tol):
+    """A run continued by plain stepping alone: (model, resp, trace)."""
+    trace = list(trace)
+    while len(trace) - 1 < max_iter:
+        model = cm_step(data, resp, model)
+        resp, ll = e_step(model, data)
+        converged = ll - trace[-1] < tol
+        trace.append(ll)
+        if converged:
+            break
+    return model, resp, trace
+
+
+def _over_fitted_cell(**kw):
+    # replicate 0 of the paper simulation (truth K = 2, q = 2) and the
+    # K = 3, q = 1 cell of a selection over it, with the select_grid
+    # benchmark's settings: the redundant component splits a true cluster,
+    # and plain stepping ends in a long linear tail
+    data, _ = small_dataset(seed=0, separation=3.0)
+    base = dict(n_components=3, factor_spec=1, tol=1e-5, max_iter=150,
+                n_random_starts=8, n_finalists=2, seed=0)
+    base.update(kw)
+    return data, FitConfig(**base)
+
+
+def test_squarem_cuts_the_steps_of_an_over_fitted_cell(monkeypatch):
+    data, config = _over_fitted_cell()
+    finalists = []
+    advance = ecm._advance
+
+    def recording(data, run, step_fn, *, max_iter, tol):
+        if max_iter == config.max_iter:
+            finalists.append((run.model, run.resp, list(run.trace)))
+        return advance(data, run, step_fn, max_iter=max_iter, tol=tol)
+
+    monkeypatch.setattr(ecm, "_advance", recording)
+    report = fit(data, config)
+    plain = max(
+        (_plain_run(data, *start, max_iter=config.max_iter, tol=config.tol)[2]
+         for start in finalists),
+        key=lambda trace: trace[-1],
+    )
+    assert len(finalists) == config.n_finalists
+    assert np.all(np.diff(report.loglik_trace) >= 0)
+    assert abs(report.loglik - plain[-1]) <= 1e-6 * abs(plain[-1])
+    assert report.n_iter <= 0.6 * (len(plain) - 1)
+
+
+def test_a_rejected_extrapolation_leaves_plain_stepping(monkeypatch):
+    # every proposal puts each mean on the first component's, which the
+    # E-step scores lower; every cycle falls back, and the run is plain
+    # stepping bit for bit
+    data, config = _over_fitted_cell(max_iter=40)
+    start = ecm._kmeans_start(data, 3, config.factor_vector(), make_rng(0),
+                              *_moments(data.values))
+    scored_lower = []
+
+    def collapsed(x0, r, model):
+        first = model.components[0].mean
+        proposal = MixtureModel(components=tuple(
+            dataclasses.replace(c, mean=first) for c in model.components
+        ))
+        scored_lower.append(e_step(proposal, data)[1] < e_step(model, data)[1])
+        return proposal
+
+    monkeypatch.setattr(ecm, "_extrapolate", collapsed)
+    report = fit(data, config, initial_model=start)
+    resp, ll = e_step(start, data)
+    model, resp, trace = _plain_run(data, start, resp, [ll],
+                                    max_iter=config.max_iter, tol=config.tol)
+    assert scored_lower and all(scored_lower)
+    np.testing.assert_array_equal(report.loglik_trace, trace)
+    assert report.n_iter == len(trace) - 1
+    np.testing.assert_array_equal(report.responsibilities.gamma, resp.gamma)
+    for got, want in zip(report.model.components, model.components):
+        assert got.weight == want.weight
+        np.testing.assert_array_equal(got.mean, want.mean)
+        np.testing.assert_array_equal(got.loadings, want.loadings)
+        np.testing.assert_array_equal(got.uniquenesses, want.uniquenesses)
+
+
+def test_cycles_begin_only_after_the_third_step(monkeypatch):
+    # the k-means start's run converges at its third step and never
+    # extrapolates; with a tighter tol the run's first cycle takes its two
+    # plain steps after the third and only then extrapolates
+    data, _ = small_dataset(seed=19)
+    extrapolations = count_calls(monkeypatch, ecm, "_extrapolate")
+    report = fit(data, _fast_config(monkeypatch, n_random_starts=0,
+                                    n_finalists=1))
+    assert report.converged and report.n_iter == ecm._SQUAREM_AFTER
+    assert extrapolations == []
+
+    steps_at_cycle_end = []
+    squarem_step = ecm._squarem_step
+
+    def recording(data, run, *args):
+        steps_at_cycle_end.append(run.n_iter)
+        return squarem_step(data, run, *args)
+
+    monkeypatch.setattr(ecm, "_squarem_step", recording)
+    fit(data, _fast_config(monkeypatch, n_random_starts=0, n_finalists=1,
+                           tol=1e-10))
+    assert steps_at_cycle_end[0] == ecm._SQUAREM_AFTER + 2
 
 
 # ------------------------------------------------------------------- baseline
