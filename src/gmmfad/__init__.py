@@ -24,12 +24,7 @@ from .ecm import (
     fit_baseline_aecm,
     log_density,
 )
-from .metrics import (
-    adjusted_rand_index,
-    confusion_metrics,
-    match_clusters,
-    relative_frobenius,
-)
+from .metrics import adjusted_rand_index, confusion_metrics
 from .model import (
     ComponentParams,
     DataMatrix,
@@ -70,9 +65,7 @@ __all__ = [
     "gaussian_distributional_transform",
     "load_csv",
     "log_density",
-    "match_clusters",
     "max_admissible_q",
-    "relative_frobenius",
     "sample_dataset",
     "select_common_q",
     "select_per_cluster_q",

@@ -9,11 +9,10 @@ basis-growth cycle, which strings single products together with
 reorthogonalization and serves only scatters of at most p/2 weighted rows
 (one call per restart instead of one per column keeps interpreter overhead
 off the hot path); and the weighted moment pass (the mean, then the centred
-second moment) for the start protocol, the AECM means and each CM-step
-scatter above linops.DENSE_THRESHOLD; a smaller scatter reads its diagonal
-off its dense matrix, built in one pass.  Everything BLAS-shaped beyond
-them (densities, dense scatters, eigendecompositions) lives with its
-callers.
+second moment) for the start protocol and each CM-step scatter above
+linops.DENSE_THRESHOLD; a smaller scatter reads its diagonal off its dense
+matrix, built in one pass.  Everything BLAS-shaped beyond them (densities,
+dense scatters, eigendecompositions) lives with its callers.
 
 Every pass of a fit that would otherwise hold an n x p temporary (the
 moment pass here, the densities, the dense scatter) walks the data in
@@ -59,7 +58,7 @@ def wcov_matmat(y, w, center, V, weight_sum):
 
 
 def weighted_stats(y, w):
-    # (weight_sum, weighted mean, weighted centred second moment
+    # (weighted mean, weighted centred second moment
     # sum_i w_i (y_i - mean)^2 / weight_sum): the mean in one product, then
     # the centred squares a block of rows at a time, so the second moment
     # has no cancellation however far the data sit from the origin
@@ -71,7 +70,7 @@ def weighted_stats(y, w):
         d *= d
         m2 += w[rows] @ d
     m2 /= weight_sum
-    return weight_sum, mean, m2
+    return mean, m2
 
 
 # breakdown thresholds of lanczos_grow: a direction whose norm is below

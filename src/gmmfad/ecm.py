@@ -317,29 +317,24 @@ def _aecm_step(data, resp, current):
     y = data.values
     qs = current.factor_vector
     masses = _component_masses(resp, qs)
-    mid = []
-    for k, comp in enumerate(current.components):
-        _, mean, _ = _kernels.weighted_stats(y, resp.by_component[k])
-        mid.append((mean, comp))
     total = math.fsum(masses)
     mid_model = MixtureModel(
         components=tuple(
             ComponentParams(
                 weight=mass / total,
-                mean=mean,
+                mean=(w @ y) / mass,
                 loadings=comp.loadings,
                 uniquenesses=comp.uniquenesses,
             )
-            for mass, (mean, comp) in zip(masses, mid)
+            for mass, w, comp in zip(masses, resp.by_component, current.components)
         )
     )
 
     resp2, _ = e_step(mid_model, data)
-    _component_masses(resp2, qs)
+    masses2 = _component_masses(resp2, qs)
     comps = []
     for k, comp in enumerate(mid_model.components):
-        w = resp2.by_component[k]
-        scatter = linops.dense_scatter(y, w, comp.mean, float(np.sum(w)))
+        scatter = linops.dense_scatter(y, resp2.by_component[k], comp.mean, masses2[k])
         q = comp.n_factors
         if q == 0:
             lam_new = np.zeros((data.p, 0))
@@ -607,7 +602,7 @@ def _start_from_labels(data, labels, K, qs, rng):
     for k in range(K):
         # the cluster's mean and variance from the moment pass on 0/1
         # weights, with no copy of its rows
-        _, mean, var = _kernels.weighted_stats(y, (labels == k).astype(np.float64))
+        mean, var = _kernels.weighted_stats(y, (labels == k).astype(np.float64))
         lam = 0.01 * rng.standard_normal((p, qs[k]))
         comps.append(
             ComponentParams(
@@ -661,7 +656,7 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads):
     # start model dies at the run's first CM step and at most ``threads`` are
     # alive at once
     rngs = _start_rngs(config)
-    _, mean, var = _kernels.weighted_stats(data.values, np.ones(data.n))
+    mean, var = _kernels.weighted_stats(data.values, np.ones(data.n))
     builders = [
         partial(_random_start, data, K, qs, rngs[s], var)
         for s in range(config.n_random_starts)

@@ -180,7 +180,7 @@ class WeightedCovOperator:
             self._dense = dense_scatter(y, w, self.center, self.weight_sum)
             self._diag = np.diag(self._dense)
         else:
-            _, self.center, self._diag = _kernels.weighted_stats(y, w)
+            self.center, self._diag = _kernels.weighted_stats(y, w)
             # the products keep only the rows of non-zero weight; copied
             # after the moment pass, the copy adds nothing to its peak
             support = np.flatnonzero(w)

@@ -1,11 +1,10 @@
-"""Clustering agreement metrics and loadings-recovery error.
+"""Clustering agreement metrics.
 
 ARI follows Hubert & Arabie (1985): pair-counting agreement corrected for
 chance under the permutation model, computed from the contingency table.
 Confusion metrics map clusters to classes by the accuracy-maximizing
 assignment first, since cluster indices are arbitrary; Cohen's kappa is
-reported alongside.  Cluster matching for more than two groups solves the
-assignment problem on the overlap matrix (Hungarian method).
+reported alongside.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
 def _codes(labels) -> np.ndarray:
@@ -64,8 +62,6 @@ class ConfusionMetrics:
     sensitivity: float
     specificity: float
     kappa: float
-    mapping: tuple
-    table: np.ndarray
 
 
 def confusion_metrics(pred, truth, positive_class) -> ConfusionMetrics:
@@ -90,13 +86,12 @@ def confusion_metrics(pred, truth, positive_class) -> ConfusionMetrics:
         raise ValueError(f"positive class {positive_class!r} absent from truth")
     positive = truth == positive_class
 
-    best = None
-    for perm in (pred_vals, pred_vals[::-1]):
-        as_positive = pred == perm[0]
-        acc = float(np.mean(as_positive == positive))
-        if best is None or acc > best[0]:
-            best = (acc, as_positive, tuple(perm))
-    _, pred_positive, mapping = best
+    # the cluster read as positive is the one with the higher accuracy, the
+    # lower label on a tie
+    pred_positive = max(
+        (pred == pred_vals[0], pred == pred_vals[-1]),
+        key=lambda as_positive: np.mean(as_positive == positive),
+    )
 
     tp = int(np.sum(pred_positive & positive))
     fn = int(np.sum(~pred_positive & positive))
@@ -114,33 +109,4 @@ def confusion_metrics(pred, truth, positive_class) -> ConfusionMetrics:
         sensitivity=sensitivity,
         specificity=specificity,
         kappa=kappa,
-        mapping=mapping,
-        table=np.array([[tp, fn], [fp, tn]], dtype=np.int64),
     )
-
-
-def relative_frobenius(estimate: np.ndarray, truth: np.ndarray) -> float:
-    """||estimate - truth||_F / ||truth||_F; truth must be nonzero."""
-    estimate = np.asarray(estimate, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if estimate.shape != truth.shape:
-        raise ValueError("shapes must match")
-    denom = np.linalg.norm(truth)
-    if denom == 0.0:
-        raise ValueError("truth matrix has zero norm")
-    return float(np.linalg.norm(estimate - truth) / denom)
-
-
-def match_clusters(pred, truth) -> np.ndarray:
-    """Overlap-maximizing permutation: entry e is the truth label for cluster e.
-
-    Both labelings must use the same number of distinct groups.
-    """
-    table = contingency_table(pred, truth)
-    if table.shape[0] != table.shape[1]:
-        raise ValueError("cluster matching needs equally many groups on both sides")
-    rows, cols = linear_sum_assignment(-table)
-    truth_vals = np.unique(np.asarray(truth))
-    perm = np.empty(table.shape[0], dtype=truth_vals.dtype)
-    perm[rows] = truth_vals[cols]
-    return perm

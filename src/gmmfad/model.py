@@ -173,14 +173,6 @@ class Responsibilities:
         """The K x n responsibilities, one contiguous row per component."""
         return self.gamma.T
 
-    @property
-    def n(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.gamma.shape[1]
-
 
 @dataclass(frozen=True)
 class FitReport:

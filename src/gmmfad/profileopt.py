@@ -122,12 +122,13 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
 
     Runs bounded L-BFGS-B on u = log psi from the (clipped) warm start, for
     at most MAX_INNER_ITER iterations and twice as many evaluations, and
-    returns the best iterate seen.  A start whose projected gradient has
-    max-norm at most PGTOL is returned as it is, which is where L-BFGS-B
-    would stop before its first iteration.  The result never has a lower
-    profile value than the start: on any solver failure, non-finite
-    evaluation, or eigensolver breakdown the best evaluated point (at worst
-    the start itself) is returned, which preserves the ECM ascent property.
+    returns the best point it evaluated: the first with the highest finite
+    profile value, or the start when none is finite.  A start whose
+    projected gradient has max-norm at most PGTOL is returned as it is,
+    which is where L-BFGS-B would stop before its first iteration.  On a
+    non-finite start, a solver failure or an eigensolver breakdown the
+    best point so far stands, so the result never has a lower profile
+    value than the start, which preserves the ECM ascent property.
     """
     if obj.q == 0:
         # separable closed form: log psi_j + d_j/psi_j peaks at psi_j = d_j,
@@ -150,36 +151,29 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
 
     try:
         f0, g0 = negated(u0)
-        if not np.isfinite(f0):
-            raise FloatingPointError("profile objective non-finite at the start")
         # L-BFGS-B's projected gradient: each component is capped by the
         # distance to the bound that a descent step moves toward
         projected = np.where(
             g0 < 0, np.maximum(u0 - bounds.ub, g0), np.minimum(u0 - bounds.lb, g0)
         )
-        if np.max(np.abs(projected)) <= PGTOL:
-            return np.clip(np.exp(u0), PSI_MIN, PSI_MAX)
-        res = minimize(
-            negated,
-            u0,
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
-            options={
-                "maxiter": MAX_INNER_ITER,
-                # the budget caps objective evaluations too: line searches
-                # inside one iteration may otherwise spend several solves
-                "maxfun": 2 * MAX_INNER_ITER,
-                "gtol": PGTOL,
-            },
-        )
-        u_final = res.x
-        f_final = float(res.fun)
-        if not np.isfinite(f_final) or f_final > best["f"]:
-            u_final = best["u"]
+        if np.isfinite(f0) and np.max(np.abs(projected)) > PGTOL:
+            minimize(
+                negated,
+                u0,
+                jac=True,
+                method="L-BFGS-B",
+                bounds=bounds,
+                options={
+                    "maxiter": MAX_INNER_ITER,
+                    # the budget caps objective evaluations too: line searches
+                    # inside one iteration may otherwise spend several solves
+                    "maxfun": 2 * MAX_INNER_ITER,
+                    "gtol": PGTOL,
+                },
+            )
     except (linops.NoConvergence, FloatingPointError):
-        u_final = best["u"]
-    return np.clip(np.exp(u_final), PSI_MIN, PSI_MAX)
+        pass  # the best point so far stands
+    return np.clip(np.exp(best["u"]), PSI_MIN, PSI_MAX)
 
 
 def _canonical_signs(columns: np.ndarray) -> np.ndarray:

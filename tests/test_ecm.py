@@ -41,7 +41,7 @@ from .helpers import (
 def _moments(y):
     # the fit's unit-weight moment pass (mean, variance), which the k-means
     # start takes from the fit
-    return _kernels.weighted_stats(y, np.ones(y.shape[0]))[1:]
+    return _kernels.weighted_stats(y, np.ones(y.shape[0]))
 
 
 def _diag_component(weight, mean, psi):
@@ -402,23 +402,46 @@ def test_empty_cluster_raised_with_diagnostics(rng, monkeypatch):
 
 
 def test_aecm_empty_cluster_raised_before_any_component_work(monkeypatch):
-    moments = count_calls(monkeypatch, _kernels, "weighted_stats")
+    e_steps = count_calls(monkeypatch, ecm, "e_step")
     scatters = count_calls(monkeypatch, linops, "dense_scatter")
     data, truth = small_dataset(seed=3)
-    # first cycle: the given responsibilities leave the last cluster short
+    # first cycle: the given responsibilities leave the last cluster short,
+    # so no mid-cycle model is scored
     with pytest.raises(EmptyCluster) as exc:
         _aecm_step(data, _last_cluster_short(data.n), truth)
     _assert_last_cluster_emptied(exc)
-    assert moments == []
+    assert e_steps == []
     # second cycle: the refreshed responsibilities leave it short
     resp, _ = e_step(truth, data)
-    monkeypatch.setattr(ecm, "e_step",
-                        lambda model, d: (_last_cluster_short(d.n), 0.0))
+    refreshed = []
+
+    def short_e_step(model, d):
+        refreshed.append(model)
+        return _last_cluster_short(d.n), 0.0
+
+    monkeypatch.setattr(ecm, "e_step", short_e_step)
     with pytest.raises(EmptyCluster) as exc:
         _aecm_step(data, resp, truth)
     _assert_last_cluster_emptied(exc)
-    assert len(moments) == truth.n_components
+    assert len(refreshed) == 1
     assert scatters == []
+
+
+def test_aecm_step_takes_its_means_without_a_moment_pass(monkeypatch):
+    # each mean is the weighted sum over the mass the step has checked, with
+    # the bits of the moment pass's mean, and the second cycle makes one
+    # scatter per component
+    moments = count_calls(monkeypatch, _kernels, "weighted_stats")
+    scatters = count_calls(monkeypatch, linops, "dense_scatter")
+    data, truth = small_dataset(seed=3)
+    resp, _ = e_step(truth, data)
+    updated = _aecm_step(data, resp, truth)
+    assert truth.n_components == 2
+    assert moments == []
+    assert len(scatters) == truth.n_components
+    for k, comp in enumerate(updated.components):
+        mean, _ = _kernels.weighted_stats(data.values, resp.by_component[k])
+        np.testing.assert_array_equal(comp.mean, mean)
 
 
 # ------------------------------------------------------------------------ fit
@@ -879,7 +902,8 @@ def test_zero_loading_aecm_step_is_diagonal_gmm_update(rng):
 
 def test_aecm_moment_pass_reaches_the_kernel_module(monkeypatch):
     # a wrapper set on gmmfad._kernels (as the benchmark tracer and profilers
-    # do) must see the AECM engine's moment passes: one per component per step
+    # do) must see the AECM engine's moment passes: the start protocol's
+    # unit-weight pass and one per k-means cluster, and none in its steps
     calls = []
     original = _kernels.weighted_stats
 
@@ -889,10 +913,14 @@ def test_aecm_moment_pass_reaches_the_kernel_module(monkeypatch):
 
     monkeypatch.setattr(_kernels, "weighted_stats", counting)
     data, truth = small_dataset(seed=43)
+    report = fit_baseline_aecm(data, _fast_config(monkeypatch, max_iter=3))
+    assert report.n_iter > 0
+    assert calls == [data.values.shape] * (1 + truth.n_components)
+    calls.clear()
     report = fit_baseline_aecm(data, _fast_config(monkeypatch, max_iter=3),
                                initial_model=truth)
     assert report.n_iter > 0
-    assert len(calls) == truth.n_components * report.n_iter
+    assert calls == []
 
 
 def test_baseline_rejects_large_p_without_force(rng):

@@ -1,17 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gmmfad.metrics import (
-    adjusted_rand_index,
-    confusion_metrics,
-    contingency_table,
-    match_clusters,
-    relative_frobenius,
-)
+from gmmfad.metrics import adjusted_rand_index, confusion_metrics, contingency_table
 
 from .helpers import make_rng
 
@@ -131,61 +123,3 @@ def test_accuracy_is_count_exact(rng):
 def test_confusion_rejects_more_than_two_clusters():
     with pytest.raises(ValueError):
         confusion_metrics([0, 1, 2, 0], [0, 1, 1, 0], positive_class=1)
-
-
-# ---------------------------------------------------------- relative Frobenius
-
-
-def test_relative_frobenius_basics(rng):
-    t = rng.standard_normal((5, 5))
-    assert relative_frobenius(t, t) == 0.0
-    assert relative_frobenius(np.zeros_like(t), t) == pytest.approx(1.0)
-    assert relative_frobenius(2 * t, t) == pytest.approx(1.0)
-
-
-def test_relative_frobenius_rotation_invariance(rng):
-    p, q = 8, 3
-    lam_est = rng.standard_normal((p, q))
-    lam_true = rng.standard_normal((p, q))
-    a = rng.standard_normal((q, q))
-    rot, _ = np.linalg.qr(a)
-    before = relative_frobenius(lam_est @ lam_est.T, lam_true @ lam_true.T)
-    after = relative_frobenius((lam_est @ rot) @ (lam_est @ rot).T,
-                               (lam_true @ rot) @ (lam_true @ rot).T)
-    assert after == pytest.approx(before, rel=1e-10)
-
-
-def test_relative_frobenius_zero_truth_rejected():
-    with pytest.raises(ValueError):
-        relative_frobenius(np.eye(2), np.zeros((2, 2)))
-
-
-# ------------------------------------------------------------- match_clusters
-
-
-def test_match_identity_and_swap():
-    np.testing.assert_array_equal(match_clusters([0, 1, 0, 1], [0, 1, 0, 1]),
-                                  [0, 1])
-    # swapped labels map est cluster 0 -> truth 1 and est 1 -> truth 0
-    np.testing.assert_array_equal(match_clusters([1, 0, 1, 0], [0, 1, 0, 1]),
-                                  [1, 0])
-
-
-def test_match_three_clusters_against_brute_force(rng):
-    for trial in range(10):
-        truth = rng.integers(0, 3, 60)
-        noise = rng.integers(0, 3, 60)
-        pred = np.where(rng.uniform(size=60) < 0.75, (truth + 1) % 3, noise)
-        perm = match_clusters(pred, truth)
-        table = contingency_table(pred, truth)
-
-        def overlap(assign):
-            return sum(table[i, assign[i]] for i in range(3))
-
-        best = max(itertools.permutations(range(3)), key=overlap)
-        assert overlap(perm) == overlap(best)
-
-
-def test_match_differing_k_rejected():
-    with pytest.raises(ValueError):
-        match_clusters([0, 1, 2, 0], [0, 1, 0, 1])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from gmmfad import linops, profileopt
 from gmmfad.linops import DenseSymOperator, InvalidRank, WeightedCovOperator
@@ -212,6 +213,81 @@ def test_result_always_inside_box(rng):
     # up to the log/exp round trip of a bound coordinate
     assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
     assert np.any(np.isclose(psi, PSI_MAX, rtol=1e-12, atol=0.0))
+
+
+def _record_evaluations(obj, monkeypatch, fail_after=None):
+    """Record each (u, negated value) that optimize_psi evaluates on ``obj``;
+    with ``fail_after``, the evaluation after that many raises NoConvergence."""
+    seen = []
+    original = obj.value_and_gradient
+
+    def recording(u):
+        if fail_after is not None and len(seen) == fail_after:
+            raise linops.NoConvergence("eigensolver breakdown")
+        val, grad = original(u)
+        seen.append((np.array(u, copy=True), -val))
+        return val, grad
+
+    monkeypatch.setattr(obj, "value_and_gradient", recording)
+    return seen
+
+
+def _first_best_psi(seen):
+    # the first evaluated point with the lowest finite negated value
+    values = np.array([f if np.isfinite(f) else np.inf for _, f in seen])
+    return np.clip(np.exp(seen[int(np.argmin(values))][0]), PSI_MIN, PSI_MAX)
+
+
+def test_result_is_the_first_best_point_evaluated(rng, monkeypatch):
+    for trial in range(6):
+        p = int(rng.integers(5, 20))
+        q = int(rng.integers(1, 4))
+        scov = random_spd(p, rng, eig_low=0.2, eig_high=6.0)
+        psi0 = rng.uniform(0.2, 2.0, p)
+        # a full run, then one cut short by an eigensolver failure
+        for fail_after in (None, 3):
+            obj = _objective(scov, q)
+            seen = _record_evaluations(obj, monkeypatch, fail_after)
+            psi = optimize_psi(obj, psi0)
+            assert len(seen) >= 3
+            np.testing.assert_array_equal(psi, _first_best_psi(seen))
+
+
+def test_a_non_finite_start_is_returned_as_it_is(monkeypatch):
+    obj = _objective(np.diag([1.0, 2.0, 3.0]), q=1)
+    def unreachable(*args, **kwargs):
+        raise AssertionError("L-BFGS-B ran from a non-finite start")
+
+    monkeypatch.setattr(obj, "value_and_gradient",
+                        lambda u: (np.nan, np.full(u.size, np.nan)))
+    monkeypatch.setattr(profileopt, "minimize", unreachable)
+    start = np.array([0.5, 1.0, 2.0])
+    np.testing.assert_array_equal(
+        optimize_psi(obj, start), np.clip(np.exp(np.log(start)), PSI_MIN, PSI_MAX)
+    )
+
+
+def test_a_worse_solver_result_gives_way_to_the_best_point_evaluated(
+        rng, monkeypatch):
+    # a solver that evaluates the optimum, then reports a worse point it also
+    # evaluated: the result is the optimum, whatever the solver reports
+    p, q = 8, 2
+    scov = random_spd(p, rng, eig_low=0.3, eig_high=5.0)
+    u_best = np.log(optimize_psi(_objective(scov, q), np.full(p, 0.7)))
+    u_worse = u_best + 0.5
+
+    def worse_solver(fun, x0, **kwargs):
+        fun(u_best)
+        f_worse, _ = fun(u_worse)
+        return OptimizeResult(x=u_worse.copy(), fun=f_worse, success=True)
+
+    monkeypatch.setattr(profileopt, "minimize", worse_solver)
+    obj = _objective(scov, q)
+    seen = _record_evaluations(obj, monkeypatch)
+    psi = optimize_psi(obj, np.full(p, 0.7))
+    assert len(seen) == 3 and seen[2][1] > seen[1][1]
+    np.testing.assert_array_equal(psi, _first_best_psi(seen))
+    np.testing.assert_array_equal(psi, np.clip(np.exp(u_best), PSI_MIN, PSI_MAX))
 
 
 # ------------------------------------------------------------ recover_loadings
