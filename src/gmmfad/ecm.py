@@ -7,12 +7,14 @@ start are each run for ``SHORT_RUN_ITERS`` iterations (one), the most
 promising finalists continue to convergence, and the best final
 log-likelihood wins.  Short and long runs take the same step: each engine
 has one step function, and a short run is only a run with fewer steps.
-Stopping is an absolute log-likelihood increase below ``tol``.  Each start
-is built when its short run begins and handed to it, so it is freed once
-the run's first CM step has replaced it, and at most ``threads`` are alive
-during the sweep.  A finalist continues its short run in place, with no
-E-step repeated, until it has taken ``max_iter`` steps in all; the other
-short runs are dropped once the finalists are chosen.
+Stopping is an absolute log-likelihood increase below ``tol``; a step
+that falls by less than ``tol`` is rounding, and the run stops without
+taking it.  Each start is built when its short run begins and handed to
+it, so it is freed once the run's first CM step has replaced it, and at
+most ``threads`` are alive during the sweep.  A finalist continues its
+short run in place, with no E-step repeated, until it has taken
+``max_iter`` steps in all; the other short runs are dropped once the
+finalists are chosen.
 
 Every run, short, long or warm-started, and of either engine, steps in
 ``_advance``.  A run that has taken ``_SQUAREM_AFTER`` (three) steps
@@ -67,6 +69,7 @@ reductions happen in fixed start order.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -102,6 +105,7 @@ KMEANS_MAX_ITER = 100
 # relative inertia gap below which two k-means restarts count as tied
 _INERTIA_TIE = 1e-12
 _LOG_2PI = math.log(2.0 * math.pi)
+_log = logging.getLogger(__name__)
 
 
 class EcmError(Exception):
@@ -389,10 +393,30 @@ def _accept(run, ll, tol) -> None:
 
 
 def _plain_step(data, run, step_fn, tol) -> None:
-    run.model = step_fn(data, run.resp, run.model)
+    """One step function call and its E-step, taken as one step.
+
+    A step that scores below the run's last by less than ``tol`` is not
+    taken: with a uniqueness on the box bound, a step can lose a few 1e-8
+    nats to rounding alone.  The run keeps its last model, re-scored by one
+    E-step, and is converged.  A fall of ``tol`` or more is taken and stays
+    in the trace, where ``FitReport`` reports it.
+    """
+    last = run.model
+    run.model = step_fn(data, run.resp, last)
     # the last responsibilities die before the E-step builds the next
     run.resp = None
     run.resp, ll = e_step(run.model, data)
+    fall = run.trace[-1] - ll
+    if 0.0 < fall < tol:
+        _log.debug(
+            "step %d falls %.3g below the last, under tol %.3g: not taken",
+            run.n_iter + 1, fall, tol,
+        )
+        run.model = last
+        run.resp = None
+        run.resp, _ = e_step(last, data)
+        run.converged = True
+        return
     _accept(run, ll, tol)
 
 
@@ -487,11 +511,13 @@ def _advance(data, run, step_fn, *, max_iter, tol) -> _Run:
     proposal and its responsibilities die before theta3's E-step, and
     theta2's responsibilities before the proposal's.
 
-    ``trace`` and ``n_iter`` count accepted steps only, and convergence is
-    tested on each of them, so a cycle may end after either plain step.  An
-    accepted cycle costs three step-function calls and four E-steps for
-    three steps, one E-step more than plain stepping; a rejected one costs
-    three step-function calls and five E-steps for two, or fewer when the
+    A plain step that falls below the last by less than ``tol`` is not
+    taken, and ends the run converged (see ``_plain_step``).  ``trace`` and
+    ``n_iter`` count accepted steps only, and convergence is tested on each
+    of them, so a cycle may end after either plain step.  An accepted
+    cycle costs three step-function calls and four E-steps for three steps,
+    one E-step more than plain stepping; a rejected one costs three
+    step-function calls and five E-steps for two, or fewer when the
     stabilizing step raises.
     """
     x0 = r = None

@@ -25,16 +25,23 @@ Writing u_i = log psi_i (the optimizer works on the log scale),
 using d theta_j / d psi_i = -theta_j v_ij^2 / psi_i.  The maximization runs
 L-BFGS-B (Byrd et al. 1995) inside a box keeping every uniqueness in
 [model.PSI_MIN, model.PSI_MAX] = [1e-4, 1e4], which rules out Heywood
-collapse.  Eigenpairs come from the shared linops solver; each evaluation
-reuses the previous one's Ritz vectors as a warm start, so successive solves
-during a line search cost a handful of matvecs.  A psi bit-identical to the
-previous one is not solved again, so the start, which optimize_psi and
-L-BFGS-B both evaluate, costs one solve, and recover_loadings at the last
-iterate costs none.  A start whose projected gradient is already within
-L-BFGS-B's tolerance is returned without running the solver.
+collapse.  L-BFGS-B minimizes -Qp * 2/n_eff: -Qp's curvature in u is about
+n_eff/2 (in the diagonal term log psi_i + S_ii/psi_i it is exactly n_eff/2
+at psi_i = S_ii), and L-BFGS-B takes its first step as if the Hessian were
+the identity: on the unscaled objective that step would overshoot by a
+factor of about n_eff/2 and be backtracked.  Eigenpairs come from the
+shared linops solver; each evaluation reuses the previous one's Ritz
+vectors as a warm start, so successive solves during a line search cost a
+handful of matvecs.  A psi bit-identical to the previous one is not solved
+again, so the start, which optimize_psi and L-BFGS-B both evaluate, costs
+one solve, and recover_loadings at the last iterate costs none.  A start
+whose projected gradient is already within L-BFGS-B's tolerance is
+returned without running the solver.
 """
 
 from __future__ import annotations
+
+import logging
 
 import numpy as np
 from scipy.optimize import Bounds, minimize
@@ -43,9 +50,10 @@ from . import linops
 from .model import PSI_MAX, PSI_MIN
 
 MAX_INNER_ITER = 50
-# L-BFGS-B stops when the max-norm of the projected gradient is at most
-# this (scipy's default); optimize_psi applies the same test to the start
+# L-BFGS-B stops when the max-norm of the projected gradient of -Qp is at
+# most this (scipy's default); optimize_psi applies the same test to the start
 PGTOL = 1e-5
+_log = logging.getLogger(__name__)
 
 
 class ProfileObjective:
@@ -123,12 +131,18 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     Runs bounded L-BFGS-B on u = log psi from the (clipped) warm start, for
     at most MAX_INNER_ITER iterations and twice as many evaluations, and
     returns the best point it evaluated: the first with the highest finite
-    profile value, or the start when none is finite.  A start whose
-    projected gradient has max-norm at most PGTOL is returned as it is,
-    which is where L-BFGS-B would stop before its first iteration.  On a
-    non-finite start, a solver failure or an eigensolver breakdown the
-    best point so far stands, so the result never has a lower profile
-    value than the start, which preserves the ECM ascent property.
+    profile value, or the start when none is finite.  L-BFGS-B sees the
+    negated profile and its gradient times s = 2/n_eff, which gives the
+    objective about unit curvature near its optimum, so the first trial
+    step is about the right length whatever the component's mass; its
+    gradient tolerance is PGTOL * s, so it stops where the unscaled
+    gradient would meet PGTOL.  A start whose scaled projected gradient has
+    max-norm at most PGTOL * s is returned as it is, which is where
+    L-BFGS-B would stop before its first iteration.  On a non-finite
+    start, a solver failure or an eigensolver breakdown the best point so
+    far stands, so the result never has a lower profile value than the
+    start, which preserves the ECM ascent property; a failure is logged at
+    DEBUG.
     """
     if obj.q == 0:
         # separable closed form: log psi_j + d_j/psi_j peaks at psi_j = d_j,
@@ -141,13 +155,20 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
 
     best = {"u": u0, "f": None}
 
+    # -Qp's curvature is about n_eff/2: scaled by its inverse, L-BFGS-B's
+    # identity-Hessian first step does not overshoot
+    scale = 2.0 / obj.n_eff
+    gtol = PGTOL * scale
+
     def negated(u):
         val, grad = obj.value_and_gradient(u)
         f = -val
         if np.isfinite(f) and (best["f"] is None or f < best["f"]):
             best["u"] = u.copy()
             best["f"] = f
-        return f, -grad
+        # the gradient is a fresh array: scale it in place
+        grad *= -scale
+        return f * scale, grad
 
     try:
         f0, g0 = negated(u0)
@@ -156,7 +177,7 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
         projected = np.where(
             g0 < 0, np.maximum(u0 - bounds.ub, g0), np.minimum(u0 - bounds.lb, g0)
         )
-        if np.isfinite(f0) and np.max(np.abs(projected)) > PGTOL:
+        if np.isfinite(f0) and np.max(np.abs(projected)) > gtol:
             minimize(
                 negated,
                 u0,
@@ -168,11 +189,13 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
                     # the budget caps objective evaluations too: line searches
                     # inside one iteration may otherwise spend several solves
                     "maxfun": 2 * MAX_INNER_ITER,
-                    "gtol": PGTOL,
+                    "gtol": gtol,
                 },
             )
-    except (linops.NoConvergence, FloatingPointError):
-        pass  # the best point so far stands
+    except (linops.NoConvergence, FloatingPointError) as exc:
+        _log.debug(
+            "optimize_psi keeps its best point after %s: %s", type(exc).__name__, exc
+        )
     return np.clip(np.exp(best["u"]), PSI_MIN, PSI_MAX)
 
 

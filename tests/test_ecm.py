@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import logging
 import math
 import weakref
 
@@ -463,12 +464,19 @@ def _is_long_run(max_iter, config):
     return max_iter == config.max_iter
 
 
-def _track_run_kind(monkeypatch, config) -> dict:
-    """Wrap ``ecm._advance``; ``kind["long"]`` says which run is stepping."""
+def _track_run_kind(monkeypatch, config, on_run=None) -> dict:
+    """Wrap ``ecm._advance``; ``kind["long"]`` says which run is stepping.
+
+    Each call of ``_advance`` steps one run: a start's short run, or a
+    finalist's long run on from where its short run ended.  ``on_run`` is
+    called with that run before it steps.
+    """
     kind = {"long": None}
 
     def recording(data, run, step_fn, *, max_iter, tol, _advance=ecm._advance):
         kind["long"] = _is_long_run(max_iter, config)
+        if on_run is not None:
+            on_run(run)
         return _advance(data, run, step_fn, max_iter=max_iter, tol=tol)
 
     monkeypatch.setattr(ecm, "_advance", recording)
@@ -561,43 +569,30 @@ def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
 
 
 def test_each_run_drops_its_start_model_by_its_second_cm_step(monkeypatch):
-    # a short run is an E-step on its start model, then CM and E-steps in
-    # turn, so an E-step that follows no CM step begins one; a finalist's
-    # long run continues its short run with a CM step on the model the short
-    # run ended with, so a long run's CM step after a short run's, or one on
-    # a model the last E-step did not score, begins one too.  By the run's
-    # second CM step only the current model may be alive, for short and long
-    # runs alike.  The tight tol keeps every run stepping past its short run
+    # each call of ecm._advance begins a run: a short run from its start
+    # model, or a finalist's long run from the model its short run ended
+    # with.  By the run's second CM step only the current model may be
+    # alive, for short and long runs alike.  The tight tol keeps every run
+    # stepping past its short run
     data, _ = small_dataset(seed=19)
     config = _fast_config(monkeypatch, short_run_iters=4, tol=1e-10)
-    kind = _track_run_kind(monkeypatch, config)
-    run = {"start": None, "steps": 0, "after_cm": False, "scored": None,
-           "short": None}
+    run = {"start": None, "steps": 0, "long": None}
+
+    def begin(r):
+        run.update(start=weakref.ref(r.model), steps=0, long=kind["long"])
+
+    kind = _track_run_kind(monkeypatch, config, on_run=begin)
     dead_at_second_step = []
     long_runs_checked = []
 
-    def tracked_e_step(model, d, _e_step=ecm.e_step):
-        if not run["after_cm"]:
-            run.update(start=weakref.ref(model), steps=0)
-        run["after_cm"] = False
-        run["scored"] = weakref.ref(model)
-        return _e_step(model, d)
-
     def tracked_cm_step(d, resp, current, _cm_step=ecm.cm_step):
-        short = not kind["long"]
-        if (run["short"] and not short) or current is not run["scored"]():
-            run.update(start=weakref.ref(current), steps=0)
-        run["short"] = short
         run["steps"] += 1
         if run["steps"] == 2:
             gc.collect()
             dead_at_second_step.append(run["start"]() is None)
-            long_runs_checked.append(not short)
-        out = _cm_step(d, resp, current)
-        run["after_cm"] = True
-        return out
+            long_runs_checked.append(run["long"])
+        return _cm_step(d, resp, current)
 
-    monkeypatch.setattr(ecm, "e_step", tracked_e_step)
     monkeypatch.setattr(ecm, "cm_step", tracked_cm_step)
     fit(data, config)
     # the short runs of the surviving starts and both finalists' long runs
@@ -855,6 +850,61 @@ def test_cycles_begin_only_after_the_third_step(monkeypatch):
     fit(data, _fast_config(monkeypatch, n_random_starts=0, n_finalists=1,
                            tol=1e-10))
     assert steps_at_cycle_end[0] == ecm._SQUAREM_AFTER + 2
+
+
+def _falling_step(monkeypatch, fall):
+    """A step function whose every step re-uses the model's parameters and
+    scores ``fall`` nats below it, through a wrapped ``ecm.e_step``."""
+    stepped = []
+
+    def step(d, resp, model):
+        stepped.append(MixtureModel(components=model.components))
+        return stepped[-1]
+
+    def scoring(model, d, _e_step=ecm.e_step):
+        resp, ll = _e_step(model, d)
+        if stepped and model is stepped[-1]:
+            ll -= fall
+        return resp, ll
+
+    monkeypatch.setattr(ecm, "e_step", scoring)
+    return step
+
+
+@pytest.mark.parametrize("engine, step_name", [(fit, "cm_step"),
+                                               (fit_baseline_aecm, "_aecm_step")])
+def test_a_step_that_falls_under_tol_is_not_taken(monkeypatch, caplog,
+                                                  engine, step_name):
+    # a fall below tol is rounding, not a step: the run keeps its model,
+    # re-scored by one E-step, and is converged; DEBUG alone reports it
+    data, truth = small_dataset(seed=19)
+    config = _fast_config(monkeypatch, tol=1e-5)
+    monkeypatch.setattr(ecm, step_name, _falling_step(monkeypatch, 0.5e-5))
+    e_steps = count_calls(monkeypatch, ecm, "e_step")
+    with caplog.at_level(logging.INFO, logger="gmmfad"):
+        report = engine(data, config, initial_model=truth)
+    assert caplog.records == []
+    resp, ll = e_step(truth, data)
+    assert report.converged and report.n_iter == 0
+    np.testing.assert_array_equal(report.loglik_trace, [ll])
+    np.testing.assert_array_equal(report.responsibilities.gamma, resp.gamma)
+    assert report.model is truth
+    # the start's E-step, the stepped model's and the re-scoring
+    assert len(e_steps) == 3
+    with caplog.at_level(logging.DEBUG, logger="gmmfad.ecm"):
+        engine(data, config, initial_model=truth)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+
+
+@pytest.mark.parametrize("engine, step_name", [(fit, "cm_step"),
+                                               (fit_baseline_aecm, "_aecm_step")])
+def test_a_step_that_falls_by_tol_or_more_is_reported(monkeypatch, engine,
+                                                      step_name):
+    data, truth = small_dataset(seed=19)
+    config = _fast_config(monkeypatch, tol=1e-5)
+    monkeypatch.setattr(ecm, step_name, _falling_step(monkeypatch, 2e-5))
+    with pytest.raises(ValueError, match="ascent property violated"):
+        engine(data, config, initial_model=truth)
 
 
 # ------------------------------------------------------------------- baseline

@@ -1,10 +1,12 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
 from gmmfad import linops, profileopt
 from gmmfad.linops import DenseSymOperator, InvalidRank, WeightedCovOperator
-from gmmfad.model import PSI_MAX, PSI_MIN
+from gmmfad.model import PSI_MAX, PSI_MIN, max_admissible_q
 from gmmfad.profileopt import (
     ProfileObjective,
     optimize_psi,
@@ -215,6 +217,37 @@ def test_result_always_inside_box(rng):
     assert np.any(np.isclose(psi, PSI_MAX, rtol=1e-12, atol=0.0))
 
 
+def _random_instances(rng, trials=8):
+    # (scatter, q, start) with q within the identifiability bound
+    for _ in range(trials):
+        p = int(rng.integers(5, 20))
+        q = int(rng.integers(1, min(4, max_admissible_q(p) + 1)))
+        yield (random_spd(p, rng, eig_low=0.2, eig_high=6.0), q,
+               rng.uniform(0.2, 2.0, p))
+
+
+def test_result_does_not_depend_on_the_sample_mass(rng):
+    # n_eff scales Qp and leaves its maximizer where it is; L-BFGS-B works on
+    # Qp * 2/n_eff, so from one start it reaches the same uniquenesses
+    for scov, q, psi0 in _random_instances(rng):
+        fitted = [np.log(optimize_psi(_objective(scov, q, n_eff=n_eff), psi0))
+                  for n_eff in (5.0, 500.0, 50000.0)]
+        for log_psi in fitted[1:]:
+            np.testing.assert_allclose(log_psi, fitted[0], rtol=0.0, atol=1e-3)
+
+
+def test_first_trial_point_improves_on_the_start(rng, monkeypatch):
+    # optimize_psi evaluates the start, L-BFGS-B evaluates it again and then
+    # its first trial point, a step of unit curvature that does not overshoot
+    for scov, q, psi0 in _random_instances(rng):
+        for n_eff in (5.0, 500.0, 50000.0):
+            obj = _objective(scov, q, n_eff=n_eff)
+            seen = _record_evaluations(obj, monkeypatch)
+            optimize_psi(obj, psi0)
+            np.testing.assert_array_equal(seen[1][0], seen[0][0])
+            assert seen[2][1] < seen[0][1]
+
+
 def _record_evaluations(obj, monkeypatch, fail_after=None):
     """Record each (u, negated value) that optimize_psi evaluates on ``obj``;
     with ``fail_after``, the evaluation after that many raises NoConvergence."""
@@ -251,6 +284,22 @@ def test_result_is_the_first_best_point_evaluated(rng, monkeypatch):
             psi = optimize_psi(obj, psi0)
             assert len(seen) >= 3
             np.testing.assert_array_equal(psi, _first_best_psi(seen))
+
+
+def test_a_solver_failure_is_logged_at_debug_only(rng, monkeypatch, caplog):
+    scov, q, psi0 = next(_random_instances(rng))
+    obj = _objective(scov, q)
+    _record_evaluations(obj, monkeypatch, fail_after=3)
+    with caplog.at_level(logging.INFO, logger="gmmfad"):
+        optimize_psi(obj, psi0)
+    assert caplog.records == []
+    obj = _objective(scov, q)
+    seen = _record_evaluations(obj, monkeypatch, fail_after=3)
+    with caplog.at_level(logging.DEBUG, logger="gmmfad.profileopt"):
+        psi = optimize_psi(obj, psi0)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "NoConvergence" in caplog.records[0].getMessage()
+    np.testing.assert_array_equal(psi, _first_best_psi(seen))
 
 
 def test_a_non_finite_start_is_returned_as_it_is(monkeypatch):

@@ -166,6 +166,21 @@ def test_defect_inside_fit_propagates_from_the_search(monkeypatch):
         select_common_q(data, grid)
 
 
+def test_a_rounding_fall_on_the_box_bound_does_not_fail_a_selection():
+    # on these data a K = 1 run with a uniqueness on the lower bound takes
+    # steps a few 1e-8 nats below its last by rounding alone; they must not
+    # fail the search
+    data = sample_dataset(draw_truth(SimSpec(n=300, p=10, n_components=2,
+                                             factor_spec=2, separation=3.0,
+                                             seed=100)), 300, seed=101)
+    cfg = FitConfig(n_components=1, factor_spec=1, tol=1e-5,
+                    n_random_starts=8, n_finalists=2, seed=1100)
+    best, rows = select_common_q(data, SearchGrid(k_values=(1, 2), q_max=2,
+                                                  fit_config=cfg))
+    assert [row.status for row in rows] == ["ok"] * 4
+    assert best.model.n_components == 2
+
+
 # ---------------------------------------------------------------- per-cluster
 
 
