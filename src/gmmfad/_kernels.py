@@ -1,18 +1,31 @@
 """Hot numerical kernels over the weighted data, in plain numpy.
 
-Three kernels dominate the fit at large p: the unscaled weighted-covariance
-product with a p x b block (two GEMMs over the data; the whitening scale is
-applied by ``linops.ScaledCovOperator``), which the block eigensolver
-applies once per iteration to scatters with n > p and the Lanczos uses to
-image its start block (a single product is its one-column case); the Lanczos
-basis-growth cycle, which strings single products together with
-reorthogonalization and serves only scatters of at most p/2 weighted rows
-(one call per restart instead of one per column keeps interpreter overhead
-off the hot path); and the weighted moment pass (the mean, then the centred
-second moment) for the start protocol and each CM-step scatter above
-linops.DENSE_THRESHOLD; a smaller scatter reads its diagonal off its dense
-matrix, built in one pass.  Everything BLAS-shaped beyond them (densities,
-dense scatters, eigendecompositions) lives with its callers.
+These kernels dominate the fit at large p, one for each eigensolver route
+of ``linops.top_eigenpairs`` above linops.DENSE_THRESHOLD plus the moment
+pass:
+
+* the whitened weighted rows X and their Gram matrix X X^T, for the exact
+  solve of a scatter whose n_s weighted rows are no more than the
+  iterative basis width min(p, 2q + 10), the route that serves the
+  n << p fits;
+* the Lanczos basis-growth cycle, which strings single products together
+  with reorthogonalization and serves scatters of more rows than that but
+  at most p/2 (one call per restart instead of one per column keeps
+  interpreter overhead off the hot path).  The Gram solve could take this
+  range too; the Lanczos stays while the benchmark's self-tests
+  (``perfbench/test_layers.py``) require this kernel to run;
+* the unscaled weighted-covariance product with a p x b block (two GEMMs
+  over the data; the whitening scale is applied by
+  ``linops.ScaledCovOperator``), which the block eigensolver applies once
+  per iteration to scatters of more than p/2 rows and the Lanczos uses to
+  image its start block (a single product is its one-column case);
+* the weighted moment pass (the mean, then the centred second moment) for
+  the start protocol and each CM-step scatter above linops.DENSE_THRESHOLD,
+  given the weight sum its caller already holds; a smaller scatter reads
+  its diagonal off its dense matrix, built in one pass.
+
+Everything BLAS-shaped beyond them (densities, dense scatters,
+eigendecompositions) lives with its callers.
 
 Every pass of a fit that would otherwise hold an n x p temporary (the
 moment pass here, the densities, the dense scatter) walks the data in
@@ -57,12 +70,22 @@ def wcov_matmat(y, w, center, V, weight_sum):
     return r
 
 
-def weighted_stats(y, w):
+def wcov_gram(y, w, center, scale, weight_sum):
+    # (X, X X^T) for X = diag(sqrt(w / weight_sum)) (Y - c) D, D = diag(scale):
+    # the scaled scatter is X^T X, and its n x n Gram matrix X X^T has the
+    # same non-zero eigenvalues.  Callers pass only a few rows, so X is small
+    x = y - center
+    x *= np.sqrt(w / weight_sum)[:, None]
+    x *= scale
+    return x, x @ x.T
+
+
+def weighted_stats(y, w, weight_sum):
     # (weighted mean, weighted centred second moment
-    # sum_i w_i (y_i - mean)^2 / weight_sum): the mean in one product, then
-    # the centred squares a block of rows at a time, so the second moment
-    # has no cancellation however far the data sit from the origin
-    weight_sum = float(np.sum(w))
+    # sum_i w_i (y_i - mean)^2 / weight_sum), weight_sum = sum(w) taken by
+    # the caller: the mean in one product, then the centred squares a block
+    # of rows at a time, so the second moment has no cancellation however
+    # far the data sit from the origin
     mean = (w @ y) / weight_sum
     m2 = np.zeros(y.shape[1])
     for rows in row_blocks(y):

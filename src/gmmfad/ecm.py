@@ -628,7 +628,9 @@ def _start_from_labels(data, labels, K, qs, rng):
     for k in range(K):
         # the cluster's mean and variance from the moment pass on 0/1
         # weights, with no copy of its rows
-        mean, var = _kernels.weighted_stats(y, (labels == k).astype(np.float64))
+        mean, var = _kernels.weighted_stats(
+            y, (labels == k).astype(np.float64), float(counts[k])
+        )
         lam = 0.01 * rng.standard_normal((p, qs[k]))
         comps.append(
             ComponentParams(
@@ -682,7 +684,7 @@ def _fit_protocol(data, config, *, engine, step_fn, initial_model, threads):
     # start model dies at the run's first CM step and at most ``threads`` are
     # alive at once
     rngs = _start_rngs(config)
-    mean, var = _kernels.weighted_stats(data.values, np.ones(data.n))
+    mean, var = _kernels.weighted_stats(data.values, np.ones(data.n), float(data.n))
     builders = [
         partial(_random_start, data, K, qs, rngs[s], var)
         for s in range(config.n_random_starts)

@@ -22,25 +22,34 @@ product ``matmat(block)`` and a guard-checked ``to_dense()``.  Below
 operator and for the dense AECM baseline alike.  A scatter operator of
 p <= DENSE_THRESHOLD builds it in its constructor, when the active guard
 allows, and reads its diagonal off it, so its moments take one centred
-pass over the data, not two.  Above the threshold each kind of operator has
-one solver, chosen by the support size n_s, since a scatter of n_s rows has
-rank at most n_s:
+pass over the data, not two.  Above the threshold the solver is chosen by
+the support size n_s, since a scatter of n_s rows has rank at most n_s, and
+by the width m = min(p, 2q + 10) of an iterative solver's basis:
 
-* a scatter operator with 2 n_s <= p: a thick-restart Lanczos
+* a scatter operator with n_s <= m: an exact solve on the n_s x n_s Gram
+  matrix (``_gram_eigpairs``, the snapshot method of Sirovich 1987; its
+  product is ``_kernels.wcov_gram``).  The scatter's rank is below the
+  basis width, so a Krylov basis would break down before it filled.  The
+  solve forms nothing larger than n_s x n_s beside the n_s x p weighted
+  rows, needs no start and no tolerance, and cannot fail to converge.
+* a scatter operator with m < n_s and 2 n_s <= p: a thick-restart Lanczos
   (Wu & Simon 2000) with full reorthogonalization on the fused
   ``_kernels.lanczos_grow`` cycle.  A restart keeps a few Ritz pairs beyond
   the requested q as they are, already orthonormal, and continues along the
-  residual of the first pair that has not converged.
+  residual of the first pair that has not converged.  The Gram solve would
+  serve this range as well; the Lanczos stays while the benchmark's
+  self-tests (``perfbench/test_layers.py``) require its kernel to run.
 * every other operator: a warm-started block Rayleigh-Ritz subspace
   iteration (Halko, Martinsson & Tropp 2011), one ``matmat`` on the whole
   p x b block per iteration; for a scatter that is one GEMM-shaped kernel
   call.  A scatter whose support is between p/2 and p rows solves faster
   here than on the Lanczos's one product per column.
 
-Both start from one orthonormalized block (``_start_basis``: the warm-start
-subspace, which the uniqueness solver uses to make successive eigensolves
-nearly free, then seeded random columns) and share one Rayleigh-Ritz step
-with one residual test (``_ritz_pairs``): a pair is accepted when
+The two iterative solvers start from one orthonormalized block
+(``_start_basis``: the warm-start subspace, which the uniqueness solver
+uses to make successive eigensolves nearly free, then seeded random
+columns) and share one Rayleigh-Ritz step with one residual test
+(``_ritz_pairs``): a pair is accepted when
 ||A y_j - theta_j y_j|| <= tol * max(1, theta_j).  No solver fixes
 eigenvector signs.
 
@@ -62,7 +71,8 @@ DENSE_THRESHOLD = 64
 # restarts (block iterations) an iterative solve may take before NoConvergence
 MAX_RESTARTS = 200
 # seed of every random column: the block solver's padding columns, a cold
-# Lanczos start and a Lanczos breakdown reseed
+# Lanczos start, a Lanczos breakdown reseed and the Gram solve's completion
+# of a null space
 SEED = 0
 
 
@@ -154,7 +164,7 @@ class WeightedCovOperator:
     ``_w`` are the inputs.  Otherwise ``_kernels.weighted_stats`` makes that
     pass, and the constructor then keeps in ``_y`` and ``_w`` only the
     ``n_rows`` rows of non-zero weight, in order, which every matrix-free
-    product (``matmat``, ``matvec`` and the Lanczos kernel) and
+    product (``matmat``, ``matvec``, the Lanczos and the Gram kernels) and
     ``to_dense`` read.  With every weight positive there is no copy, and
     ``_y`` is the input itself when that is already C-contiguous float64.
     """
@@ -180,7 +190,9 @@ class WeightedCovOperator:
             self._dense = dense_scatter(y, w, self.center, self.weight_sum)
             self._diag = np.diag(self._dense)
         else:
-            self.center, self._diag = _kernels.weighted_stats(y, w)
+            self.center, self._diag = _kernels.weighted_stats(
+                y, w, self.weight_sum
+            )
             # the products keep only the rows of non-zero weight; copied
             # after the moment pass, the copy adds nothing to its peak
             support = np.flatnonzero(w)
@@ -384,6 +396,41 @@ def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
     )
 
 
+def _gram_eigpairs(parts, q) -> EigPairs:
+    """Exact leading pairs of a scatter from its n_s x n_s Gram matrix.
+
+    The scaled scatter is X^T X for the n_s x p matrix X of
+    ``_kernels.wcov_gram``; each eigenpair (theta, u) of X X^T with
+    theta > 0 gives the pair (theta, X^T u / sqrt(theta)) of the scatter
+    (the snapshot method, Sirovich 1987).  A theta at or below n_s * eps *
+    theta_max is rounding, not signal: its column, and any column past
+    n_s, is completed orthonormally against the others from seeded random
+    columns, and reported with theta = 0.
+    """
+    base, scale = parts
+    x, gram = _kernels.wcov_gram(base._y, base._w, base.center, scale,
+                                 base.weight_sum)
+    theta, u = np.linalg.eigh(gram)
+    n_s = theta.size
+    # descending, the leading min(q, n_s); the rank counts those above
+    # rounding
+    theta, u = theta[: -q - 1 : -1], u[:, : -q - 1 : -1]
+    floor = n_s * np.finfo(np.float64).eps * max(theta[0], 0.0)
+    rank = int(np.count_nonzero(theta > floor))
+    values = np.zeros(q)
+    values[:rank] = theta[:rank]
+    vectors = x.T @ u[:, :rank]
+    vectors /= np.sqrt(theta[:rank])
+    if rank < q:
+        fill = np.random.Generator(np.random.Philox(SEED)).standard_normal(
+            (base.p, q - rank)
+        )
+        for _ in range(2):
+            fill -= vectors @ (vectors.T @ fill)
+        vectors = np.hstack([vectors, np.linalg.qr(fill)[0]])
+    return EigPairs(values=values, vectors=vectors)
+
+
 def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
     """Thick-restart Lanczos on the fused growth kernel; scatters only."""
     p = op.p
@@ -438,23 +485,29 @@ def top_eigenpairs(
     At p <= ``dense_threshold`` (DENSE_THRESHOLD, read at call time, when
     not given) the operator is materialized and solved by LAPACK.  Above
     it, a scatter operator (``WeightedCovOperator``, or a
-    ``ScaledCovOperator`` over one) with at most p / 2 rows of non-zero
-    weight (``n_rows``) runs a thick-restart Lanczos on min(p, 2q + 10)
-    vectors; every other operator runs a warm block Rayleigh-Ritz subspace
-    iteration on min(p - 1, 2q + 10) columns.  Both stop when every
-    requested pair has ||A y_j - theta_j y_j|| <= tol * max(1, theta_j); the
-    floor of tol protects near-null directions of rank-deficient scatters.
-    ``v0`` may be a single start vector or a p x j warm-start subspace
-    (typically the previous solve's vectors, or whitened loadings); both
-    solvers orthonormalize it with one QR, the Lanczos keeping at most
-    min(p, 2q + 10) - 1 of its columns and the block solver padding it with
-    random columns.  It need not be orthonormal or have full rank.  Values
-    come back descending, and the vectors as an orthonormal basis with no
-    sign convention.
+    ``ScaledCovOperator`` over one) with n_s = ``n_rows`` rows of non-zero
+    weight takes one of two routes.  With n_s <= m = min(p, 2q + 10) it is
+    solved exactly on its n_s x n_s Gram matrix, which ignores ``v0`` and
+    ``tol``; eigenvalues at rounding level come back as 0, with vectors
+    that complete the others orthonormally.  With m < n_s <= p / 2 it runs
+    a thick-restart Lanczos on m vectors (kept, though the Gram solve
+    could take this range too, while the benchmark's self-tests require its
+    kernel).  Every other operator runs a warm block Rayleigh-Ritz
+    subspace iteration on min(p - 1, 2q + 10) columns.  The two iterative
+    solvers stop when every requested pair has
+    ||A y_j - theta_j y_j|| <= tol * max(1, theta_j); the floor of tol
+    protects near-null directions of rank-deficient scatters.  ``v0`` may
+    be a single start vector or a p x j warm-start subspace (typically the
+    previous solve's vectors, or whitened loadings); both iterative solvers
+    orthonormalize it with one QR, the Lanczos keeping at most m - 1 of its
+    columns and the block solver padding it with random columns.  It need
+    not be orthonormal or have full rank.  Values come back descending, and
+    the vectors as an orthonormal basis with no sign convention.
 
     Raises NoConvergence when MAX_RESTARTS restarts (block iterations) do
-    not reach the tolerance, and InvalidRank unless 1 <= q < p.  Every
-    random column (padding, a cold start, a breakdown reseed) comes from one
+    not reach the tolerance, which the Gram solve never does, and
+    InvalidRank unless 1 <= q < p.  Every random column (padding, a cold
+    start, a breakdown reseed, a null-space completion) comes from one
     generator seeded with SEED per solve, so a solve is deterministic.
     """
     p = op.p
@@ -462,8 +515,11 @@ def top_eigenpairs(
         raise InvalidRank(f"need 1 <= q < p, got q={q}, p={p}")
     if p <= (DENSE_THRESHOLD if dense_threshold is None else dense_threshold):
         return _dense_eigpairs(op, q)
-    rng = np.random.Generator(np.random.Philox(SEED))
     parts = _scatter_parts(op)
+    m = min(p, 2 * q + 10)
+    if parts is not None and parts[0].n_rows <= m:
+        return _gram_eigpairs(parts, q)
+    rng = np.random.Generator(np.random.Philox(SEED))
     if parts is not None and 2 * parts[0].n_rows <= p:
         return _lanczos_eigpairs(op, parts, q, tol, v0, rng)
     return _block_eigpairs(op, q, tol, v0, rng)

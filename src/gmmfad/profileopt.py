@@ -30,13 +30,16 @@ n_eff/2 (in the diagonal term log psi_i + S_ii/psi_i it is exactly n_eff/2
 at psi_i = S_ii), and L-BFGS-B takes its first step as if the Hessian were
 the identity: on the unscaled objective that step would overshoot by a
 factor of about n_eff/2 and be backtracked.  Eigenpairs come from the
-shared linops solver; each evaluation reuses the previous one's Ritz
-vectors as a warm start, so successive solves during a line search cost a
-handful of matvecs.  A psi bit-identical to the previous one is not solved
-again, so the start, which optimize_psi and L-BFGS-B both evaluate, costs
-one solve, and recover_loadings at the last iterate costs none.  A start
-whose projected gradient is already within L-BFGS-B's tolerance is
-returned without running the solver.
+shared linops solver.  A scatter of no more weighted rows than the
+iterative basis width min(p, 2q + 10), as in typical n << p fits, is
+solved exactly on its small Gram matrix: one GEMM and one small eigh per
+evaluation.  The iterative solvers take each evaluation's previous Ritz
+vectors as a warm start, so that successive solves during a line search
+start near their answer.  A psi bit-identical to the previous one is not
+solved again, so the start, which optimize_psi and L-BFGS-B both
+evaluate, costs one solve, and recover_loadings at the last iterate costs
+none.  A start whose projected gradient is already within L-BFGS-B's
+tolerance is returned without running the solver.
 """
 
 from __future__ import annotations

@@ -42,7 +42,7 @@ from .helpers import (
 def _moments(y):
     # the fit's unit-weight moment pass (mean, variance), which the k-means
     # start takes from the fit
-    return _kernels.weighted_stats(y, np.ones(y.shape[0]))
+    return _kernels.weighted_stats(y, np.ones(y.shape[0]), float(y.shape[0]))
 
 
 def _diag_component(weight, mean, psi):
@@ -441,7 +441,8 @@ def test_aecm_step_takes_its_means_without_a_moment_pass(monkeypatch):
     assert moments == []
     assert len(scatters) == truth.n_components
     for k, comp in enumerate(updated.components):
-        mean, _ = _kernels.weighted_stats(data.values, resp.by_component[k])
+        w = resp.by_component[k]
+        mean, _ = _kernels.weighted_stats(data.values, w, float(np.sum(w)))
         np.testing.assert_array_equal(comp.mean, mean)
 
 
@@ -957,9 +958,9 @@ def test_aecm_moment_pass_reaches_the_kernel_module(monkeypatch):
     calls = []
     original = _kernels.weighted_stats
 
-    def counting(y, w):
+    def counting(y, w, weight_sum):
         calls.append(y.shape)
-        return original(y, w)
+        return original(y, w, weight_sum)
 
     monkeypatch.setattr(_kernels, "weighted_stats", counting)
     data, truth = small_dataset(seed=43)

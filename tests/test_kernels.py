@@ -40,10 +40,22 @@ def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
                                    atol=1e-12)
 
 
+def test_wcov_gram_factors_the_scaled_scatter(rng):
+    # X^T X is the whitened scatter D S D and the Gram matrix is X X^T
+    for y, w, center, _ in _instances(rng):
+        p = y.shape[1]
+        scale = rng.uniform(0.5, 2.0, p)
+        x, gram = _kernels.wcov_gram(y, w, center, scale, w.sum())
+        dense = dense_weighted_cov(y, w, center)
+        np.testing.assert_allclose(x.T @ x, scale[:, None] * dense * scale,
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(gram, x @ x.T, rtol=1e-12, atol=1e-14)
+
+
 def test_weighted_stats_matches_direct_formulas(rng):
     # the second moment is the centred one, the diagonal of the scatter
     for y, w, _, _ in _instances(rng):
-        mean, m2 = _kernels.weighted_stats(y, w)
+        mean, m2 = _kernels.weighted_stats(y, w, float(np.sum(w)))
         np.testing.assert_allclose(mean, (w @ y) / w.sum(), rtol=1e-12)
         np.testing.assert_allclose(m2, w @ (y - mean) ** 2 / w.sum(), rtol=1e-12)
 
@@ -67,7 +79,7 @@ def test_row_passes_agree_across_block_sizes(rng, monkeypatch):
     w = rng.uniform(0.0, 1.0, 1000)
 
     def passes():
-        mean, m2 = _kernels.weighted_stats(y, w)
+        mean, m2 = _kernels.weighted_stats(y, w, float(np.sum(w)))
         scatter = linops.dense_scatter(y, w, mean, float(np.sum(w)))
         return np.concatenate([mean, m2, scatter.ravel()])
 

@@ -329,11 +329,13 @@ def test_overspecified_rank_small_gap_meets_residual_bound(rng):
                                rtol=1e-8)
 
 
-@pytest.mark.parametrize("n", [40, 200], ids=["lanczos", "block"])
+@pytest.mark.parametrize("n", [12, 40, 200], ids=["gram", "lanczos", "block"])
 def test_warm_blocks_need_not_be_orthonormal(rng, n):
-    # 2 n_s = 80 <= p runs the Lanczos, 2 n_s = 400 > p the block solver; each
-    # starts from warm blocks whose QR has a zero pivot, and from columns
-    # scaled like whitened loadings, 1e-3 to 1e3, with one zero column
+    # n_s = 12 <= min(p, 2q + 10) = 18 runs the Gram solve, which ignores the
+    # warm blocks; 2 n_s = 80 <= p runs the Lanczos, 2 n_s = 400 > p the
+    # block solver; each starts from warm blocks whose QR has a zero pivot,
+    # and from columns scaled like whitened loadings, 1e-3 to 1e3, with one
+    # zero column
     p, q, tol = 150, 4, 1e-8
     op = ScaledCovOperator(_scatter(rng, n, p), rng.uniform(0.5, 2.0, p))
     a = op.to_dense()
@@ -353,10 +355,13 @@ def test_warm_blocks_need_not_be_orthonormal(rng, n):
 
 
 def test_solve_is_deterministic_across_breakdown_reseeds(rng, monkeypatch):
-    # 12 rows span at most 11 directions, so growing a Krylov basis of
-    # min(p, 2q + 10) = 16 columns breaks down and reseeds from the generator
+    # 24 rows, more than the min(p, 2q + 10) = 16 columns of the Lanczos
+    # basis, drawn from 8 directions: the centred scatter has rank at most 8,
+    # so growing the basis breaks down and reseeds from the generator
     p, q = 120, 3
-    op = _scatter(rng, 12, p)
+    y = rng.standard_normal((24, 8)) @ rng.standard_normal((8, p))
+    op = WeightedCovOperator(y, rng.uniform(0.05, 1.0, 24))
+    assert op.n_rows > min(p, 2 * q + 10) and 2 * op.n_rows <= p
     breakdowns = []
     grow = _kernels.lanczos_grow
 
@@ -373,11 +378,37 @@ def test_solve_is_deterministic_across_breakdown_reseeds(rng, monkeypatch):
     np.testing.assert_array_equal(first.vectors, second.vectors)
 
 
+def test_gram_solve_completes_the_null_space_orthonormally(rng):
+    # 6 rows of 2 distinct points scatter along one direction: past the
+    # first, every eigenvalue of the Gram matrix is rounding, which the
+    # solve must neither divide by nor report
+    p, q = 120, 3
+    points = rng.standard_normal((2, p))
+    op = ScaledCovOperator(
+        WeightedCovOperator(points[[0, 1, 0, 1, 0, 1]], rng.uniform(0.2, 1.0, 6)),
+        rng.uniform(0.5, 2.0, p),
+    )
+    a = op.to_dense()
+    pairs = top_eigenpairs(op, q, dense_threshold=0)
+    v = pairs.vectors
+    assert np.all(np.isfinite(v)) and np.all(np.isfinite(pairs.values))
+    assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-10
+    want = np.linalg.eigvalsh(a)[::-1][:q]
+    np.testing.assert_allclose(pairs.values, want, rtol=0, atol=1e-10 * want[0])
+    res = np.linalg.norm(a @ v - v * pairs.values, axis=0)
+    assert np.all(res <= 1e-10 * want[0])
+    again = top_eigenpairs(op, q, dense_threshold=0)
+    np.testing.assert_array_equal(pairs.values, again.values)
+    np.testing.assert_array_equal(pairs.vectors, again.vectors)
+
+
 def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
-    # a scatter of 2 n_s <= p weighted rows reaches the Lanczos growth
-    # kernel; 2 n_s > p, and an operator that is not a scatter, reach only
-    # the block solver
-    calls = {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 0}
+    # a scatter of n_s <= min(p, 2q + 10) weighted rows takes the Gram
+    # kernel alone; one of more rows but 2 n_s <= p reaches the Lanczos
+    # growth kernel; 2 n_s > p, and an operator that is not a scatter, reach
+    # only the block solver
+    calls = {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 0,
+             "wcov_gram": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -390,9 +421,19 @@ def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
 
     counted(_kernels, "lanczos_grow")
     counted(_kernels, "wcov_matmat")
+    counted(_kernels, "wcov_gram")
     counted(linops, "_block_eigpairs")
+    # 16 rows at q = 3 fill the 16-column basis exactly: the Gram solve
+    top_eigenpairs(_scatter(rng, 16, 120), 3, dense_threshold=0)
+    top_eigenpairs(ScaledCovOperator(_scatter(rng, 16, 120), np.full(120, 2.0)),
+                   3, dense_threshold=0)
+    assert calls == {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 0,
+                     "wcov_gram": 2}
+    calls.update(wcov_gram=0)
+    # 30 rows are more than the basis width 16 at q = 3, and at most p / 2
     top_eigenpairs(_scatter(rng, 30, 120), 3, dense_threshold=0)
     assert calls["lanczos_grow"] > 0 and calls["_block_eigpairs"] == 0
+    assert calls["wcov_gram"] == 0
     calls.update(lanczos_grow=0, wcov_matmat=0)
     top_eigenpairs(_scatter(rng, 300, 120), 3, dense_threshold=0)
     assert calls["lanczos_grow"] == 0 and calls["wcov_matmat"] > 0
@@ -410,7 +451,8 @@ def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
     calls.update(lanczos_grow=0, wcov_matmat=0)
     explicit = DenseSymOperator(matrix=random_spd(120, rng, gap_at=3))
     top_eigenpairs(explicit, 3, dense_threshold=0)
-    assert calls == {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 1}
+    assert calls == {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 1,
+                     "wcov_gram": 0}
 
 
 def test_invalid_rank_rejected(rng):
@@ -521,7 +563,8 @@ def test_small_scatter_takes_its_moments_in_one_pass(rng, monkeypatch):
     stats = []
     original = _kernels.weighted_stats
     monkeypatch.setattr(_kernels, "weighted_stats",
-                        lambda y, w: stats.append(y.shape) or original(y, w))
+                        lambda y, w, weight_sum: stats.append(y.shape)
+                        or original(y, w, weight_sum))
     y = rng.standard_normal((300, 20)) + 1e6
     w = rng.uniform(0.0, 1.0, 300)
     op = WeightedCovOperator(y, w)

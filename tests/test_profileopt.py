@@ -93,10 +93,12 @@ def test_value_agrees_between_dense_and_lanczos_paths(rng, monkeypatch):
 
     def operators():
         # an explicit matrix and a scatter of 2n > p rows run the block
-        # subspace iteration; a scatter of 2n <= p rows runs the Lanczos
+        # subspace iteration; a scatter of 2n <= p rows runs the Lanczos, and
+        # one of n <= 2q + 10 rows the Gram solve
         yield DenseSymOperator(matrix=random_spd(p, rng, gap_at=q))
         yield _planted_scatter(rng, 200, p, q)
         yield _planted_scatter(rng, 40, p, q)
+        yield _planted_scatter(rng, 14, p, q)
 
     for scov in operators():
         log_psi = np.log(rng.uniform(0.3, 2.0, p))
@@ -397,13 +399,14 @@ def test_truncation_consistency(rng):
 
 
 def test_loadings_signs_fixed_on_every_solver_path(rng, monkeypatch):
-    # dense (p <= DENSE_THRESHOLD), block (2n > p) and Lanczos (2n <= p)
-    # solves: each loadings column's largest-magnitude entry is positive
-    # (the planted factors keep every column non-zero)
+    # dense (p <= DENSE_THRESHOLD), block (2n > p), Lanczos (2n <= p) and
+    # Gram (n <= 2q + 10) solves: each loadings column's largest-magnitude
+    # entry is positive (the planted factors keep every column non-zero)
     p, q = 80, 3
     for scov, threshold in ((_planted_scatter(rng, 200, p, q), 200),
                             (_planted_scatter(rng, 200, p, q), 0),
-                            (_planted_scatter(rng, 40, p, q), 0)):
+                            (_planted_scatter(rng, 40, p, q), 0),
+                            (_planted_scatter(rng, 14, p, q), 0)):
         monkeypatch.setattr(linops, "DENSE_THRESHOLD", threshold)
         obj = ProfileObjective(scov, 100.0, q)
         lam = recover_loadings(obj, rng.uniform(0.3, 2.0, p))
