@@ -15,8 +15,8 @@ pass:
   range too; the Lanczos stays while the benchmark's self-tests
   (``perfbench/test_layers.py``) require this kernel to run;
 * the unscaled weighted-covariance product with a p x b block (two GEMMs
-  over the data; the whitening scale is applied by
-  ``linops.ScaledCovOperator``), which the block eigensolver applies once
+  over the data; ``linops._product`` applies the solve's whitening scale
+  on both sides), which the block eigensolver applies once
   per iteration to scatters of more than p/2 rows and the Lanczos uses to
   image its start block (a single product is its one-column case);
 * the weighted moment pass (the mean, then the centred second moment) for
@@ -60,7 +60,7 @@ def row_blocks(y):
 def wcov_matmat(y, w, center, V, weight_sum):
     # S V for a p x b block, S the weighted scatter
     # sum_i w_i (y_i - c)(y_i - c)^T / weight_sum; no n x p temporary.
-    # Whitening is the caller's (ScaledCovOperator.matmat)
+    # Whitening is the caller's (linops._product)
     c = y @ V
     c -= center @ V
     c *= w[:, None]

@@ -128,10 +128,18 @@ def _label_metrics(pred, truth, positive=None):
     truth has two classes and ``pred`` at most two clusters.
 
     ``positive`` is the truth code scored as positive; it defaults to the
-    first truth label's code.  Returns (metrics, positive code or None).
+    first truth label's code, and giving it for labels that have no
+    confusion metrics is a ValueError.  Returns (metrics, positive code or
+    None).
     """
     metrics = {"ari": adjusted_rand_index(pred, truth)}
-    if np.unique(truth).size != 2 or np.unique(pred).size > 2:
+    n_classes, n_clusters = np.unique(truth).size, np.unique(pred).size
+    if n_classes != 2 or n_clusters > 2:
+        if positive is not None:
+            raise ValueError(
+                "--positive-class needs two truth classes and at most two "
+                f"predicted clusters, got {n_classes} and {n_clusters}"
+            )
         return metrics, None
     pos = int(truth[0]) if positive is None else positive
     cm = confusion_metrics(pred, truth, pos)
@@ -394,12 +402,15 @@ def cmd_bench(args):
 
 
 def cmd_report(args):
-    with open(args.fit) as fh:
-        payload = json.load(fh)
-    loadings = payload["model"]["loadings"]
+    try:
+        with open(args.fit) as fh:
+            payload = json.load(fh)
+        loadings = [np.asarray(lam, dtype=np.float64)
+                    for lam in payload["model"]["loadings"]]
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{args.fit}: not a fit.json (no model loadings)") from None
     threshold = args.suppress_below
     for k, lam in enumerate(loadings):
-        lam = np.asarray(lam, dtype=np.float64)
         header = [f"F{j + 1}" for j in range(lam.shape[1] if lam.ndim == 2 else 0)]
         rows = []
         for row in np.atleast_2d(lam):

@@ -8,16 +8,19 @@ mean mu,
         = (1/sum(w)) * [ Y^T (w * c) - (sum_i w_i c_i) mu ],   c = Y v - (mu.v) 1,
 
 two GEMV-shaped passes over the data and a rank-one correction, O(np) time
-and O(n + p) extra memory.  The whitened operator D S D with
-D = diag(psi^{-1/2}) composes the same way.  A row with w_i = 0 adds exact
-zeros to every product, so a matrix-free scatter operator keeps, from its
-construction on, only the support, the n_s rows of non-zero weight: on
-separated clusters the E-step's exp underflows to exactly zero on many rows.
+and O(n + p) extra memory.  A row with w_i = 0 adds exact zeros to every
+product, so a matrix-free scatter operator keeps, from its construction on,
+only the support, the n_s rows of non-zero weight: on separated clusters
+the E-step's exp underflows to exactly zero on many rows.
 
-Every operator (``WeightedCovOperator``, ``ScaledCovOperator`` and
-``DenseSymOperator``) answers one protocol: its size ``p``, the block
-product ``matmat(block)`` and a guard-checked ``to_dense()``.  Below
-``dense_threshold`` the operator is materialized and handed to LAPACK;
+Both operators (``WeightedCovOperator`` and ``DenseSymOperator``) answer
+one protocol: the size ``p``, the block product ``matmat(block)`` and a
+guard-checked ``to_dense()``.  The whitening is the solve's: given
+``scale``, ``top_eigenpairs`` returns the leading pairs of D A D with
+D = diag(scale), D = diag(psi^{-1/2}) for the uniqueness solver, and every
+route applies D on both sides of the operator's own product (``_product``,
+or the Gram and Lanczos kernels, which take the scale as an argument).
+Below ``dense_threshold`` the operator is materialized and handed to LAPACK;
 ``dense_scatter`` is the one routine that builds a scatter matrix, for the
 operator and for the dense AECM baseline alike.  A scatter operator of
 p <= DENSE_THRESHOLD builds it in its constructor, when the active guard
@@ -234,30 +237,6 @@ class WeightedCovOperator:
         return self._dense
 
 
-class ScaledCovOperator:
-    """The whitened scatter D S D, D = diag(scale), matrix-free."""
-
-    def __init__(self, base, scale):
-        self.base = base
-        self.scale = np.ascontiguousarray(scale, dtype=np.float64)
-        if self.scale.shape != (base.p,):
-            raise ValueError("scale must have length p")
-
-    @property
-    def p(self) -> int:
-        return self.base.p
-
-    def matmat(self, block: np.ndarray) -> np.ndarray:
-        # D S D block, the images scaled in place
-        images = self.base.matmat(self.scale[:, None] * block)
-        images *= self.scale[:, None]
-        return images
-
-    def to_dense(self) -> np.ndarray:
-        dense = self.base.to_dense()
-        return self.scale[:, None] * dense * self.scale[None, :]
-
-
 @dataclass
 class DenseSymOperator:
     """Wrap an explicit symmetric matrix behind the operator protocol."""
@@ -293,25 +272,20 @@ class EigPairs:
     vectors: np.ndarray
 
 
-def _scatter_parts(op):
-    """(WeightedCovOperator, scale) behind a scatter operator, else None."""
-    if isinstance(op, WeightedCovOperator):
-        return op, np.ones(op.p)
-    if isinstance(op, ScaledCovOperator) and isinstance(
-        op.base, WeightedCovOperator
-    ):
-        return op.base, op.scale
-    return None
+def _product(op, scale, block):
+    """D A D block for D = diag(scale): the images scaled in place."""
+    images = op.matmat(scale[:, None] * block)
+    images *= scale[:, None]
+    return images
 
 
-def _grow_basis(parts, basis, images, ncols, next_dir, rng):
+def _grow_basis(op, scale, basis, images, ncols, next_dir, rng):
     """Fill basis/images up to full width; NoConvergence on stalled growth."""
-    base, scale = parts
     m = basis.shape[1]
     attempts = 0
     while ncols < m:
         filled = int(_kernels.lanczos_grow(
-            base._y, base._w, base.center, scale, base.weight_sum,
+            op._y, op._w, op.center, scale, op.weight_sum,
             basis, images, ncols, np.ascontiguousarray(next_dir, np.float64),
         ))
         if filled > ncols:
@@ -325,9 +299,9 @@ def _grow_basis(parts, basis, images, ncols, next_dir, rng):
     return ncols
 
 
-def _dense_eigpairs(op, q: int) -> EigPairs:
+def _dense_eigpairs(op, scale, q: int) -> EigPairs:
     # LAPACK returns the eigenvalues ascending: the leading q are the last q
-    vals, vecs = np.linalg.eigh(op.to_dense())
+    vals, vecs = np.linalg.eigh(scale[:, None] * op.to_dense() * scale[None, :])
     return EigPairs(
         values=np.ascontiguousarray(vals[: -q - 1 : -1]),
         vectors=np.ascontiguousarray(vecs[:, : -q - 1 : -1]),
@@ -371,7 +345,7 @@ def _ritz_pairs(basis, images, q, tol):
     return theta, s, ritz, resid, ok
 
 
-def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
+def _block_eigpairs(op, scale, q, tol, v0, rng) -> EigPairs:
     """Warm block Rayleigh-Ritz subspace iteration, one block product a step.
 
     The b = min(p - 1, 2q + 10) columns start from ``v0``, which need not be
@@ -383,7 +357,7 @@ def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
     p = op.p
     basis = _start_basis(v0, p, min(p - 1, 2 * q + 10), rng)
     for _ in range(MAX_RESTARTS):
-        images = op.matmat(basis)
+        images = _product(op, scale, basis)
         theta, s, ritz, resid, ok = _ritz_pairs(basis, images, q, tol)
         if bool(np.all(ok)):
             return EigPairs(values=np.ascontiguousarray(theta[:q]), vectors=ritz)
@@ -396,7 +370,7 @@ def _block_eigpairs(op, q, tol, v0, rng) -> EigPairs:
     )
 
 
-def _gram_eigpairs(parts, q) -> EigPairs:
+def _gram_eigpairs(op, scale, q) -> EigPairs:
     """Exact leading pairs of a scatter from its n_s x n_s Gram matrix.
 
     The scaled scatter is X^T X for the n_s x p matrix X of
@@ -404,12 +378,11 @@ def _gram_eigpairs(parts, q) -> EigPairs:
     theta > 0 gives the pair (theta, X^T u / sqrt(theta)) of the scatter
     (the snapshot method, Sirovich 1987).  A theta at or below n_s * eps *
     theta_max is rounding, not signal: its column, and any column past
-    n_s, is completed orthonormally against the others from seeded random
-    columns, and reported with theta = 0.
+    n_s, is completed orthonormally against the others by ``_start_basis``
+    from seeded random columns, and reported with theta = 0.
     """
-    base, scale = parts
-    x, gram = _kernels.wcov_gram(base._y, base._w, base.center, scale,
-                                 base.weight_sum)
+    x, gram = _kernels.wcov_gram(op._y, op._w, op.center, scale,
+                                 op.weight_sum)
     theta, u = np.linalg.eigh(gram)
     n_s = theta.size
     # descending, the leading min(q, n_s); the rank counts those above
@@ -422,16 +395,13 @@ def _gram_eigpairs(parts, q) -> EigPairs:
     vectors = x.T @ u[:, :rank]
     vectors /= np.sqrt(theta[:rank])
     if rank < q:
-        fill = np.random.Generator(np.random.Philox(SEED)).standard_normal(
-            (base.p, q - rank)
-        )
-        for _ in range(2):
-            fill -= vectors @ (vectors.T @ fill)
-        vectors = np.hstack([vectors, np.linalg.qr(fill)[0]])
+        rng = np.random.Generator(np.random.Philox(SEED))
+        fill = _start_basis(vectors, op.p, q, rng)[:, rank:]
+        vectors = np.hstack([vectors, fill])
     return EigPairs(values=values, vectors=vectors)
 
 
-def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
+def _lanczos_eigpairs(op, scale, q, tol, v0, rng) -> EigPairs:
     """Thick-restart Lanczos on the fused growth kernel; scatters only."""
     p = op.p
     m = min(p, 2 * q + 10)
@@ -443,12 +413,12 @@ def _lanczos_eigpairs(op, parts, q, tol, v0, rng) -> EigPairs:
     # start from the warm columns (at most m - 1), or one random column
     ncols = 1 if v0 is None else min(max(np.size(v0) // p, 1), m - 1)
     basis[:, :ncols] = _start_basis(v0, p, ncols, rng)
-    images[:, :ncols] = op.matmat(basis[:, :ncols])
+    images[:, :ncols] = _product(op, scale, basis[:, :ncols])
 
     next_dir = images[:, ncols - 1].copy()
     for _ in range(MAX_RESTARTS):
         # grow the basis to m columns along the Krylov/residual directions
-        ncols = _grow_basis(parts, basis, images, ncols, next_dir, rng)
+        ncols = _grow_basis(op, scale, basis, images, ncols, next_dir, rng)
 
         # the projection is tridiagonal-plus-arrowhead in exact arithmetic
         # but is formed whole since reorthogonalization is full
@@ -476,17 +446,18 @@ def top_eigenpairs(
     op,
     q: int,
     *,
+    scale: np.ndarray | None = None,
     tol: float = 1e-8,
     dense_threshold: int | None = None,
     v0: np.ndarray | None = None,
 ) -> EigPairs:
-    """Leading q eigenpairs of a symmetric PSD operator.
+    """Leading q eigenpairs of D A D, A = ``op`` symmetric PSD, D = diag(scale).
 
-    At p <= ``dense_threshold`` (DENSE_THRESHOLD, read at call time, when
-    not given) the operator is materialized and solved by LAPACK.  Above
-    it, a scatter operator (``WeightedCovOperator``, or a
-    ``ScaledCovOperator`` over one) with n_s = ``n_rows`` rows of non-zero
-    weight takes one of two routes.  With n_s <= m = min(p, 2q + 10) it is
+    With ``scale`` None, D is the identity.  At p <= ``dense_threshold``
+    (DENSE_THRESHOLD, read at call time, when not given) the scaled
+    operator is materialized and solved by LAPACK.  Above it, a
+    ``WeightedCovOperator`` with n_s = ``n_rows`` rows of non-zero weight
+    takes one of two routes.  With n_s <= m = min(p, 2q + 10) it is
     solved exactly on its n_s x n_s Gram matrix, which ignores ``v0`` and
     ``tol``; eigenvalues at rounding level come back as 0, with vectors
     that complete the others orthonormally.  With m < n_s <= p / 2 it runs
@@ -505,21 +476,24 @@ def top_eigenpairs(
     the vectors as an orthonormal basis with no sign convention.
 
     Raises NoConvergence when MAX_RESTARTS restarts (block iterations) do
-    not reach the tolerance, which the Gram solve never does, and
-    InvalidRank unless 1 <= q < p.  Every random column (padding, a cold
-    start, a breakdown reseed, a null-space completion) comes from one
-    generator seeded with SEED per solve, so a solve is deterministic.
+    not reach the tolerance, which the Gram solve never does, InvalidRank
+    unless 1 <= q < p, and ValueError unless ``scale`` has length p.
+    Every random column (padding, a cold start, a breakdown reseed, a
+    null-space completion) comes from one generator seeded with SEED per
+    solve, so a solve is deterministic.
     """
     p = op.p
     if not 1 <= q < p:
         raise InvalidRank(f"need 1 <= q < p, got q={q}, p={p}")
+    scale = np.ones(p) if scale is None else np.asarray(scale, np.float64)
+    if scale.shape != (p,):
+        raise ValueError(f"scale must have length p = {p}")
     if p <= (DENSE_THRESHOLD if dense_threshold is None else dense_threshold):
-        return _dense_eigpairs(op, q)
-    parts = _scatter_parts(op)
-    m = min(p, 2 * q + 10)
-    if parts is not None and parts[0].n_rows <= m:
-        return _gram_eigpairs(parts, q)
+        return _dense_eigpairs(op, scale, q)
+    scatter = isinstance(op, WeightedCovOperator)
+    if scatter and op.n_rows <= min(p, 2 * q + 10):
+        return _gram_eigpairs(op, scale, q)
     rng = np.random.Generator(np.random.Philox(SEED))
-    if parts is not None and 2 * parts[0].n_rows <= p:
-        return _lanczos_eigpairs(op, parts, q, tol, v0, rng)
-    return _block_eigpairs(op, q, tol, v0, rng)
+    if scatter and 2 * op.n_rows <= p:
+        return _lanczos_eigpairs(op, scale, q, tol, v0, rng)
+    return _block_eigpairs(op, scale, q, tol, v0, rng)

@@ -57,9 +57,19 @@ class NonNumericCell(CsvFormatError):
 _LABEL_HEADERS = frozenset({"label", "labels", "cluster", "class", "truth"})
 
 
-def _lone_first(labels) -> bool:
-    """Whether the first label does not occur again, so it may name the column."""
-    return labels[0] not in labels[1:]
+def _header_label(labels, count=None) -> bool:
+    """Whether the first of ``labels`` names the column rather than a sample.
+
+    It may only when it does not occur again.  It does when dropping it
+    leaves ``count`` labels or, with no count, when some other label recurs,
+    so that it is the odd one out of a column of classes.
+    """
+    rest = labels[1:]
+    if labels[0] in rest:
+        return False
+    if count is None:
+        return len(set(rest)) < len(rest)
+    return len(rest) == count
 
 
 def _warn_header(path, label, where=""):
@@ -83,8 +93,8 @@ def _first_row_is_header(rows, label_idx, path) -> bool:
     """Whether the first of the numbered ``rows`` names the columns.
 
     It does when a non-empty cell outside the label column is not a number,
-    or when its label cell does not recur further down the label column;
-    the second case warns.
+    when its label cell is a usual column name, or, with a warning, when
+    that cell is a header by ``_header_label``.
     """
     first = rows[0][1]
     for j, cell in enumerate(first):
@@ -96,7 +106,9 @@ def _first_row_is_header(rows, label_idx, path) -> bool:
     if label_idx is None:
         return False
     column = [row[label_idx].strip() for _, row in rows if len(row) > label_idx]
-    if not _lone_first(column):
+    if column[0].lower() in _LABEL_HEADERS:
+        return True
+    if not _header_label(column):
         return False
     _warn_header(path, column[0], f" in column {label_idx}")
     return True
@@ -124,18 +136,15 @@ def _label_lines(path) -> list[str]:
     return labels
 
 
-def _drop_to_count(labels, n):
-    # a lone first label is a header when dropping it leaves n labels
-    return labels[1:] if len(labels) == n + 1 and _lone_first(labels) else labels
-
-
 def read_labels(path, n: int) -> list[str]:
     """The ``n`` labels of a one-label-per-line file, as stripped strings.
 
     A first label that does not occur again is a header exactly when the
     file holds n + 1 labels; any other count but n is a CsvFormatError.
     """
-    labels = _drop_to_count(_label_lines(path), n)
+    labels = _label_lines(path)
+    if _header_label(labels, n):
+        labels = labels[1:]
     if len(labels) != n:
         raise CsvFormatError(f"{path}: {len(labels)} labels for {n} data rows")
     return labels
@@ -145,16 +154,18 @@ def read_label_pair(path_a, path_b) -> tuple[list[str], list[str]]:
     """The labels of two one-label-per-line files that must be of one length.
 
     A first label that does not occur again is a header when dropping it
-    makes the lengths agree.  When they agree already and both files start
-    with such a label, both are headers if each is the odd one out, its file
-    having some other label that recurs, and both are dropped with a
-    warning; otherwise every line is a sample.
+    makes the lengths agree.  When they agree already, the first labels are
+    dropped, with a warning, only when both are headers by
+    ``_header_label`` with no count: neither occurs again, and in each file
+    some other label does.  Otherwise every line is a sample.
     """
     a, b = _label_lines(path_a), _label_lines(path_b)
     if len(a) != len(b):
-        a = _drop_to_count(a, len(b))
-        b = _drop_to_count(b, len(a))
-    elif all(_lone_first(c) and len(set(c[1:])) < len(c) - 1 for c in (a, b)):
+        if _header_label(a, len(b)):
+            a = a[1:]
+        if _header_label(b, len(a)):
+            b = b[1:]
+    elif _header_label(a) and _header_label(b):
         _warn_header(path_a, a[0])
         _warn_header(path_b, b[0])
         a, b = a[1:], b[1:]
@@ -177,9 +188,11 @@ def load_csv(
 
     The first row is a header when the label column is given by name, when
     a cell outside the label column is not a number, or when the label
-    column is given by index and its first-row cell does not appear again
-    in that column; that last case warns, since it cannot tell a header from
-    a first sample whose class occurs once.  Otherwise it is data.
+    column is given by index and its first-row cell is a usual column name
+    (``label``, ``class``, ...) or a header by the label files' rule with
+    no count: it does not appear again in that column, and some other label
+    does.  That last case warns, since it cannot tell a header from a
+    first sample whose class occurs once.  Otherwise it is data.
 
     Raises EmptyCsv, RaggedRow or NonNumericCell with one-based line
     numbers on malformed input.

@@ -29,17 +29,18 @@ collapse.  L-BFGS-B minimizes -Qp * 2/n_eff: -Qp's curvature in u is about
 n_eff/2 (in the diagonal term log psi_i + S_ii/psi_i it is exactly n_eff/2
 at psi_i = S_ii), and L-BFGS-B takes its first step as if the Hessian were
 the identity: on the unscaled objective that step would overshoot by a
-factor of about n_eff/2 and be backtracked.  Eigenpairs come from the
-shared linops solver.  A scatter of no more weighted rows than the
-iterative basis width min(p, 2q + 10), as in typical n << p fits, is
-solved exactly on its small Gram matrix: one GEMM and one small eigh per
-evaluation.  The iterative solvers take each evaluation's previous Ritz
-vectors as a warm start, so that successive solves during a line search
-start near their answer.  A psi bit-identical to the previous one is not
-solved again, so the start, which optimize_psi and L-BFGS-B both
-evaluate, costs one solve, and recover_loadings at the last iterate costs
-none.  A start whose projected gradient is already within L-BFGS-B's
-tolerance is returned without running the solver.
+factor of about n_eff/2 and be backtracked.  Eigenpairs of G come from the
+shared linops solver, handed S with the whitening psi^{-1/2} as its
+``scale``.  A scatter of no more weighted rows than the iterative basis
+width min(p, 2q + 10), as in typical n << p fits, is solved exactly on its
+small Gram matrix: one GEMM and one small eigh per evaluation.  The
+iterative solvers take each evaluation's previous Ritz vectors as a warm
+start, so that successive solves during a line search start near their
+answer.  A psi bit-identical to the previous one is not solved again, so
+the start, which optimize_psi and L-BFGS-B both evaluate, costs one solve,
+and recover_loadings at the last iterate costs none.  A start whose
+projected gradient is already within L-BFGS-B's tolerance is returned
+without running the solver.
 """
 
 from __future__ import annotations
@@ -65,12 +66,12 @@ class ProfileObjective:
     Holds the scatter operator, its diagonal, the effective sample mass
     n_eff (the component's responsibility sum), the factor count q, and the
     previous solve's eigenvectors, which warm-start the next one.  Every
-    eigensolve goes through linops.top_eigenpairs on the whitened operator
-    ScaledCovOperator(scov, psi^{-1/2}), which picks the solver (dense at
-    p <= linops.DENSE_THRESHOLD).  The last solve is kept with its psi, so
-    asking again at a bit-identical psi returns it without solving.  The
-    vectors come back with no sign convention; recover_loadings fixes the
-    signs of the loadings it hands out.
+    eigensolve is linops.top_eigenpairs on the scatter with
+    scale = psi^{-1/2}, which whitens it inside the solve and picks the
+    solver (dense at p <= linops.DENSE_THRESHOLD).  The last solve is kept
+    with its psi, so asking again at a bit-identical psi returns it without
+    solving.  The vectors come back with no sign convention;
+    recover_loadings fixes the signs of the loadings it hands out.
     """
 
     def __init__(
@@ -95,9 +96,7 @@ class ProfileObjective:
         if key == self._last[0]:
             return self._last[1]
         pairs = linops.top_eigenpairs(
-            linops.ScaledCovOperator(self.scov, 1.0 / np.sqrt(psi)),
-            self.q,
-            v0=self.warm_vectors,
+            self.scov, self.q, scale=1.0 / np.sqrt(psi), v0=self.warm_vectors
         )
         self.warm_vectors = pairs.vectors
         self._last = (key, pairs)

@@ -300,6 +300,32 @@ def test_eval_unknown_positive_class_is_a_usage_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "truth_rows, pred_rows",
+    [(["B", "M", "X", "B", "M", "X"], [0, 1, 1, 0, 1, 0]),
+     (["B", "M", "B", "M", "B", "M"], [0, 1, 2, 0, 1, 2])],
+    ids=["three-classes", "three-clusters"],
+)
+def test_eval_positive_class_without_confusion_metrics_is_a_usage_error(
+        tmp_path, capsys, truth_rows, pred_rows):
+    # a positive class only means something for the binary confusion
+    # metrics; asked for where there are none, it is refused, not ignored
+    truth = tmp_path / "truth.csv"
+    pred = tmp_path / "pred.csv"
+    _write_lines(truth, truth_rows)
+    _write_lines(pred, pred_rows)
+    out = tmp_path / "e"
+    rc = main(["eval", "--pred", str(pred), "--truth", str(truth),
+               "--positive-class", "M", "--out-dir", str(out)])
+    assert rc == 2
+    assert "--positive-class" in capsys.readouterr().err
+    assert not (out / "metrics.json").exists()
+    # without the flag the same files score the ARI alone
+    assert main(["eval", "--pred", str(pred), "--truth", str(truth),
+                 "--out-dir", str(out)]) == 0
+    assert list(_read_json(out / "metrics.json")) == ["ari"]
+
+
 def test_eval_length_mismatch_exits_2(tmp_path):
     truth = tmp_path / "truth.csv"
     pred = tmp_path / "pred.csv"
@@ -542,6 +568,22 @@ def test_report_blanks_small_loadings(tmp_path):
     assert table[0] == ["F1", "F2"]
     assert table[1] == ["0.5000", ""]
     assert table[2] == ["-0.3000", ""]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"ari": 1.0}', "[1, 2]", '{"model": "x"}', '{"model": {"loadings": 5}}',
+     '{"model": {"loadings": [[[1], [2, 3]]]}}', "not json"],
+    ids=["metrics-json", "list", "model-not-an-object", "loadings-not-a-list",
+         "ragged-loadings", "not-json"],
+)
+def test_report_on_a_json_that_is_not_a_fit_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "metrics.json"
+    path.write_text(text)
+    rc = main(["report", "--fit", str(path), "--out-dir", str(tmp_path / "rep")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "fit.json" in err
 
 
 def test_bench_smoke(tmp_path, capsys):

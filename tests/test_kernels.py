@@ -2,7 +2,7 @@ import numpy as np
 
 import gmmfad
 from gmmfad import _kernels, linops
-from gmmfad.linops import ScaledCovOperator, WeightedCovOperator
+from gmmfad.linops import WeightedCovOperator
 
 from .helpers import dense_weighted_cov
 
@@ -26,7 +26,7 @@ def test_operator_matvec_matches_dense_loop_oracle(rng):
 
 
 def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
-    # the kernel is the unscaled product; ScaledCovOperator applies the scale
+    # the kernel is the unscaled product; linops._product applies the scale
     for y, w, center, _ in _instances(rng):
         p = y.shape[1]
         block = rng.standard_normal((p, 4))
@@ -34,10 +34,10 @@ def test_wcov_matmat_equals_stacked_scaled_matvecs(rng):
         dense = dense_weighted_cov(y, w, center)
         got = _kernels.wcov_matmat(y, w, center, block, w.sum())
         np.testing.assert_allclose(got, dense @ block, rtol=1e-10, atol=1e-12)
-        op = ScaledCovOperator(WeightedCovOperator(y, w), scale)
+        op = WeightedCovOperator(y, w)
         want = np.column_stack([scale * (dense @ (scale * v)) for v in block.T])
-        np.testing.assert_allclose(op.matmat(block), want, rtol=1e-10,
-                                   atol=1e-12)
+        np.testing.assert_allclose(linops._product(op, scale, block), want,
+                                   rtol=1e-10, atol=1e-12)
 
 
 def test_wcov_gram_factors_the_scaled_scatter(rng):

@@ -11,7 +11,6 @@ from gmmfad.linops import (
     EigPairs,
     InvalidRank,
     NoConvergence,
-    ScaledCovOperator,
     WeightedCovOperator,
     forbid_dense_above,
     top_eigenpairs,
@@ -111,12 +110,13 @@ def test_products_run_exactly_over_the_weighted_rows(n, n_zero):
     np.testing.assert_allclose(full.matvec(v), kept.matvec(v), rtol=0, atol=1e-12)
     block = rng.standard_normal((p, 6))
     scale = rng.uniform(0.5, 2.0, p)
-    for a, b in ((full, kept),
-                 (ScaledCovOperator(full, scale), ScaledCovOperator(kept, scale))):
-        np.testing.assert_allclose(a.matmat(block), b.matmat(block),
+    for s in (None, scale):
+        d = np.ones(p) if s is None else s
+        np.testing.assert_allclose(linops._product(full, d, block),
+                                   linops._product(kept, d, block),
                                    rtol=0, atol=1e-12)
-        pa = top_eigenpairs(a, 3, dense_threshold=0)
-        pb = top_eigenpairs(b, 3, dense_threshold=0)
+        pa = top_eigenpairs(full, 3, scale=s, dense_threshold=0)
+        pb = top_eigenpairs(kept, 3, scale=s, dense_threshold=0)
         np.testing.assert_allclose(pa.values, pb.values, rtol=0, atol=1e-12)
         signs = np.sign(np.sum(pa.vectors * pb.vectors, axis=0))
         np.testing.assert_allclose(pa.vectors, pb.vectors * signs, rtol=0, atol=1e-12)
@@ -141,16 +141,22 @@ def test_the_operator_keeps_only_its_weighted_rows(rng):
     assert WeightedCovOperator(small, w)._y is small
 
 
+def _whitened(op, scale):
+    # the dense reference of a solve given ``scale``: D A D, D = diag(scale)
+    return scale[:, None] * op.to_dense() * scale[None, :]
+
+
 def _protocol_operators(rng, p=12):
+    # (operator, scale of the solve): None solves the operator itself
     y, w = _with_zero_weights(rng, 30, p, 10)
     scatter = WeightedCovOperator(y, w)
     dense = DenseSymOperator(matrix=random_spd(p, rng))
     scale = rng.uniform(0.5, 2.0, p)
     return {
-        "weighted": scatter,
-        "scaled_weighted": ScaledCovOperator(scatter, scale),
-        "dense": dense,
-        "scaled_dense": ScaledCovOperator(dense, scale),
+        "weighted": (scatter, None),
+        "scaled_weighted": (scatter, scale),
+        "dense": (dense, None),
+        "scaled_dense": (dense, scale),
     }
 
 
@@ -158,15 +164,24 @@ def _protocol_operators(rng, p=12):
     "kind", ["weighted", "scaled_weighted", "dense", "scaled_dense"]
 )
 def test_every_operator_answers_matmat_and_a_guarded_to_dense(kind):
+    # the solve's product D A D block agrees with its dense reference, and
+    # the dense route of the solve, scaled or not, is guard-checked
     rng = make_rng(17)
-    op = _protocol_operators(rng)[kind]
+    op, scale = _protocol_operators(rng)[kind]
     assert op.p == 12
     block = rng.standard_normal((12, 5))
-    np.testing.assert_allclose(op.matmat(block), op.to_dense() @ block,
-                               rtol=1e-12, atol=1e-12)
+    if scale is None:
+        np.testing.assert_allclose(op.matmat(block), op.to_dense() @ block,
+                                   rtol=1e-12, atol=1e-12)
+    else:
+        np.testing.assert_allclose(linops._product(op, scale, block),
+                                   _whitened(op, scale) @ block,
+                                   rtol=1e-12, atol=1e-12)
     with forbid_dense_above(11):
         with pytest.raises(DenseAllocationError):
             op.to_dense()
+        with pytest.raises(DenseAllocationError):
+            top_eigenpairs(op, 3, scale=scale)
 
 
 def test_degenerate_weights_raise(rng):
@@ -184,20 +199,38 @@ def test_dimension_mismatch_rejected(rng):
         op.matvec(np.zeros(5))
 
 
-# --------------------------------------------------------- ScaledCovOperator
+# ------------------------------------------------------------ the solve's scale
 
 
 def test_scaled_operator_whitens(rng):
+    # scale = psi^{-1/2} solves Psi^{-1/2} S Psi^{-1/2}, on the dense route
+    # and on the block solver's product
     y = rng.standard_normal((40, 9))
     w = rng.uniform(0.1, 1.0, 40)
     base = WeightedCovOperator(y, w)
     psi = rng.uniform(0.2, 0.8, 9)
-    scaled = ScaledCovOperator(base, 1.0 / np.sqrt(psi))
+    scale = 1.0 / np.sqrt(psi)
     sig = dense_weighted_cov(y, w, base.center)
     dense_g = sig / np.sqrt(np.outer(psi, psi))
     v = rng.standard_normal(9)
-    np.testing.assert_allclose(scaled.matmat(v[:, None])[:, 0], dense_g @ v,
-                               atol=1e-10)
+    np.testing.assert_allclose(linops._product(base, scale, v[:, None])[:, 0],
+                               dense_g @ v, atol=1e-10)
+    want = np.linalg.eigvalsh(dense_g)[::-1][:4]
+    for threshold in (None, 0):
+        pairs = top_eigenpairs(base, 4, scale=scale, dense_threshold=threshold,
+                               tol=1e-10)
+        np.testing.assert_allclose(pairs.values, want, rtol=1e-9)
+
+
+def test_scale_of_the_wrong_length_rejected(rng):
+    scatter = WeightedCovOperator(rng.standard_normal((40, 90)), np.ones(40))
+    dense = DenseSymOperator(matrix=random_spd(9, rng))
+    for op in (scatter, dense):
+        for bad in (np.ones(op.p - 1), np.ones(op.p + 1), np.ones((op.p, 1)),
+                    2.0):
+            for threshold in (None, 0):
+                with pytest.raises(ValueError, match="scale"):
+                    top_eigenpairs(op, 3, scale=bad, dense_threshold=threshold)
 
 
 def test_scaled_eigenvalues_invariant_to_row_order(rng):
@@ -207,9 +240,9 @@ def test_scaled_eigenvalues_invariant_to_row_order(rng):
     perm = rng.permutation(30)
 
     def eigs(yy, ww):
-        base = WeightedCovOperator(yy, ww)
-        op = ScaledCovOperator(base, 1.0 / np.sqrt(psi))
-        return top_eigenpairs(op, 4, dense_threshold=0, tol=1e-10).values
+        return top_eigenpairs(WeightedCovOperator(yy, ww), 4,
+                              scale=1.0 / np.sqrt(psi), dense_threshold=0,
+                              tol=1e-10).values
 
     np.testing.assert_allclose(eigs(y, w), eigs(y[perm], w[perm]), rtol=1e-8)
 
@@ -254,10 +287,11 @@ def test_weighted_cov_eigs_match_dense_assembly_p150(rng):
     q = 4
     for n, p in ((70, 150), (300, 150)):
         op = _scatter(rng, n, p)
-        scaled = ScaledCovOperator(op, rng.uniform(0.5, 2.0, p))
-        for which in (op, scaled):
-            pairs = top_eigenpairs(which, q, dense_threshold=0, tol=1e-10)
-            dense_vals, dense_vecs = np.linalg.eigh(which.to_dense())
+        scale = rng.uniform(0.5, 2.0, p)
+        for s in (None, scale):
+            pairs = top_eigenpairs(op, q, scale=s, dense_threshold=0, tol=1e-10)
+            dense_vals, dense_vecs = np.linalg.eigh(
+                op.to_dense() if s is None else _whitened(op, s))
             np.testing.assert_allclose(pairs.values, dense_vals[::-1][:q],
                                        atol=1e-6)
             assert subspace_angle(pairs.vectors, dense_vecs[:, ::-1][:, :q]) < 1e-6
@@ -316,10 +350,10 @@ def test_overspecified_rank_small_gap_meets_residual_bound(rng):
     # q = 7 over data with 3 planted factors: the pairs past the third sit
     # in the noise bulk, where neighbouring eigenvalues nearly coincide
     n, p, q, tol = 500, 120, 7, 1e-8
-    op = ScaledCovOperator(_scatter(rng, n, p, factors=3),
-                           rng.uniform(0.5, 2.0, p))
-    a = op.to_dense()
-    pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol)
+    op = _scatter(rng, n, p, factors=3)
+    scale = rng.uniform(0.5, 2.0, p)
+    a = _whitened(op, scale)
+    pairs = top_eigenpairs(op, q, scale=scale, dense_threshold=0, tol=tol)
     v = pairs.vectors
     assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-8
     assert np.all(np.diff(pairs.values) <= 0)
@@ -337,8 +371,9 @@ def test_warm_blocks_need_not_be_orthonormal(rng, n):
     # and from columns scaled like whitened loadings, 1e-3 to 1e3, with one
     # zero column
     p, q, tol = 150, 4, 1e-8
-    op = ScaledCovOperator(_scatter(rng, n, p), rng.uniform(0.5, 2.0, p))
-    a = op.to_dense()
+    op = _scatter(rng, n, p)
+    scale = rng.uniform(0.5, 2.0, p)
+    a = _whitened(op, scale)
     want = np.linalg.eigvalsh(a)[::-1][:q]
     cols = rng.standard_normal((p, q))
     zero_column = cols.copy()
@@ -346,7 +381,8 @@ def test_warm_blocks_need_not_be_orthonormal(rng, n):
     scaled = cols * np.logspace(-3, 3, q)
     scaled[:, 2] = 0.0
     for warm in (cols[:, [0, 1, 1, 2]], zero_column, np.zeros((p, q)), scaled):
-        pairs = top_eigenpairs(op, q, dense_threshold=0, tol=tol, v0=warm)
+        pairs = top_eigenpairs(op, q, scale=scale, dense_threshold=0, tol=tol,
+                               v0=warm)
         v = pairs.vectors
         np.testing.assert_allclose(pairs.values, want, rtol=0, atol=1e-8)
         assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-8
@@ -384,12 +420,10 @@ def test_gram_solve_completes_the_null_space_orthonormally(rng):
     # solve must neither divide by nor report
     p, q = 120, 3
     points = rng.standard_normal((2, p))
-    op = ScaledCovOperator(
-        WeightedCovOperator(points[[0, 1, 0, 1, 0, 1]], rng.uniform(0.2, 1.0, 6)),
-        rng.uniform(0.5, 2.0, p),
-    )
-    a = op.to_dense()
-    pairs = top_eigenpairs(op, q, dense_threshold=0)
+    op = WeightedCovOperator(points[[0, 1, 0, 1, 0, 1]], rng.uniform(0.2, 1.0, 6))
+    scale = rng.uniform(0.5, 2.0, p)
+    a = _whitened(op, scale)
+    pairs = top_eigenpairs(op, q, scale=scale, dense_threshold=0)
     v = pairs.vectors
     assert np.all(np.isfinite(v)) and np.all(np.isfinite(pairs.values))
     assert np.max(np.abs(v.T @ v - np.eye(q))) <= 1e-10
@@ -397,7 +431,7 @@ def test_gram_solve_completes_the_null_space_orthonormally(rng):
     np.testing.assert_allclose(pairs.values, want, rtol=0, atol=1e-10 * want[0])
     res = np.linalg.norm(a @ v - v * pairs.values, axis=0)
     assert np.all(res <= 1e-10 * want[0])
-    again = top_eigenpairs(op, q, dense_threshold=0)
+    again = top_eigenpairs(op, q, scale=scale, dense_threshold=0)
     np.testing.assert_array_equal(pairs.values, again.values)
     np.testing.assert_array_equal(pairs.vectors, again.vectors)
 
@@ -425,8 +459,8 @@ def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
     counted(linops, "_block_eigpairs")
     # 16 rows at q = 3 fill the 16-column basis exactly: the Gram solve
     top_eigenpairs(_scatter(rng, 16, 120), 3, dense_threshold=0)
-    top_eigenpairs(ScaledCovOperator(_scatter(rng, 16, 120), np.full(120, 2.0)),
-                   3, dense_threshold=0)
+    top_eigenpairs(_scatter(rng, 16, 120), 3, scale=np.full(120, 2.0),
+                   dense_threshold=0)
     assert calls == {"lanczos_grow": 0, "wcov_matmat": 0, "_block_eigpairs": 0,
                      "wcov_gram": 2}
     calls.update(wcov_gram=0)

@@ -43,8 +43,10 @@ def test_header_row_skipped(tmp_path):
         ("1,2,M\n3,4,M\n5,6,B\n", "M", [[3, 4], [5, 6]], {"M": 0, "B": 1}),
         # a feature cell that is not a number, even over a recurring label
         ("x,1,M\n3,4,M\n5,6,B\n", 2, [[3, 4], [5, 6]], {"M": 0, "B": 1}),
-        # numeric feature names over a label name that never recurs
-        ("1,2,cls\n3,4,M\n5,6,B\n", 2, [[3, 4], [5, 6]], {"M": 0, "B": 1}),
+        # a first label that never recurs, over a column where no other
+        # label recurs either: no class is the odd one out, so it is data
+        ("1,2,cls\n3,4,M\n5,6,B\n", 2, [[1, 2], [3, 4], [5, 6]],
+         {"cls": 0, "M": 1, "B": 2}),
         # a text label that recurs: the first row is data
         ("1,2,M\n3,4,B\n5,6,M\n", 2, [[1, 2], [3, 4], [5, 6]],
          {"M": 0, "B": 1}),
@@ -75,8 +77,25 @@ def test_header_read_from_a_unique_label_warns(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, labels",
+    [("1,2,A\n3,4,B\n5,6,C\n", ["A", "B", "C"]), ("1,2,A\n3,4,B\n", ["A", "B"])],
+)
+def test_a_column_where_no_label_recurs_is_all_data(tmp_path, text, labels):
+    # a lone first label is a header only as the odd one out of a column
+    # whose other labels recur; here every row is a sample
+    f = tmp_path / "m.csv"
+    f.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data, mapping = load_csv(f, label_column=2, return_mapping=True)
+    assert data.n == len(labels)
+    assert list(mapping) == labels
+
+
+@pytest.mark.parametrize(
     "text, label_column",
-    [("x,1,M\n3,4,M\n5,6,B\n", 2), ("1,2,M\n3,4,M\n5,6,B\n", "M")],
+    [("x,1,M\n3,4,M\n5,6,B\n", 2), ("1,2,M\n3,4,M\n5,6,B\n", "M"),
+     ("1,2,label\n3,4,M\n5,6,M\n", 2), ("1,2,Truth\n3,4,M\n5,6,B\n", 2)],
 )
 def test_header_from_a_text_cell_or_a_label_name_does_not_warn(
         tmp_path, text, label_column):
