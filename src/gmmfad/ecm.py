@@ -46,8 +46,12 @@ objective (see profileopt), recovering loadings in closed form afterwards.
 Nothing in that path assembles a p x p matrix, so it scales to p far beyond
 n.  Per CM step and component the work is one pass over the data after the
 weighted mean (the centred squares, or at p <= linops.DENSE_THRESHOLD the
-dense scatter whose diagonal they are) plus a handful of operator-vector
-products inside the eigensolver.
+dense scatter whose diagonal they are) plus one eigensolve per profile
+evaluation (linops.top_eigenpairs).  At p <= DENSE_THRESHOLD a solve is one
+``eigh`` of the whitened dense scatter; above it, a scatter of at most
+2q + 10 weighted rows takes one small Gram GEMM and one small ``eigh``, one
+of at most p / 2 rows a Lanczos, and any other a few block products (357
+for 86 solves on perfbench's mid_np at feature seed 5).
 
 The baseline engine is the standard two-cycle AECM for factor-analyzer
 mixtures (Ghahramani & Hinton 1996; McLachlan & Peel 2000, ch. 8): cycle one
@@ -590,12 +594,7 @@ def _kmeans_labels(y, K, rng, mean, var):
             d2 *= -2.0
             d2 += (np.einsum("ij,ij->i", centers, centers)
                    + 2.0 * (scaled @ mean))[:, None]
-            # the first nearest centre, a row of d2 at a time
-            new_labels = np.zeros(n, dtype=np.intp)
-            nearest = d2[0].copy()
-            for k in range(1, K):
-                new_labels[d2[k] < nearest] = k
-                np.minimum(nearest, d2[k], out=nearest)
+            new_labels = d2.argmin(axis=0)
             if labels is not None and np.array_equal(new_labels, labels):
                 break
             labels = new_labels
@@ -611,7 +610,7 @@ def _kmeans_labels(y, K, rng, mean, var):
             centers[filled] = sums
         # restarts that reach one partition under permuted labels differ
         # in inertia by rounding only, and the first of them is kept
-        inertia = norm_sum + float(nearest.sum())
+        inertia = norm_sum + float(d2.min(axis=0).sum())
         if inertia < (1.0 - _INERTIA_TIE) * best_inertia:
             best_inertia, best_labels = inertia, labels
     return best_labels

@@ -201,18 +201,6 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     return np.clip(np.exp(best["u"]), PSI_MIN, PSI_MAX)
 
 
-def _canonical_signs(columns: np.ndarray) -> np.ndarray:
-    # make the largest-magnitude coordinate of each column non-negative
-    if columns.size == 0:
-        return columns
-    idx = np.argmax(np.abs(columns), axis=0)
-    flip = columns[idx, np.arange(columns.shape[1])] < 0
-    if np.any(flip):
-        columns = columns.copy()
-        columns[:, flip] *= -1.0
-    return columns
-
-
 def recover_loadings(obj: ProfileObjective, psi_hat: np.ndarray) -> np.ndarray:
     """Closed-form loadings at the fitted uniquenesses.
 
@@ -228,4 +216,6 @@ def recover_loadings(obj: ProfileObjective, psi_hat: np.ndarray) -> np.ndarray:
     pairs = obj.eigenpairs(psi_hat)
     delta = np.sqrt(np.maximum(pairs.values - 1.0, 0.0))
     lam = np.sqrt(psi_hat)[:, None] * pairs.vectors * delta[None, :]
-    return _canonical_signs(lam)
+    peak = lam[np.argmax(np.abs(lam), axis=0), np.arange(obj.q)]
+    lam *= np.where(peak < 0, -1.0, 1.0)
+    return lam

@@ -22,8 +22,6 @@ import numpy as np
 
 from .ecm import e_step
 from .model import (
-    PSI_MAX,
-    PSI_MIN,
     ComponentParams,
     DataMatrix,
     MixtureModel,
@@ -86,7 +84,7 @@ def draw_truth(spec: SimSpec) -> MixtureModel:
                 weight=float(weights[k]),
                 mean=mean,
                 loadings=lam,
-                uniquenesses=np.clip(psi, PSI_MIN, PSI_MAX),
+                uniquenesses=psi,
             )
         )
     return MixtureModel(components=tuple(comps))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import ndtri
+from scipy.stats import rankdata
 
 from gmmfad.model import DataMatrix
 from gmmfad.preprocess import (
@@ -203,6 +204,19 @@ def test_gdt_constant_feature_warns_and_zeroes():
         out = gaussian_distributional_transform(data)
     np.testing.assert_array_equal(out.values[:, 0], np.zeros(5))
     assert np.all(np.isfinite(out.values))
+
+
+def test_gdt_of_many_columns_matches_a_rank_per_column(rng):
+    y = np.round(rng.standard_normal((40, 6)), 1)  # rounding makes ties
+    y[:, 0] = -2.5
+    y[:, 3] = 7.0
+    with pytest.warns(RuntimeWarning, match=r"columns \[0, 3\]"):
+        out = gaussian_distributional_transform(DataMatrix(values=y))
+    want = np.empty_like(y)
+    for j in range(y.shape[1]):
+        want[:, j] = ndtri((rankdata(y[:, j], method="average") - 0.5) / 40)
+    assert feature_tie_counts(DataMatrix(values=y))[[1, 2, 4, 5]].min() > 0
+    np.testing.assert_array_equal(out.values, want)
 
 
 def test_gdt_never_produces_infinities(rng):
