@@ -14,8 +14,9 @@ pass:
   interpreter overhead off the hot path).  The Gram solve could take this
   range too; the Lanczos stays while the benchmark's self-tests
   (``perfbench/test_layers.py``) require this kernel to run;
-* the unscaled weighted-covariance product with a p x b block (two GEMMs
-  over the data; ``linops._product`` applies the solve's whitening scale
+* the unscaled weighted-covariance product with a p x b block (one pass
+  of row blocks, each read by its two GEMMs while in cache, with no n x b
+  temporary; ``linops._product`` applies the solve's whitening scale
   on both sides), which the block eigensolver applies once
   per iteration to scatters of more than p/2 rows and the Lanczos uses to
   image its start block (a single product is its one-column case);
@@ -27,8 +28,9 @@ pass:
 Everything BLAS-shaped beyond them (densities, dense scatters,
 eigendecompositions) lives with its callers.
 
-Every pass of a fit that would otherwise hold an n x p temporary (the
-moment pass here, the densities, the dense scatter) walks the data in
+Every pass of a fit that would otherwise hold an n x p or n x b temporary
+(the moment pass and the block product here, the densities, the dense
+scatter) walks the data in
 ``row_blocks``: runs of rows of about
 BLOCK_BYTES, so that each temporary is a block that stays in cache, and
 when the whole sample fits in one block the pass is a single slice.
@@ -59,13 +61,21 @@ def row_blocks(y):
 
 def wcov_matmat(y, w, center, V, weight_sum):
     # S V for a p x b block, S the weighted scatter
-    # sum_i w_i (y_i - c)(y_i - c)^T / weight_sum; no n x p temporary.
+    # sum_i w_i (y_i - c)(y_i - c)^T / weight_sum, in one pass of row
+    # blocks: each block's two GEMMs, C = w_b (y_b - c) V and y_b^T C, read
+    # it while it is in cache, and no n x p or n x b temporary is held.
     # Whitening is the caller's (linops._product)
-    c = y @ V
-    c -= center @ V
-    c *= w[:, None]
-    r = y.T @ c
-    r -= np.outer(center, c.sum(axis=0))
+    cv = center @ V
+    r = np.zeros((y.shape[1], V.shape[1]))
+    c_sum = np.zeros(V.shape[1])
+    for rows in row_blocks(y):
+        yb = y[rows]
+        c = yb @ V
+        c -= cv
+        c *= w[rows, None]
+        r += yb.T @ c
+        c_sum += c.sum(axis=0)
+    r -= np.outer(center, c_sum)
     r /= weight_sum
     return r
 

@@ -50,7 +50,7 @@ dense scatter whose diagonal they are) plus one eigensolve per profile
 evaluation (linops.top_eigenpairs).  At p <= DENSE_THRESHOLD a solve is one
 ``eigh`` of the whitened dense scatter; above it, a scatter of at most
 2q + 10 weighted rows takes one small Gram GEMM and one small ``eigh``, one
-of at most p / 2 rows a Lanczos, and any other a few block products (357
+of at most p / 2 rows a Lanczos, and any other a few block products (301
 for 86 solves on perfbench's mid_np at feature seed 5).
 
 The baseline engine is the standard two-cycle AECM for factor-analyzer

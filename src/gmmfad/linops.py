@@ -7,11 +7,12 @@ mean mu,
     S v = (1/sum(w)) * sum_i w_i (y_i - mu) <y_i - mu, v>
         = (1/sum(w)) * [ Y^T (w * c) - (sum_i w_i c_i) mu ],   c = Y v - (mu.v) 1,
 
-two GEMV-shaped passes over the data and a rank-one correction, O(np) time
-and O(n + p) extra memory.  A row with w_i = 0 adds exact zeros to every
-product, so a matrix-free scatter operator keeps, from its construction on,
-only the support, the n_s rows of non-zero weight: on separated clusters
-the E-step's exp underflows to exactly zero on many rows.
+two GEMV-shaped products on each block of rows, in one pass over the data,
+and a rank-one correction: O(np) time and O(p) extra memory beyond a block.
+A row with w_i = 0 adds exact zeros to every product, so a matrix-free
+scatter operator keeps, from its construction on, only the support, the
+n_s rows of non-zero weight: on separated clusters the E-step's exp
+underflows to exactly zero on many rows.
 
 Both operators (``WeightedCovOperator`` and ``DenseSymOperator``) answer
 one protocol: the size ``p``, the block product ``matmat(block)`` and a
@@ -44,9 +45,10 @@ by the width m = min(p, 2q + 10) of an iterative solver's basis:
   self-tests (``perfbench/test_layers.py``) require its kernel to run.
 * every other operator: a warm-started block Rayleigh-Ritz subspace
   iteration (Halko, Martinsson & Tropp 2011), one ``matmat`` on the whole
-  p x b block per iteration; for a scatter that is one GEMM-shaped kernel
-  call.  A scatter whose support is between p/2 and p rows solves faster
-  here than on the Lanczos's one product per column.
+  p x b block per iteration; for a scatter that is one kernel call, one
+  pass of GEMMs over row blocks.  A scatter whose support is between p/2
+  and p rows solves faster here than on the Lanczos's one product per
+  column.
 
 The two iterative solvers start from one orthonormalized block
 (``_start_basis``: the warm-start subspace, which the uniqueness solver

@@ -34,13 +34,17 @@ shared linops solver, handed S with the whitening psi^{-1/2} as its
 ``scale``.  A scatter of no more weighted rows than the iterative basis
 width min(p, 2q + 10), as in typical n << p fits, is solved exactly on its
 small Gram matrix: one GEMM and one small eigh per evaluation.  The
-iterative solvers take each evaluation's previous Ritz vectors as a warm
-start, so that successive solves during a line search start near their
-answer.  A psi bit-identical to the previous one is not solved again, so
-the start, which optimize_psi and L-BFGS-B both evaluate, costs one solve,
-and recover_loadings at the last iterate costs none.  A start whose
-projected gradient is already within L-BFGS-B's tolerance is returned
-without running the solver.
+iterative solvers start from the previous evaluation's Ritz vectors
+carried to the new psi, each row scaled by sqrt(psi_prev / psi): the
+loadings they stand for, whitened at the new psi instead of the old, just
+as cm_step builds the first start from the current loadings.  Successive
+solves during a line search thus start near their answer.  The objective
+drops its previous vectors and pair before each solve, so no extra p x q
+array is held during it.  A psi bit-identical to the previous one is not
+solved again, so the start, which optimize_psi and L-BFGS-B both
+evaluate, costs one solve, and recover_loadings at the last iterate costs
+none.  A start whose projected gradient is already within L-BFGS-B's
+tolerance is returned without running the solver.
 """
 
 from __future__ import annotations
@@ -65,12 +69,16 @@ class ProfileObjective:
 
     Holds the scatter operator, its diagonal, the effective sample mass
     n_eff (the component's responsibility sum), the factor count q, and the
-    previous solve's eigenvectors, which warm-start the next one.  Every
-    eigensolve is linops.top_eigenpairs on the scatter with
-    scale = psi^{-1/2}, which whitens it inside the solve and picks the
-    solver (dense at p <= linops.DENSE_THRESHOLD).  The last solve is kept
-    with its psi, so asking again at a bit-identical psi returns it without
-    solving.  The vectors come back with no sign convention;
+    previous solve's eigenvectors with their whitening.  Every eigensolve is
+    linops.top_eigenpairs on the scatter with scale = psi^{-1/2}, which
+    whitens it inside the solve and picks the solver (dense at
+    p <= linops.DENSE_THRESHOLD), warm-started from the previous vectors
+    times sqrt(psi_prev / psi); ``warm_vectors`` given to the constructor
+    start the first solve as they are.  The last solve is kept with its
+    psi, so asking again at a bit-identical psi returns it without
+    solving.  Before each solve the previous vectors and pair are dropped:
+    a solve that raises leaves neither behind, and a pair already returned
+    is never changed.  The vectors come back with no sign convention;
     recover_loadings fixes the signs of the loadings it hands out.
     """
 
@@ -88,6 +96,8 @@ class ProfileObjective:
         self.p = p
         self.scov_diag = np.maximum(np.asarray(scov.diag(), dtype=np.float64), 0.0)
         self.warm_vectors = warm_vectors
+        # the whitening psi^{-1/2} of the warm vectors, when known
+        self._warm_scale = None
         self._last = (None, None)  # (psi bytes, EigPairs) of the last solve
 
     def eigenpairs(self, psi: np.ndarray) -> linops.EigPairs:
@@ -95,10 +105,16 @@ class ProfileObjective:
         key = psi.tobytes()
         if key == self._last[0]:
             return self._last[1]
-        pairs = linops.top_eigenpairs(
-            self.scov, self.q, scale=1.0 / np.sqrt(psi), v0=self.warm_vectors
-        )
-        self.warm_vectors = pairs.vectors
+        scale = 1.0 / np.sqrt(psi)
+        warm = self.warm_vectors
+        if self._warm_scale is not None:
+            # the vectors whitened at the previous psi, carried to this one
+            warm = warm * (scale / self._warm_scale)[:, None]
+        # no previous vectors or pair outlive the solve's start, and none is
+        # left behind if it raises
+        self.warm_vectors, self._warm_scale, self._last = None, None, (None, None)
+        pairs = linops.top_eigenpairs(self.scov, self.q, scale=scale, v0=warm)
+        self.warm_vectors, self._warm_scale = pairs.vectors, scale
         self._last = (key, pairs)
         return pairs
 

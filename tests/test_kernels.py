@@ -4,7 +4,7 @@ import gmmfad
 from gmmfad import _kernels, linops
 from gmmfad.linops import WeightedCovOperator
 
-from .helpers import dense_weighted_cov
+from .helpers import dense_weighted_cov, traced_peak
 
 
 def _instances(rng, cases=((7, 3), (40, 12), (13, 60))):
@@ -75,18 +75,33 @@ def test_row_blocks_cover_the_rows_in_order(monkeypatch):
 
 
 def test_row_passes_agree_across_block_sizes(rng, monkeypatch):
-    y = rng.standard_normal((1000, 9)) + 5.0
-    w = rng.uniform(0.0, 1.0, 1000)
+    # a ragged row count, so the last block is short, and some zero weights
+    y = rng.standard_normal((1003, 9)) + 5.0
+    w = rng.uniform(0.0, 1.0, 1003)
+    w[rng.choice(1003, 50, replace=False)] = 0.0
+    block = rng.standard_normal((9, 4))
 
     def passes():
         mean, m2 = _kernels.weighted_stats(y, w, float(np.sum(w)))
         scatter = linops.dense_scatter(y, w, mean, float(np.sum(w)))
-        return np.concatenate([mean, m2, scatter.ravel()])
+        product = _kernels.wcov_matmat(y, w, mean, block, float(np.sum(w)))
+        return np.concatenate([mean, m2, scatter.ravel(), product.ravel()])
 
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 0)
     blocked = passes()
     monkeypatch.setattr(_kernels, "BLOCK_BYTES", 2**62)
     np.testing.assert_allclose(blocked, passes(), rtol=1e-12)
+
+
+def test_wcov_matmat_holds_no_n_by_b_temporary(rng):
+    # the product walks row blocks: its peak stays below one n x b array
+    n, p, b = 20000, 100, 20
+    y = rng.standard_normal((n, p))
+    w = rng.uniform(0.0, 1.0, n)
+    center = (w @ y) / w.sum()
+    block = rng.standard_normal((p, b))
+    peak = traced_peak(lambda: _kernels.wcov_matmat(y, w, center, block, w.sum()))
+    assert peak < n * b * 8
 
 
 def _grow_once(y, w, center, v, m):

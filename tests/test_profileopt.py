@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult
 
-from gmmfad import linops, profileopt
+from gmmfad import _kernels, linops, profileopt
 from gmmfad.linops import DenseSymOperator, InvalidRank, WeightedCovOperator
 from gmmfad.model import PSI_MAX, PSI_MIN, max_admissible_q
 from gmmfad.profileopt import (
@@ -129,6 +129,53 @@ def test_repeated_psi_is_solved_once(rng, monkeypatch):
     assert lam.shape == (p, q)
     profile_value_and_gradient(obj, log_psi + 0.01)
     assert len(calls) == 2
+
+
+def _moved_psi_instance(rng):
+    # a scatter of 2n > p rows on the block route, a psi and a moved psi
+    n, p, q = 400, 120, 3
+    scov = _planted_scatter(rng, n, p, q)
+    psi1 = rng.uniform(0.3, 2.0, p)
+    return scov, q, psi1, psi1 * rng.uniform(0.5, 2.0, p)
+
+
+def test_warm_start_is_carried_to_the_new_psi(rng, monkeypatch):
+    # the previous vectors times sqrt(psi_prev / psi) are the whitened
+    # loadings at the new psi: a closer start than the vectors as they are
+    scov, q, psi1, psi2 = _moved_psi_instance(rng)
+    obj = ProfileObjective(scov, 100.0, q)
+    first = obj.eigenpairs(psi1)
+    calls = count_calls(monkeypatch, _kernels, "wcov_matmat")
+    pairs = obj.eigenpairs(psi2)
+    carried = len(calls)
+    calls.clear()
+    linops.top_eigenpairs(scov, q, scale=1.0 / np.sqrt(psi2), v0=first.vectors)
+    assert carried < len(calls)
+    d = 1.0 / np.sqrt(psi2)
+    want = np.linalg.eigvalsh(d[:, None] * scov.to_dense() * d)[: -q - 1 : -1]
+    np.testing.assert_allclose(pairs.values, want, rtol=1e-8)
+
+
+def test_a_new_psi_leaves_no_stale_state(rng, monkeypatch):
+    scov, q, psi1, psi2 = _moved_psi_instance(rng)
+    obj = ProfileObjective(scov, 100.0, q)
+    first = obj.eigenpairs(psi1)
+    values, vectors = first.values.copy(), first.vectors.copy()
+    obj.eigenpairs(psi2)
+    # a returned pair is never rescaled in place
+    np.testing.assert_array_equal(first.values, values)
+    np.testing.assert_array_equal(first.vectors, vectors)
+    # a solve that raises leaves neither a cached pair nor a warm start
+    obj = ProfileObjective(scov, 100.0, q)
+    obj.eigenpairs(psi1)
+    monkeypatch.setattr(linops, "MAX_RESTARTS", 1)
+    with pytest.raises(linops.NoConvergence):
+        obj.eigenpairs(psi2)
+    monkeypatch.undo()
+    again = obj.eigenpairs(psi1)
+    fresh = ProfileObjective(scov, 100.0, q).eigenpairs(psi1)
+    np.testing.assert_array_equal(again.values, fresh.values)
+    np.testing.assert_array_equal(again.vectors, fresh.vectors)
 
 
 def test_invalid_rank_rejected(rng):
