@@ -216,7 +216,13 @@ def _prepare_data(args):
     return data, mapping
 
 
+def _check_reps(reps) -> None:
+    if reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {reps}")
+
+
 def cmd_simulate(args):
+    _check_reps(args.reps)
     qspec = _parse_q(args.q)
     for rep in range(args.reps):
         seed = _rep_seed(args.seed, rep)
@@ -338,6 +344,7 @@ def cmd_eval(args):
 
 def run_bench(n, p, k, q, reps, seed, *, threads=1):
     """Paired engine timings on matched synthetic replicates (separation 1.5)."""
+    _check_reps(reps)
     rows = []
     speedups = []
     for rep in range(reps):

@@ -77,7 +77,7 @@ import logging
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -296,10 +296,9 @@ def cm_step(
     for k, cur in enumerate(current.components):
         scov = linops.WeightedCovOperator(y, resp.by_component[k])
         # the whitened loadings Lambda / sqrt(psi) warm-start the eigensolves
-        # as they are: top_eigenpairs orthonormalizes a warm block itself
-        warm = None
-        if qs[k]:
-            warm = cur.loadings / np.sqrt(cur.uniquenesses)[:, None]
+        # as they are: top_eigenpairs orthonormalizes a warm block itself, and
+        # at q = 0 the block is p x 0 and no solve is made
+        warm = cur.loadings / np.sqrt(cur.uniquenesses)[:, None]
         obj = profileopt.ProfileObjective(
             scov, n_eff=masses[k], q=qs[k], warm_vectors=warm
         )
@@ -328,12 +327,7 @@ def _aecm_step(data, resp, current):
     total = math.fsum(masses)
     mid_model = MixtureModel(
         components=tuple(
-            ComponentParams(
-                weight=mass / total,
-                mean=(w @ y) / mass,
-                loadings=comp.loadings,
-                uniquenesses=comp.uniquenesses,
-            )
+            replace(comp, weight=mass / total, mean=(w @ y) / mass)
             for mass, w, comp in zip(masses, resp.by_component, current.components)
         )
     )
@@ -363,14 +357,7 @@ def _aecm_step(data, resp, current):
                 PSI_MIN,
                 PSI_MAX,
             )
-        comps.append(
-            ComponentParams(
-                weight=comp.weight,
-                mean=comp.mean,
-                loadings=lam_new,
-                uniquenesses=psi_new,
-            )
-        )
+        comps.append(replace(comp, loadings=lam_new, uniquenesses=psi_new))
     return MixtureModel(components=tuple(comps))
 
 
@@ -455,9 +442,7 @@ def _extrapolate(x0, r, model: MixtureModel) -> MixtureModel:
         psis = np.clip(np.exp(x[K + K * p:]), PSI_MIN, PSI_MAX).reshape(K, p)
     return MixtureModel(
         components=tuple(
-            ComponentParams(
-                weight=float(w), mean=mean, loadings=comp.loadings, uniquenesses=psi
-            )
+            replace(comp, weight=float(w), mean=mean, uniquenesses=psi)
             for w, mean, psi, comp in zip(weights, means, psis, model.components)
         )
     )
@@ -545,22 +530,28 @@ def _start_rngs(config: FitConfig):
     return [np.random.Generator(np.random.Philox(c)) for c in children]
 
 
-def _random_start(data: DataMatrix, K: int, qs, rng, var) -> MixtureModel:
-    """K random rows as means, tiny random loadings, ``var`` clipped to the
-    uniqueness box as uniquenesses."""
-    y = data.values
-    n, p = y.shape
-    psi = np.clip(var, PSI_MIN, PSI_MAX)
-    idx = rng.choice(n, size=K, replace=False)
-    comps = []
-    for k in range(K):
-        lam = 0.01 * rng.standard_normal((p, qs[k]))
-        comps.append(
+def _start_model(weights, means, variances, qs, rng) -> MixtureModel:
+    """A start: the given weights and means, loadings 0.01 N(0, 1) drawn
+    component after component, and the variances clipped to the uniqueness
+    box as uniquenesses."""
+    return MixtureModel(
+        components=tuple(
             ComponentParams(
-                weight=1.0 / K, mean=y[idx[k]], loadings=lam, uniquenesses=psi
+                weight=w,
+                mean=mean,
+                loadings=0.01 * rng.standard_normal((mean.shape[0], q)),
+                uniquenesses=np.clip(var, PSI_MIN, PSI_MAX),
             )
+            for w, mean, var, q in zip(weights, means, variances, qs)
         )
-    return MixtureModel(components=tuple(comps))
+    )
+
+
+def _random_start(data: DataMatrix, K: int, qs, rng, var) -> MixtureModel:
+    """K random rows as means, weight 1/K and the sample variances."""
+    y = data.values
+    idx = rng.choice(data.n, size=K, replace=False)
+    return _start_model([1.0 / K] * K, [y[i] for i in idx], [var] * K, qs, rng)
 
 
 def _kmeans_labels(y, K, rng, mean, var):
@@ -616,36 +607,21 @@ def _kmeans_labels(y, K, rng, mean, var):
     return best_labels
 
 
-def _start_from_labels(data, labels, K, qs, rng):
+def _kmeans_start(data, K, qs, rng, mean, var):
+    """The k-means start; EmptyCluster when a cluster has fewer than two rows."""
     y = data.values
-    n, p = y.shape
+    labels = _kmeans_labels(y, K, rng, mean, var)
     counts = np.bincount(labels, minlength=K)
     for k in range(K):
         if counts[k] < 2:
             raise EmptyCluster(k, float(counts[k]), 2.0)
-    comps = []
-    for k in range(K):
-        # the cluster's mean and variance from the moment pass on 0/1
-        # weights, with no copy of its rows
-        mean, var = _kernels.weighted_stats(
-            y, (labels == k).astype(np.float64), float(counts[k])
-        )
-        lam = 0.01 * rng.standard_normal((p, qs[k]))
-        comps.append(
-            ComponentParams(
-                weight=counts[k] / n,
-                mean=mean,
-                loadings=lam,
-                uniquenesses=np.clip(var, PSI_MIN, PSI_MAX),
-            )
-        )
-    return MixtureModel(components=tuple(comps))
-
-
-def _kmeans_start(data, K, qs, rng, mean, var):
-    """The k-means start; EmptyCluster when a cluster has fewer than two rows."""
-    labels = _kmeans_labels(data.values, K, rng, mean, var)
-    return _start_from_labels(data, labels, K, qs, rng)
+    # each cluster's mean and variance from the moment pass on 0/1 weights,
+    # with no copy of its rows
+    means, variances = zip(*(
+        _kernels.weighted_stats(y, (labels == k).astype(np.float64), float(counts[k]))
+        for k in range(K)
+    ))
+    return _start_model(counts / data.n, means, variances, qs, rng)
 
 
 _START_FAILURES = (EmptyCluster, linops.DegenerateWeights, linops.NoConvergence)

@@ -251,11 +251,13 @@ def load_csv(
 
 def feature_tie_counts(data: DataMatrix) -> np.ndarray:
     """Per feature: number of rows sharing a value with another row."""
-    counts = np.empty(data.p, dtype=np.int64)
-    for j in range(data.p):
-        _, occ = np.unique(data.values[:, j], return_counts=True)
-        counts[j] = int(np.sum(occ[occ > 1]))
-    return counts
+    # one sort of every column; a row is tied when a sorted neighbour equals it
+    y = np.sort(data.values, axis=0)
+    same = y[1:] == y[:-1]
+    tied = np.zeros(y.shape, dtype=bool)
+    tied[1:] |= same
+    tied[:-1] |= same
+    return tied.sum(axis=0, dtype=np.int64)
 
 
 def gaussian_distributional_transform(data: DataMatrix) -> DataMatrix:

@@ -26,7 +26,6 @@ import numpy as np
 
 from .ecm import FIT_FAILURES, AllStartsFailed, FitConfig, fit
 from .model import (
-    ComponentParams,
     DataMatrix,
     FitReport,
     MixtureModel,
@@ -182,12 +181,7 @@ def _adapt_factor_dim(model: MixtureModel, k: int, new_q: int) -> MixtureModel:
         lam = lam[:, :new_q]
     elif new_q > comp.n_factors:
         lam = np.hstack([lam, np.zeros((comp.p, new_q - comp.n_factors))])
-    comps[k] = ComponentParams(
-        weight=comp.weight,
-        mean=comp.mean,
-        loadings=lam,
-        uniquenesses=comp.uniquenesses,
-    )
+    comps[k] = replace(comp, loadings=lam)
     return MixtureModel(components=tuple(comps))
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gmmfad import selection
-from gmmfad.cli import main
+from gmmfad.cli import main, run_bench
 from gmmfad.metrics import confusion_metrics
 from gmmfad.selection import BIC_TABLE_COLUMNS
 
@@ -217,11 +217,12 @@ def test_fit_numeric_header_with_label_column_by_index(tmp_path, monkeypatch):
 
     monkeypatch.setattr("builtins.open", counting_open)
     out = tmp_path / "fit"
-    rc = main(
-        ["fit", "--data", str(path), "--label-col", "6",
-         "--k", "2", "--q", "1", "--seed", "1", "--out-dir", str(out)]
-        + _FAST_FIT
-    )
+    with pytest.warns(UserWarning, match="read as a header"):
+        rc = main(
+            ["fit", "--data", str(path), "--label-col", "6",
+             "--k", "2", "--q", "1", "--seed", "1", "--out-dir", str(out)]
+            + _FAST_FIT
+        )
     assert rc == 0
     assert len(_read_csv(out / "assignments.csv")) == 1 + len(rows)
     assert _read_json(out / "fit.json")["label_mapping"] == {"B": 0, "M": 1}
@@ -597,6 +598,25 @@ def test_bench_smoke(tmp_path, capsys):
     rows = _read_csv(out / "bench_rows.csv")
     assert rows[0][0] == "rep" and len(rows) == 2
     assert "median_speedup" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--n", "60", "--p", "8", "--k", "2", "--q", "1"],
+    ["simulate", "--n", "50", "--p", "6", "--k", "2", "--q", "1"],
+])
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_reps_below_one_exits_2(tmp_path, capsys, command, reps):
+    out = tmp_path / "out"
+    assert main(command + ["--reps", reps, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --reps must be at least 1")
+    assert captured.out == ""
+    assert not any(out.iterdir())
+
+
+def test_run_bench_rejects_no_reps():
+    with pytest.raises(ValueError, match="--reps"):
+        run_bench(60, 8, 2, 1, 0, seed=1)
 
 
 # ---------------------------------------------------------------------------

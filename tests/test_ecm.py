@@ -529,7 +529,7 @@ def test_fit_thread_count_does_not_change_result(rng, monkeypatch):
 def test_no_start_model_outlives_its_short_run(monkeypatch, threads):
     data, _ = small_dataset(seed=19)
     refs = []
-    for name in ("_random_start", "_start_from_labels"):
+    for name in ("_random_start", "_kmeans_start"):
         build = getattr(ecm, name)
 
         def tracked(*args, _build=build, **kwargs):

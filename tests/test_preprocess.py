@@ -248,3 +248,17 @@ def test_feature_tie_counts(rng):
     counts = feature_tie_counts(data)
     assert counts[0] > 0
     assert counts[1] == 0
+
+
+@pytest.mark.parametrize("column, ties", [
+    ([1.0, 1.0, 2.0], 2),
+    ([3.0, 3.0, 3.0], 3),
+    ([1.0, 2.0, 1.0, 2.0], 4),
+    ([0.0, -0.0, 1.0], 2),
+    ([1.0, 2.0, 3.0], 0),
+])
+def test_feature_tie_counts_per_row(column, ties):
+    # each row that shares its value with another row counts once
+    col = np.array(column)
+    data = DataMatrix(values=np.column_stack([col, np.arange(col.size)]))
+    np.testing.assert_array_equal(feature_tie_counts(data), [ties, 0])
