@@ -44,8 +44,10 @@ FIT_SCHEMA_VERSION = 3
 
 
 def _atomic_write(path: str, writer) -> None:
-    """Write via a sibling temp file and rename into place."""
+    """Write via a sibling temp file and rename into place, creating the
+    directory first: only a command that writes a file leaves one behind."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -516,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    os.makedirs(args.out_dir, exist_ok=True)
     try:
         args.func(args)
     except FIT_FAILURES as exc:

@@ -444,6 +444,24 @@ def _lanczos_eigpairs(op, scale, q, tol, v0, rng) -> EigPairs:
     )
 
 
+# the routes of top_eigenpairs that start from its ``v0``
+WARM_STARTED = frozenset({"lanczos", "block"})
+
+
+def route(op, q: int, dense_threshold: int | None = None) -> str:
+    """The solver top_eigenpairs runs for q pairs of ``op``, by the rule its
+    docstring gives: "dense", "gram", "lanczos" or "block"."""
+    p = op.p
+    if p <= (DENSE_THRESHOLD if dense_threshold is None else dense_threshold):
+        return "dense"
+    if isinstance(op, WeightedCovOperator):
+        if op.n_rows <= min(p, 2 * q + 10):
+            return "gram"
+        if 2 * op.n_rows <= p:
+            return "lanczos"
+    return "block"
+
+
 def top_eigenpairs(
     op,
     q: int,
@@ -490,12 +508,12 @@ def top_eigenpairs(
     scale = np.ones(p) if scale is None else np.asarray(scale, np.float64)
     if scale.shape != (p,):
         raise ValueError(f"scale must have length p = {p}")
-    if p <= (DENSE_THRESHOLD if dense_threshold is None else dense_threshold):
+    solver = route(op, q, dense_threshold)
+    if solver == "dense":
         return _dense_eigpairs(op, scale, q)
-    scatter = isinstance(op, WeightedCovOperator)
-    if scatter and op.n_rows <= min(p, 2 * q + 10):
+    if solver == "gram":
         return _gram_eigpairs(op, scale, q)
     rng = np.random.Generator(np.random.Philox(SEED))
-    if scatter and 2 * op.n_rows <= p:
+    if solver == "lanczos":
         return _lanczos_eigpairs(op, scale, q, tol, v0, rng)
     return _block_eigpairs(op, scale, q, tol, v0, rng)

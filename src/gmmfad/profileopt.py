@@ -23,13 +23,17 @@ Writing u_i = log psi_i (the optimizer works on the log scale),
                             + sum_{j: theta_j > 1} (theta_j - 1) v_ij^2 ],
 
 using d theta_j / d psi_i = -theta_j v_ij^2 / psi_i.  The maximization runs
-L-BFGS-B (Byrd et al. 1995) inside a box keeping every uniqueness in
+L-BFGS-B (Byrd et al. 1995) and keeps every uniqueness in the box
 [model.PSI_MIN, model.PSI_MAX] = [1e-4, 1e4], which rules out Heywood
 collapse.  L-BFGS-B minimizes -Qp * 2/n_eff: -Qp's curvature in u is about
 n_eff/2 (in the diagonal term log psi_i + S_ii/psi_i it is exactly n_eff/2
 at psi_i = S_ii), and L-BFGS-B takes its first step as if the Hessian were
 the identity: on the unscaled objective that step would overshoot by a
-factor of about n_eff/2 and be backtracked.  Eigenpairs of G come from the
+factor of about n_eff/2 and be backtracked.  scipy's box costs O(p) Python
+work per call, so the run leaves it out: it works on a similarity-scaled
+copy of u whose first step and stopping rules are those of the boxed run,
+and hands over to a boxed run only when a trial point would leave the box
+(see optimize_psi).  Eigenpairs of G come from the
 shared linops solver, handed S with the whitening psi^{-1/2} as its
 ``scale``.  A scatter of no more weighted rows than the iterative basis
 width min(p, 2q + 10), as in typical n << p fits, is solved exactly on its
@@ -61,7 +65,15 @@ MAX_INNER_ITER = 50
 # L-BFGS-B stops when the max-norm of the projected gradient of -Qp is at
 # most this (scipy's default); optimize_psi applies the same test to the start
 PGTOL = 1e-5
+# L-BFGS-B stops when an iteration lowers its objective F by at most
+# _FTOL * max(|F|, 1) (scipy's default, factr = 1e7)
+_FTOL = 1e7 * float(np.finfo(np.float64).eps)
+_LOG_MIN, _LOG_MAX = float(np.log(PSI_MIN)), float(np.log(PSI_MAX))
 _log = logging.getLogger(__name__)
+
+
+class _LeftBox(Exception):
+    """A trial point of the unboxed L-BFGS-B run lies outside the box."""
 
 
 class ProfileObjective:
@@ -107,8 +119,10 @@ class ProfileObjective:
             return self._last[1]
         scale = 1.0 / np.sqrt(psi)
         warm = self.warm_vectors
-        if self._warm_scale is not None:
-            # the vectors whitened at the previous psi, carried to this one
+        if (self._warm_scale is not None
+                and linops.route(self.scov, self.q) in linops.WARM_STARTED):
+            # the vectors whitened at the previous psi, carried to this one;
+            # the dense and Gram solves read no warm start
             warm = warm * (scale / self._warm_scale)[:, None]
         # no previous vectors or pair outlive the solve's start, and none is
         # left behind if it raises
@@ -146,21 +160,36 @@ def profile_value_and_gradient(obj: ProfileObjective, log_psi: np.ndarray):
 def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     """Maximize the profile objective over psi inside [PSI_MIN, PSI_MAX].
 
-    Runs bounded L-BFGS-B on u = log psi from the (clipped) warm start, for
-    at most MAX_INNER_ITER iterations and twice as many evaluations, and
-    returns the best point it evaluated: the first with the highest finite
-    profile value, or the start when none is finite.  L-BFGS-B sees the
-    negated profile and its gradient times s = 2/n_eff, which gives the
-    objective about unit curvature near its optimum, so the first trial
-    step is about the right length whatever the component's mass; its
-    gradient tolerance is PGTOL * s, so it stops where the unscaled
-    gradient would meet PGTOL.  A start whose scaled projected gradient has
-    max-norm at most PGTOL * s is returned as it is, which is where
-    L-BFGS-B would stop before its first iteration.  On a non-finite
-    start, a solver failure or an eigensolver breakdown the best point so
-    far stands, so the result never has a lower profile value than the
-    start, which preserves the ECM ascent property; a failure is logged at
-    DEBUG.
+    Runs L-BFGS-B on u = log psi from the (clipped) warm start, for at most
+    MAX_INNER_ITER iterations, and returns the best point it evaluated: the
+    first with the highest finite profile value, or the start when none is
+    finite.  L-BFGS-B sees f = -Qp * s and its gradient g, with s =
+    2/n_eff, which gives the objective about unit curvature near its
+    optimum, so the first trial step is about the right length whatever the
+    component's mass.
+
+    The run leaves out scipy's box, whose set-up costs O(p) Python work per
+    call.  With g0 the scaled gradient at the start u0, it works on z with
+    u = u0 + c z and c = ||g0||, and is handed f / c^2 and g / c.  The
+    z-Hessian is then the u-Hessian, and scipy's unboxed first step,
+    min(1 / ||d||, 1e10) d, lands on u0 - g0, the unit step a boxed run
+    takes first.  Its stopping rules are the boxed run's: gtol = PGTOL s / c
+    is the same max-norm test on g, and ftol is rescaled so that scipy's
+    test dF <= ftol max(|F|, 1) on F = f / c^2 is, at the start's |f|, the
+    boxed run's df <= ftol max(|f|, 1) at scipy's default ftol.  No point outside the box is evaluated: a boxed
+    L-BFGS-B run takes over from the best point so far when a trial point
+    would leave the box (logged at DEBUG), and runs from the start when its
+    projected gradient differs from g0, which is when u0 - g0 leaves the
+    box.  The runs share one budget of 2 * MAX_INNER_ITER evaluations,
+    which scipy checks only between iterations, so a line search can
+    overrun it.
+
+    A start whose scaled projected gradient has max-norm at most PGTOL * s
+    is returned as it is, which is where L-BFGS-B would stop before its
+    first iteration.  On a non-finite start, a solver failure or an
+    eigensolver breakdown the best point so far stands, so the result never
+    has a lower profile value than the start, which preserves the ECM
+    ascent property; a failure is logged at DEBUG.
     """
     if obj.q == 0:
         # separable closed form: log psi_j + d_j/psi_j peaks at psi_j = d_j,
@@ -168,8 +197,6 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
         return np.clip(obj.scov_diag, PSI_MIN, PSI_MAX)
     psi_init = np.asarray(psi_init, dtype=np.float64)
     u0 = np.log(np.clip(psi_init, PSI_MIN, PSI_MAX))
-    # arrays, not a list of pairs: scipy converts a list entry by entry
-    bounds = Bounds(np.full(obj.p, np.log(PSI_MIN)), np.full(obj.p, np.log(PSI_MAX)))
 
     best = {"u": u0, "f": None}
 
@@ -177,6 +204,7 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     # identity-Hessian first step does not overshoot
     scale = 2.0 / obj.n_eff
     gtol = PGTOL * scale
+    budget = 2 * MAX_INNER_ITER
 
     def negated(u):
         val, grad = obj.value_and_gradient(u)
@@ -188,28 +216,44 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
         grad *= -scale
         return f * scale, grad
 
+    def lbfgsb(fun, x0, bounds, **options):
+        minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                 options={"maxiter": MAX_INNER_ITER, "maxfun": budget, **options})
+
     try:
         f0, g0 = negated(u0)
         # L-BFGS-B's projected gradient: each component is capped by the
         # distance to the bound that a descent step moves toward
         projected = np.where(
-            g0 < 0, np.maximum(u0 - bounds.ub, g0), np.minimum(u0 - bounds.lb, g0)
+            g0 < 0, np.maximum(u0 - _LOG_MAX, g0), np.minimum(u0 - _LOG_MIN, g0)
         )
         if np.isfinite(f0) and np.max(np.abs(projected)) > gtol:
-            minimize(
-                negated,
-                u0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=bounds,
-                options={
-                    "maxiter": MAX_INNER_ITER,
-                    # the budget caps objective evaluations too: line searches
-                    # inside one iteration may otherwise spend several solves
-                    "maxfun": 2 * MAX_INNER_ITER,
-                    "gtol": gtol,
-                },
-            )
+            boxed = not np.array_equal(projected, g0)
+            if not boxed:
+                c = float(np.linalg.norm(g0))
+
+                def similar(z):
+                    nonlocal budget
+                    u = u0 + c * z
+                    # written so that a NaN coordinate fails it too
+                    if not (_LOG_MIN <= u.min() and u.max() <= _LOG_MAX):
+                        raise _LeftBox
+                    budget -= 1
+                    f, g = negated(u)
+                    g /= c
+                    return f / (c * c), g
+
+                try:
+                    lbfgsb(similar, np.zeros(obj.p), None, gtol=gtol / c,
+                           ftol=_FTOL * max(abs(f0), 1.0) / max(abs(f0), c * c))
+                except _LeftBox:
+                    boxed = True
+                    _log.debug("optimize_psi goes on inside the box from its "
+                               "best point with %d of %d evaluations left",
+                               budget, 2 * MAX_INNER_ITER)
+            if boxed and budget > 0:
+                box = Bounds(np.full(obj.p, _LOG_MIN), np.full(obj.p, _LOG_MAX))
+                lbfgsb(negated, best["u"], box, gtol=gtol, ftol=_FTOL)
     except (linops.NoConvergence, FloatingPointError) as exc:
         _log.debug(
             "optimize_psi keeps its best point after %s: %s", type(exc).__name__, exc

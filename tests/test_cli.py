@@ -611,7 +611,7 @@ def test_reps_below_one_exits_2(tmp_path, capsys, command, reps):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: --reps must be at least 1")
     assert captured.out == ""
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_run_bench_rejects_no_reps():

@@ -489,6 +489,17 @@ def test_scatter_solver_follows_the_data_shape(rng, monkeypatch):
                      "wcov_gram": 0}
 
 
+def test_route_names_the_solver_top_eigenpairs_runs(rng):
+    explicit = DenseSymOperator(matrix=random_spd(120, rng, gap_at=3))
+    for op, threshold, want in ((_scatter(rng, 300, 120), 200, "dense"),
+                                (_scatter(rng, 16, 120), 0, "gram"),
+                                (_scatter(rng, 30, 120), 0, "lanczos"),
+                                (_scatter(rng, 300, 120), 0, "block"),
+                                (explicit, 0, "block")):
+        assert linops.route(op, 3, threshold) == want
+    assert linops.WARM_STARTED == {"lanczos", "block"}
+
+
 def test_invalid_rank_rejected(rng):
     op = DenseSymOperator(matrix=np.eye(4))
     with pytest.raises(InvalidRank):

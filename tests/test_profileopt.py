@@ -2,7 +2,8 @@ import logging
 
 import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
+from scipy.optimize import Bounds, OptimizeResult
+from scipy.optimize import minimize as scipy_minimize
 
 from gmmfad import _kernels, linops, profileopt
 from gmmfad.linops import DenseSymOperator, InvalidRank, WeightedCovOperator
@@ -156,6 +157,27 @@ def test_warm_start_is_carried_to_the_new_psi(rng, monkeypatch):
     np.testing.assert_allclose(pairs.values, want, rtol=1e-8)
 
 
+def test_only_the_iterative_routes_carry_the_warm_start(rng, monkeypatch):
+    # the dense and Gram solves ignore v0, so the previous vectors go in as
+    # they are; the block and Lanczos solves get them carried to the new psi
+    p, q = 80, 3
+    starts = []
+    original = linops.top_eigenpairs
+
+    def recording(op, k, **kwargs):
+        starts.append(kwargs["v0"])
+        return original(op, k, **kwargs)
+
+    monkeypatch.setattr(linops, "top_eigenpairs", recording)
+    for rows, threshold, carried in ((200, 200, False), (14, 0, False),
+                                     (40, 0, True), (200, 0, True)):
+        monkeypatch.setattr(linops, "DENSE_THRESHOLD", threshold)
+        obj = ProfileObjective(_planted_scatter(rng, rows, p, q), 100.0, q)
+        first = obj.eigenpairs(rng.uniform(0.3, 2.0, p))
+        obj.eigenpairs(rng.uniform(0.3, 2.0, p))
+        assert (starts[-1] is not first.vectors) == carried
+
+
 def test_a_new_psi_leaves_no_stale_state(rng, monkeypatch):
     scov, q, psi1, psi2 = _moved_psi_instance(rng)
     obj = ProfileObjective(scov, 100.0, q)
@@ -253,13 +275,18 @@ def test_stationary_start_skips_lbfgsb(monkeypatch):
     np.testing.assert_array_equal(psi[1:], start[1:])
 
 
-def test_result_always_inside_box(rng):
-    # variances from 1e-12 to 1e12 pull the uniquenesses past both bounds
+def _box_instance(rng, largest=1e6):
+    # variances from 1e-12 to largest**2 pull the uniquenesses past the lower
+    # bound, and past the upper one too when largest**2 is above PSI_MAX
     p, q = 9, 2
-    scale = np.geomspace(1e-6, 1e6, p)
+    scale = np.geomspace(1e-6, largest, p)
     scov = scale[:, None] * random_spd(p, rng) * scale[None, :]
-    obj = _objective(scov, q)
-    psi = optimize_psi(obj, np.ones(p))
+    return _objective(scov, q), np.ones(p)
+
+
+def test_result_always_inside_box(rng):
+    obj, psi0 = _box_instance(rng)
+    psi = optimize_psi(obj, psi0)
     assert np.all(psi >= PSI_MIN) and np.all(psi <= PSI_MAX)
     # up to the log/exp round trip of a bound coordinate
     assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
@@ -386,6 +413,120 @@ def test_a_worse_solver_result_gives_way_to_the_best_point_evaluated(
     assert len(seen) == 3 and seen[2][1] > seen[1][1]
     np.testing.assert_array_equal(psi, _first_best_psi(seen))
     np.testing.assert_array_equal(psi, np.clip(np.exp(u_best), PSI_MIN, PSI_MAX))
+
+
+def _record_minimize(monkeypatch):
+    """Run profileopt's L-BFGS-B calls as they are, recording each call's
+    keyword arguments and how many of its evaluations returned."""
+    calls = []
+
+    def recording(fun, x0, **kwargs):
+        call = {"kwargs": kwargs, "evals": 0}
+        calls.append(call)
+
+        def counted(x):
+            out = fun(x)
+            call["evals"] += 1
+            return out
+
+        return scipy_minimize(counted, x0, **kwargs)
+
+    monkeypatch.setattr(profileopt, "minimize", recording)
+    return calls
+
+
+def _interior_instances(rng, trials=8):
+    # (scatter, q, start) with planted factors over unit noise: every
+    # uniqueness stays well inside the box
+    for _ in range(trials):
+        p, q = int(rng.integers(8, 30)), int(rng.integers(1, 4))
+        yield _planted_scatter(rng, 200, p, q), q, rng.uniform(0.2, 2.0, p)
+
+
+def test_an_interior_solve_is_given_no_bounds(rng, monkeypatch):
+    calls = _record_minimize(monkeypatch)
+    for scov, q, psi0 in _interior_instances(rng):
+        optimize_psi(ProfileObjective(scov, 100.0, q), psi0)
+    assert len(calls) == 8
+    assert all(call["kwargs"]["bounds"] is None for call in calls)
+
+
+def test_no_point_outside_the_box_is_evaluated(rng, monkeypatch):
+    # a start whose unit step leaves the box goes straight to the boxed run;
+    # from one whose unit step stays inside, the unboxed run reaches a trial
+    # point outside the box and hands over
+    for largest, boxed in ((1e6, [True]), (1.0, [False, True])):
+        obj, psi0 = _box_instance(rng, largest)
+        calls = _record_minimize(monkeypatch)
+        seen = _record_evaluations(obj, monkeypatch)
+        psi = optimize_psi(obj, psi0)
+        assert [call["kwargs"]["bounds"] is not None for call in calls] == boxed
+        u = np.array([point for point, _ in seen])
+        assert np.all(u >= np.log(PSI_MIN)) and np.all(u <= np.log(PSI_MAX))
+        assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
+
+
+def test_first_trial_point_is_the_unit_step_along_the_scaled_gradient(
+        rng, monkeypatch):
+    # u0 - g0, the boxed run's first trial point, from a start far from the
+    # optimum and from one so near it that ||g0|| is about 1e-6
+    for scov, q, psi0 in _interior_instances(rng, trials=4):
+        obj = ProfileObjective(scov, 100.0, q)
+
+        def negated(u):
+            val, grad = obj.value_and_gradient(u)
+            return -val, -grad
+
+        u_hat = scipy_minimize(negated, np.log(psi0), jac=True, method="L-BFGS-B",
+                               options={"gtol": 1e-12, "ftol": 0.0}).x
+        offset = rng.standard_normal(u_hat.size)
+        near = np.exp(u_hat + 1e-6 * offset / np.linalg.norm(offset))
+        for start in (psi0, near):
+            obj = ProfileObjective(scov, 100.0, q)
+            u0 = np.log(start)
+            _, grad = obj.value_and_gradient(u0)
+            g0 = grad * (-2.0 / obj.n_eff)
+            seen = _record_evaluations(obj, monkeypatch)
+            optimize_psi(obj, start)
+            np.testing.assert_array_equal(seen[1][0], u0)
+            np.testing.assert_allclose(seen[2][0], u0 - g0, rtol=1e-10, atol=1e-14)
+        assert 1e-7 < np.linalg.norm(g0) < 1e-5, np.linalg.norm(g0)
+
+
+def test_the_box_fallback_is_logged_at_debug(rng, caplog):
+    obj, psi0 = _box_instance(rng, largest=1.0)
+    with caplog.at_level(logging.DEBUG, logger="gmmfad.profileopt"):
+        optimize_psi(obj, psi0)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "inside the box" in caplog.records[0].getMessage()
+
+
+def test_the_box_fallback_gets_only_the_budget_left(rng, monkeypatch):
+    obj, psi0 = _box_instance(rng, largest=1.0)
+    calls = _record_minimize(monkeypatch)
+    optimize_psi(obj, psi0)
+    unboxed, boxed = calls
+    assert (boxed["kwargs"]["options"]["maxfun"] + unboxed["evals"]
+            == 2 * profileopt.MAX_INNER_ITER)
+
+
+def test_installed_scipy_takes_the_first_steps_optimize_psi_relies_on():
+    # optimize_psi's unboxed run starts as its boxed one would only while
+    # L-BFGS-B's first trial step is min(1 / ||d||, 1e10) d without a box and
+    # d itself inside one, with d the negated gradient at the start
+    curvature = np.array([1.0, 2.0, 3.0])
+    for b in (np.array([3.0, -4.0, 12.0]), np.array([3e-12, -4e-12, 12e-12])):
+        for bounds in (None, Bounds(np.full(3, -1e3), np.full(3, 1e3))):
+            seen = []
+
+            def quadratic(x):
+                seen.append(x.copy())
+                return 0.5 * x @ (curvature * x) - b @ x, curvature * x - b
+
+            scipy_minimize(quadratic, np.zeros(3), jac=True, method="L-BFGS-B",
+                           bounds=bounds, options={"gtol": 0.0, "maxiter": 1})
+            step = 1.0 if bounds else min(1.0 / np.linalg.norm(b), 1e10)
+            np.testing.assert_allclose(seen[1], step * b, rtol=1e-12)
 
 
 # ------------------------------------------------------------ recover_loadings
