@@ -73,14 +73,6 @@ def _write_rows(path: str, header, rows) -> None:
     _atomic_write(path, writer)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    return value
-
-
 def _parse_q(text: str) -> int | tuple[int, ...]:
     parts = [s.strip() for s in text.split(",") if s.strip()]
     if not parts:
@@ -116,9 +108,9 @@ def _rep_seed(seed: int, rep: int) -> int:
 def _model_payload(model):
     return {
         "weights": [c.weight for c in model.components],
-        "means": [_jsonable(c.mean) for c in model.components],
-        "loadings": [_jsonable(c.loadings) for c in model.components],
-        "uniquenesses": [_jsonable(c.uniquenesses) for c in model.components],
+        "means": [c.mean.tolist() for c in model.components],
+        "loadings": [c.loadings.tolist() for c in model.components],
+        "uniquenesses": [c.uniquenesses.tolist() for c in model.components],
         "factor_spec": list(model.factor_vector),
         "n_components": model.n_components,
         "p": model.p,
@@ -170,7 +162,7 @@ def _write_fit_artifacts(report: FitReport, out_dir: str, *, config: FitConfig,
         },
         "model": _model_payload(report.model),
         "loglik": report.loglik,
-        "loglik_trace": _jsonable(report.loglik_trace),
+        "loglik_trace": report.loglik_trace.tolist(),
         "bic": report.bic,
         "n_params": free_param_count(report.model),
         "n_iter": report.n_iter,
@@ -211,7 +203,7 @@ def _prepare_data(args):
             os.path.join(args.out_dir, "gdt_ties.json"),
             {
                 "n_features": int(ties.size),
-                "tie_counts": _jsonable(ties),
+                "tie_counts": ties.tolist(),
                 "features_with_ties": int(np.sum(ties > 0)),
             },
         )

@@ -210,33 +210,31 @@ def component_log_densities(component: ComponentParams, y: np.ndarray) -> np.nda
     vector 1/psi, written straight into the result, less the row sums of
     z * z.  P is formed once per call from the q x q inverse of L.  Cost is
     O(n p q + p q^2); no p x p object appears, and every row gets the same
-    arithmetic whatever the block size.
+    arithmetic whatever the block size.  At q = 0 the blocks are empty and
+    the norms subtracted are exact zeros: the diagonal Gaussian's density.
     """
     psi = component.uniquenesses
     inv_psi = 1.0 / psi
     logdet = float(np.sum(np.log(psi)))
     q = component.n_factors
-    if q:
-        # M from the symmetric product W^T W: formed as I + Lambda^T
-        # (Lambda / psi), three draws of the psi = 1e-4 case that the
-        # extended-precision test in tests/test_ecm.py builds came out up
-        # to 5.2e-6 nats off, against 1.9e-6
-        w = component.loadings * (1.0 / np.sqrt(psi))[:, None]
-        chol = np.linalg.cholesky(np.eye(q) + w.T @ w)
-        linv = solve_triangular(chol, np.eye(q), lower=True)
-        logdet += 2.0 * float(np.sum(np.log(np.diag(chol))))
-        proj = (component.loadings * inv_psi[:, None]) @ linv.T
-        ones = np.ones(q)
+    # M from the symmetric product W^T W: formed as I + Lambda^T
+    # (Lambda / psi), three draws of the psi = 1e-4 case that the
+    # extended-precision test in tests/test_ecm.py builds came out up
+    # to 5.2e-6 nats off, against 1.9e-6
+    w = component.loadings * (1.0 / np.sqrt(psi))[:, None]
+    chol = np.linalg.cholesky(np.eye(q) + w.T @ w)
+    linv = solve_triangular(chol, np.eye(q), lower=True)
+    logdet += 2.0 * float(np.sum(np.log(np.diag(chol))))
+    proj = (component.loadings * inv_psi[:, None]) @ linv.T
+    ones = np.ones(q)
     quad = np.empty(y.shape[0])
     for rows in _kernels.row_blocks(y):
         d = y[rows] - component.mean
-        if q:
-            z = d @ proj
+        z = d @ proj
         d *= d
         out = np.matmul(d, inv_psi, out=quad[rows])
-        if q:
-            z *= z
-            out -= z @ ones
+        z *= z
+        out -= z @ ones
     quad += component.p * _LOG_2PI + logdet
     quad *= -0.5
     return quad
@@ -338,25 +336,21 @@ def _aecm_step(data, resp, current):
     for k, comp in enumerate(mid_model.components):
         scatter = linops.dense_scatter(y, resp2.by_component[k], comp.mean, masses2[k])
         q = comp.n_factors
-        if q == 0:
-            lam_new = np.zeros((data.p, 0))
-            psi_new = np.clip(np.diag(scatter), PSI_MIN, PSI_MAX)
-        else:
-            lam = comp.loadings
-            inv_psi = 1.0 / comp.uniquenesses
-            wl = lam * inv_psi[:, None]
-            m = np.eye(q) + lam.T @ wl
-            cho = cho_factor(m, lower=True)
-            beta = wl.T - (wl.T @ lam) @ cho_solve(cho, wl.T)
-            sb = scatter @ beta.T
-            inner = beta @ sb + np.eye(q) - beta @ lam
-            lam_new = np.linalg.solve(inner.T, sb.T).T
-            bs = beta @ scatter
-            psi_new = np.clip(
-                np.diag(scatter) - np.einsum("ij,ji->i", lam_new, bs),
-                PSI_MIN,
-                PSI_MAX,
-            )
+        lam = comp.loadings
+        inv_psi = 1.0 / comp.uniquenesses
+        wl = lam * inv_psi[:, None]
+        m = np.eye(q) + lam.T @ wl
+        cho = cho_factor(m, lower=True)
+        beta = wl.T - (wl.T @ lam) @ cho_solve(cho, wl.T)
+        sb = scatter @ beta.T
+        inner = beta @ sb + np.eye(q) - beta @ lam
+        lam_new = np.linalg.solve(inner.T, sb.T).T
+        bs = beta @ scatter
+        psi_new = np.clip(
+            np.diag(scatter) - np.einsum("ij,ji->i", lam_new, bs),
+            PSI_MIN,
+            PSI_MAX,
+        )
         comps.append(replace(comp, loadings=lam_new, uniquenesses=psi_new))
     return MixtureModel(components=tuple(comps))
 

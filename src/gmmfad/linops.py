@@ -137,15 +137,11 @@ def dense_scatter(y, w, center, weight_sum) -> np.ndarray:
     symmetric.
     """
     _check_dense_allowed(y.shape[1])
-    s = None
+    s = np.zeros((y.shape[1], y.shape[1]))
     for rows in _kernels.row_blocks(y):
         z = y[rows] - center
         z *= np.sqrt(w[rows])[:, None]
-        zz = z.T @ z
-        if s is None:
-            s = zz
-        else:
-            s += zz
+        s += z.T @ z
     s /= weight_sum
     return s
 

@@ -8,10 +8,10 @@ deterministic under grid reordering.
 The per-cluster search wraps the common-q grid: for each K it takes that
 K's best common-q fit and greedily varies one component's factor count at a
 time (plus/minus one, within bounds), refitting warm-started from the
-incumbent, until no single move improves BIC.  Warm starts reuse the
-incumbent's weights, means and uniquenesses; the changed component's
-loadings are zero-padded or truncated, which leaves the first E-step's
-covariances intact in the padded directions.
+incumbent, until no single move improves BIC; it refits no cell the grid
+fitted.  Warm starts reuse the incumbent's weights, means and uniquenesses;
+the changed component's loadings are zero-padded or truncated, which leaves
+the first E-step's covariances intact in the padded directions.
 """
 
 from __future__ import annotations
@@ -191,14 +191,14 @@ def select_per_cluster_q(data: DataMatrix, grid: SearchGrid, *, threads: int = 1
     For each K the descent starts at that K's best common-q cell and, per
     sweep, tries every single-component move q_k -> q_k +/- 1 within
     [0, q_max], refitting warm-started from the incumbent model; the best
-    improving move is taken until none improves.  Returns (best report,
-    table rows including all visited cells).
+    improving move is taken until none improves; a cell the grid visited is
+    not refitted.  Returns (best report, one table row per visited cell).
     """
     rows, per_k = _grid_search(data, grid, threads)
     overall_report, overall_row = _best_of(per_k)
     cap = grid.q_cap(data.p)
     for K, (incumbent, incumbent_row) in per_k.items():
-        visited = {incumbent_row.q_spec}
+        visited = {row.q_spec for row in rows if row.K == K}
         improved = True
         while improved:
             improved = False

@@ -91,7 +91,11 @@ def draw_truth(spec: SimSpec) -> MixtureModel:
 
 
 def sample_dataset(model: MixtureModel, n: int, seed: int = 0) -> DataMatrix:
-    """Sample n observations with their component labels attached."""
+    """Sample n observations with their component labels attached.
+
+    The labels are drawn first, then each component's m_k x q_k scores and
+    m_k x p noise in turn; an empty shape (q_k = 0, m_k = 0) draws nothing.
+    """
     if n < 2:
         raise ValueError("need n >= 2")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -102,15 +106,9 @@ def sample_dataset(model: MixtureModel, n: int, seed: int = 0) -> DataMatrix:
     y = np.empty((n, p))
     for k, comp in enumerate(model.components):
         idx = np.flatnonzero(labels == k)
-        if idx.size == 0:
-            continue
-        q = comp.n_factors
-        scores = rng.standard_normal((idx.size, q)) if q else None
+        scores = rng.standard_normal((idx.size, comp.n_factors))
         noise = rng.standard_normal((idx.size, p)) * np.sqrt(comp.uniquenesses)
-        rows = comp.mean + noise
-        if q:
-            rows = rows + scores @ comp.loadings.T
-        y[idx] = rows
+        y[idx] = comp.mean + noise + scores @ comp.loadings.T
     return DataMatrix(values=y, labels=labels)
 
 

@@ -23,7 +23,7 @@ from gmmfad.ecm import (
     log_density,
 )
 from gmmfad.metrics import adjusted_rand_index
-from gmmfad.model import PSI_MIN, ComponentParams, DataMatrix, MixtureModel, Responsibilities
+from gmmfad.model import PSI_MAX, PSI_MIN, ComponentParams, DataMatrix, MixtureModel, Responsibilities
 
 from .helpers import (
     count_calls,
@@ -949,6 +949,28 @@ def test_zero_loading_aecm_step_is_diagonal_gmm_update(rng):
         np.testing.assert_allclose(comp.uniquenesses,
                                    np.clip(np.diag(scatter), PSI_MIN, None),
                                    rtol=1e-9)
+
+
+def test_aecm_step_at_q_zero_takes_the_clipped_scatter_diagonal(monkeypatch):
+    # the general loadings update on p x 0 blocks: p x 0 loadings, and psi is
+    # the clipped diagonal of the step's own scatter, bit for bit
+    calls = []
+    original = linops.dense_scatter
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(linops, "dense_scatter", recording)
+    data, truth = small_dataset(seed=53, q=0)
+    resp, _ = e_step(truth, data)
+    updated = _aecm_step(data, resp, truth)
+    assert len(calls) == truth.n_components
+    for args, comp in zip(calls, updated.components):
+        assert comp.loadings.shape == (data.p, 0)
+        np.testing.assert_array_equal(
+            comp.uniquenesses, np.clip(np.diag(original(*args)), PSI_MIN, PSI_MAX)
+        )
 
 
 def test_aecm_moment_pass_reaches_the_kernel_module(monkeypatch):

@@ -394,25 +394,38 @@ def test_a_non_finite_start_is_returned_as_it_is(monkeypatch):
 
 def test_a_worse_solver_result_gives_way_to_the_best_point_evaluated(
         rng, monkeypatch):
-    # a solver that evaluates the optimum, then reports a worse point it also
-    # evaluated: the result is the optimum, whatever the solver reports
+    # a solver, called once and unboxed, that evaluates the optimum and then
+    # a worse point, both inside the box, through the scaled variable z it is
+    # handed, and reports the worse: the result is the optimum, whatever the
+    # solver reports
     p, q = 8, 2
     scov = random_spd(p, rng, eig_low=0.3, eig_high=5.0)
     u_best = np.log(optimize_psi(_objective(scov, q), np.full(p, 0.7)))
     u_worse = u_best + 0.5
+    # z = (u - u0) / c, with c the norm of the gradient at the start scaled
+    # by 2 / n_eff (n_eff = 100)
+    u0 = np.log(np.full(p, 0.7))
+    _, grad = _objective(scov, q).value_and_gradient(u0)
+    c = float(np.linalg.norm(grad * (2.0 / 100.0)))
+    calls = []
 
     def worse_solver(fun, x0, **kwargs):
-        fun(u_best)
-        f_worse, _ = fun(u_worse)
-        return OptimizeResult(x=u_worse.copy(), fun=f_worse, success=True)
+        calls.append(kwargs)
+        fun((u_best - u0) / c)
+        f_worse, _ = fun((u_worse - u0) / c)
+        return OptimizeResult(x=(u_worse - u0) / c, fun=f_worse, success=True)
 
     monkeypatch.setattr(profileopt, "minimize", worse_solver)
     obj = _objective(scov, q)
     seen = _record_evaluations(obj, monkeypatch)
     psi = optimize_psi(obj, np.full(p, 0.7))
+    assert len(calls) == 1 and calls[0]["bounds"] is None
     assert len(seen) == 3 and seen[2][1] > seen[1][1]
+    for u, _ in seen:
+        assert np.log(PSI_MIN) < u.min() and u.max() < np.log(PSI_MAX)
     np.testing.assert_array_equal(psi, _first_best_psi(seen))
-    np.testing.assert_array_equal(psi, np.clip(np.exp(u_best), PSI_MIN, PSI_MAX))
+    np.testing.assert_array_equal(psi, np.clip(np.exp(seen[1][0]), PSI_MIN, PSI_MAX))
+    np.testing.assert_allclose(psi, np.exp(u_best), rtol=1e-12)
 
 
 def _record_minimize(monkeypatch):

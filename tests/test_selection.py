@@ -209,6 +209,19 @@ def test_per_cluster_recovery_of_planted_q_vector(monkeypatch):
     assert hits > 10, f"recovered (3,1) in only {hits}/20 replications"
 
 
+def test_per_cluster_search_fits_each_cell_once(monkeypatch):
+    # at K = 1 the descent's one move in range from the grid's winner, (1,)
+    # or (2,), lands on the other grid cell
+    data, _ = small_dataset(seed=83, n=200, p=8)
+    grid = SearchGrid(k_values=(1, 2), q_max=2,
+                      fit_config=_cfg(monkeypatch, n_random_starts=2,
+                                      max_iter=50))
+    _, rows = select_per_cluster_q(data, grid)
+    cells = [(row.K, row.q_spec) for row in rows]
+    assert len(cells) == len(set(cells))
+    assert {(1, (1,)), (1, (2,)), (2, (1, 1)), (2, (2, 2))} <= set(cells)
+
+
 def test_nested_q_warm_start_is_monotone(monkeypatch):
     data, _ = small_dataset(seed=97)
     small = fit(data, _cfg(monkeypatch, factor_spec=2))

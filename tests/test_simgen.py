@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gmmfad.model import ComponentParams, MixtureModel
 from gmmfad.simgen import (
     WEIGHT_FLOOR,
     SimSpec,
@@ -90,10 +91,37 @@ def test_labels_are_valid_codes():
     assert data.labels.max() < 3
 
 
+def test_sample_draws_every_component_in_order_with_empty_shapes():
+    # a q = 0 component, one that draws no rows, then a q = 1 component: the
+    # sample is the explicit redraw in component order, empty shapes included
+    rng = np.random.default_rng(5)
+    p = 5
+    weights = np.array([0.5, 0.001, 0.499])
+    model = MixtureModel(components=tuple(
+        ComponentParams(weight=w, mean=rng.standard_normal(p),
+                        loadings=rng.standard_normal((p, q)),
+                        uniquenesses=rng.uniform(0.2, 0.8, p))
+        for w, q in zip(weights, (0, 2, 1))
+    ))
+    n = 30
+    data = sample_dataset(model, n, seed=3)
+    assert np.bincount(data.labels, minlength=3)[1] == 0
+    assert np.all(np.bincount(data.labels, minlength=3)[[0, 2]] > 0)
+
+    redraw = np.random.Generator(np.random.Philox(3))
+    labels = redraw.choice(3, size=n, p=weights / weights.sum())
+    y = np.empty((n, p))
+    for k, comp in enumerate(model.components):
+        idx = np.flatnonzero(labels == k)
+        scores = redraw.standard_normal((idx.size, comp.n_factors))
+        noise = redraw.standard_normal((idx.size, p)) * np.sqrt(comp.uniquenesses)
+        y[idx] = comp.mean + noise + scores @ comp.loadings.T
+    np.testing.assert_array_equal(data.labels, labels)
+    np.testing.assert_array_equal(data.values, y)
+
+
 def test_isotropic_noise_moments():
     # K=1, Lambda=0, Psi=I, mu=0: sample mean -> 0 and covariance -> I
-    from gmmfad.model import ComponentParams, MixtureModel
-
     model = MixtureModel(components=(
         ComponentParams(weight=1.0, mean=np.zeros(4),
                         loadings=np.zeros((4, 0)), uniquenesses=np.ones(4)),
