@@ -47,11 +47,13 @@ Nothing in that path assembles a p x p matrix, so it scales to p far beyond
 n.  Per CM step and component the work is one pass over the data after the
 weighted mean (the centred squares, or at p <= linops.DENSE_THRESHOLD the
 dense scatter whose diagonal they are) plus one eigensolve per profile
-evaluation (linops.top_eigenpairs).  At p <= DENSE_THRESHOLD a solve is one
-``eigh`` of the whitened dense scatter; above it, a scatter of at most
-2q + 10 weighted rows takes one small Gram GEMM and one small ``eigh``, one
-of at most p / 2 rows a Lanczos, and any other a few block products (301
-for 86 solves on perfbench's mid_np at feature seed 5).
+evaluation.  At p <= DENSE_THRESHOLD a solve is one ``eigh`` of the
+whitened dense scatter (linops.dense_spectrum), whose whole spectrum also
+gives the projected Newton its Hessian; above it (linops.top_eigenpairs),
+a scatter of at most 2q + 10 weighted rows takes one small Gram GEMM and
+one small ``eigh``, one of at most p / 2 rows a Lanczos, and any other a
+few block products (301 for 86 solves on perfbench's mid_np at feature
+seed 5).
 
 The baseline engine is the standard two-cycle AECM for factor-analyzer
 mixtures (Ghahramani & Hinton 1996; McLachlan & Peel 2000, ch. 8): cycle one
@@ -279,13 +281,13 @@ def cm_step(
 ) -> MixtureModel:
     """One conditional maximization sweep given fixed responsibilities.
 
-    Per component: weighted moments in one pass, uniquenesses by bounded
-    L-BFGS-B on the profile objective warm-started at the current values,
-    loadings recovered in closed form.  It has no settings of its own: every
-    run of the engine, short or long, takes this same step.  Factor counts
-    are those of ``current``.  Raises EmptyCluster when a component's mass
-    drops below max(q_k + 1, 2); every mass is checked before any
-    component's moments or eigensolves.
+    Per component: weighted moments in one pass, uniquenesses by a boxed
+    optimization of the profile objective (profileopt.optimize_psi)
+    warm-started at the current values, loadings recovered in closed form.
+    It has no settings of its own: every run of the engine, short or long,
+    takes this same step.  Factor counts are those of ``current``.  Raises
+    EmptyCluster when a component's mass drops below max(q_k + 1, 2); every
+    mass is checked before any component's moments or eigensolves.
     """
     y = data.values
     qs = current.factor_vector

@@ -21,7 +21,8 @@ guard-checked ``to_dense()``.  The whitening is the solve's: given
 D = diag(scale), D = diag(psi^{-1/2}) for the uniqueness solver, and every
 route applies D on both sides of the operator's own product (``_product``,
 or the Gram and Lanczos kernels, which take the scale as an argument).
-Below ``dense_threshold`` the operator is materialized and handed to LAPACK;
+Below ``dense_threshold`` the operator is materialized and handed to LAPACK
+(``dense_spectrum``, the one dense ``eigh``, which returns every pair);
 ``dense_scatter`` is the one routine that builds a scatter matrix, for the
 operator and for the dense AECM baseline alike.  A scatter operator of
 p <= DENSE_THRESHOLD builds it in its constructor, when the active guard
@@ -297,12 +298,21 @@ def _grow_basis(op, scale, basis, images, ncols, next_dir, rng):
     return ncols
 
 
-def _dense_eigpairs(op, scale, q: int) -> EigPairs:
-    # LAPACK returns the eigenvalues ascending: the leading q are the last q
+def dense_spectrum(op, scale) -> EigPairs:
+    """All p eigenpairs of D A D, D = diag(scale), descending: one LAPACK
+    ``eigh`` of the materialized operator (guard-checked).  The dense route
+    of ``top_eigenpairs`` keeps the leading q of them; the uniqueness
+    solver's Newton step reads them all."""
+    # LAPACK returns the eigenvalues ascending
     vals, vecs = np.linalg.eigh(scale[:, None] * op.to_dense() * scale[None, :])
+    return EigPairs(values=vals[::-1], vectors=vecs[:, ::-1])
+
+
+def _dense_eigpairs(op, scale, q: int) -> EigPairs:
+    full = dense_spectrum(op, scale)
     return EigPairs(
-        values=np.ascontiguousarray(vals[: -q - 1 : -1]),
-        vectors=np.ascontiguousarray(vecs[:, : -q - 1 : -1]),
+        values=np.ascontiguousarray(full.values[:q]),
+        vectors=np.ascontiguousarray(full.vectors[:, :q]),
     )
 
 

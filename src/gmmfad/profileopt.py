@@ -22,33 +22,52 @@ Writing u_i = log psi_i (the optimizer works on the log scale),
     dQp/du_i = -(n_eff/2) [ 1 - S_ii / psi_i
                             + sum_{j: theta_j > 1} (theta_j - 1) v_ij^2 ],
 
-using d theta_j / d psi_i = -theta_j v_ij^2 / psi_i.  The maximization runs
-L-BFGS-B (Byrd et al. 1995) and keeps every uniqueness in the box
-[model.PSI_MIN, model.PSI_MAX] = [1e-4, 1e4], which rules out Heywood
-collapse.  L-BFGS-B minimizes -Qp * 2/n_eff: -Qp's curvature in u is about
-n_eff/2 (in the diagonal term log psi_i + S_ii/psi_i it is exactly n_eff/2
-at psi_i = S_ii), and L-BFGS-B takes its first step as if the Hessian were
-the identity: on the unscaled objective that step would overshoot by a
-factor of about n_eff/2 and be backtracked.  scipy's box costs O(p) Python
-work per call, so the run leaves it out: it works on a similarity-scaled
-copy of u whose first step and stopping rules are those of the boxed run,
-and hands over to a boxed run only when a trial point would leave the box
-(see optimize_psi).  Eigenpairs of G come from the
-shared linops solver, handed S with the whitening psi^{-1/2} as its
-``scale``.  A scatter of no more weighted rows than the iterative basis
-width min(p, 2q + 10), as in typical n << p fits, is solved exactly on its
-small Gram matrix: one GEMM and one small eigh per evaluation.  The
-iterative solvers start from the previous evaluation's Ritz vectors
-carried to the new psi, each row scaled by sqrt(psi_prev / psi): the
-loadings they stand for, whitened at the new psi instead of the old, just
-as cm_step builds the first start from the current loadings.  Successive
-solves during a line search thus start near their answer.  The objective
-drops its previous vectors and pair before each solve, so no extra p x q
-array is held during it.  A psi bit-identical to the previous one is not
-solved again, so the start, which optimize_psi and L-BFGS-B both
-evaluate, costs one solve, and recover_loadings at the last iterate costs
-none.  A start whose projected gradient is already within L-BFGS-B's
-tolerance is returned without running the solver.
+using d theta_j / d psi_i = -theta_j v_ij^2 / psi_i.  The maximization
+keeps every uniqueness in the box [model.PSI_MIN, model.PSI_MAX] =
+[1e-4, 1e4], which rules out Heywood collapse, and minimizes
+F = -Qp * 2/n_eff: -Qp's curvature in u is about n_eff/2 (in the diagonal
+term log psi_i + S_ii/psi_i it is exactly n_eff/2 at psi_i = S_ii), so F
+has about unit curvature whatever the component's mass.
+
+The solver that computes the eigenpairs of G picks the optimizer.  At
+p <= linops.DENSE_THRESHOLD every evaluation takes the whole spectrum
+(theta_m, v_m) of G from one dense eigh, and second-order perturbation
+gives F's exact Hessian in u at no further solve, as in the Newton-Raphson
+for ML factor analysis of Jennrich & Robinson (1969):
+
+    H = diag(S_ii / psi_i) - sum_{j act} sum_m c_jm (v_j o v_m)(v_j o v_m)^T,
+
+with "act" meaning j <= q and theta_j > 1, c_jj = theta_j,
+c_jm = (theta_j - 1)(theta_j + theta_m)/(theta_j - theta_m) for m inactive
+and (theta_j + theta_m)/2 for m active too, where the singular terms of the
+pair cancel.  There a projected Newton (Bertsekas 1982) runs, on the
+Hessian with its eigenvalues made absolute and floored (see _newton).
+Above the threshold only the leading q pairs are solved, and L-BFGS-B
+(Byrd et al. 1995) runs.  It takes its first step as if the Hessian were
+the identity, which F's scaling makes about the right length.  scipy's box
+costs O(p) Python work per call, so the run leaves it out: it works on a
+similarity-scaled copy of u whose first step and stopping rules are those
+of the boxed run, and hands over to a boxed run only when a trial point
+would leave the box (see _lbfgsb).
+
+Eigenpairs of G come from the shared linops solver, handed S with the
+whitening psi^{-1/2} as its ``scale``.  A scatter of no more weighted rows
+than the iterative basis width min(p, 2q + 10), as in typical n << p fits,
+is solved exactly on its small Gram matrix: one GEMM and one small eigh
+per evaluation.  The iterative solvers start from the previous
+evaluation's Ritz vectors carried to the new psi, each row scaled by
+sqrt(psi_prev / psi): the loadings they stand for, whitened at the new psi
+instead of the old, just as cm_step builds the first start from the
+current loadings.  Successive solves during a line search thus start near
+their answer.  The objective drops its previous vectors and pair before
+each solve, so no extra p x q array is held during it.  A psi
+bit-identical to the previous one is not solved again, so the start, which
+optimize_psi and L-BFGS-B both evaluate, costs one solve, and
+recover_loadings at the result costs none.  The objective evaluates psi
+clipped to the box, the value optimize_psi returns, so a uniqueness on a
+bound does not defeat that cache.  A start whose projected gradient is
+already within L-BFGS-B's tolerance is returned without running either
+optimizer.
 """
 
 from __future__ import annotations
@@ -69,6 +88,14 @@ PGTOL = 1e-5
 # _FTOL * max(|F|, 1) (scipy's default, factr = 1e7)
 _FTOL = 1e7 * float(np.finfo(np.float64).eps)
 _LOG_MIN, _LOG_MAX = float(np.log(PSI_MIN)), float(np.log(PSI_MAX))
+# the projected Newton's Armijo constant, its eigenvalue floor relative to
+# the largest |eigenvalue| of the free block, the widest margin inside which
+# a coordinate near a bound is held there, and the largest last step (in
+# log psi) with which its projected-gradient test stops the run
+_ARMIJO = 1e-4
+_EIG_FLOOR = 1e-8
+_EPS = 1e-3
+_XTOL = 1e-2
 _log = logging.getLogger(__name__)
 
 
@@ -81,13 +108,14 @@ class ProfileObjective:
 
     Holds the scatter operator, its diagonal, the effective sample mass
     n_eff (the component's responsibility sum), the factor count q, and the
-    previous solve's eigenvectors with their whitening.  Every eigensolve is
-    linops.top_eigenpairs on the scatter with scale = psi^{-1/2}, which
-    whitens it inside the solve and picks the solver (dense at
-    p <= linops.DENSE_THRESHOLD), warm-started from the previous vectors
-    times sqrt(psi_prev / psi); ``warm_vectors`` given to the constructor
-    start the first solve as they are.  The last solve is kept with its
-    psi, so asking again at a bit-identical psi returns it without
+    previous solve's eigenvectors with their whitening.  Every eigensolve
+    hands linops the scatter with scale = psi^{-1/2}, which whitens it
+    inside the solve.  On the dense route (p <= linops.DENSE_THRESHOLD) it
+    is linops.dense_spectrum, whose whole spectrum ``hessian`` reads; on
+    the others it is linops.top_eigenpairs, warm-started from the previous
+    vectors times sqrt(psi_prev / psi), where ``warm_vectors`` given to the
+    constructor start the first solve as they are.  The last solve is kept
+    with its psi, so asking again at a bit-identical psi returns it without
     solving.  Before each solve the previous vectors and pair are dropped:
     a solve that raises leaves neither behind, and a pair already returned
     is never changed.  The vectors come back with no sign convention;
@@ -110,7 +138,9 @@ class ProfileObjective:
         self.warm_vectors = warm_vectors
         # the whitening psi^{-1/2} of the warm vectors, when known
         self._warm_scale = None
-        self._last = (None, None)  # (psi bytes, EigPairs) of the last solve
+        # (psi bytes, EigPairs, spectrum) of the last solve; the spectrum,
+        # every pair, is kept on the dense route only
+        self._last = (None, None, None)
 
     def eigenpairs(self, psi: np.ndarray) -> linops.EigPairs:
         """Leading q eigenpairs of Psi^{-1/2} S Psi^{-1/2} at this psi."""
@@ -118,24 +148,45 @@ class ProfileObjective:
         if key == self._last[0]:
             return self._last[1]
         scale = 1.0 / np.sqrt(psi)
+        solver = linops.route(self.scov, self.q)
         warm = self.warm_vectors
-        if (self._warm_scale is not None
-                and linops.route(self.scov, self.q) in linops.WARM_STARTED):
+        if self._warm_scale is not None and solver in linops.WARM_STARTED:
             # the vectors whitened at the previous psi, carried to this one;
             # the dense and Gram solves read no warm start
             warm = warm * (scale / self._warm_scale)[:, None]
         # no previous vectors or pair outlive the solve's start, and none is
         # left behind if it raises
-        self.warm_vectors, self._warm_scale, self._last = None, None, (None, None)
-        pairs = linops.top_eigenpairs(self.scov, self.q, scale=scale, v0=warm)
+        self.warm_vectors, self._warm_scale = None, None
+        self._last = (None, None, None)
+        spectrum = None
+        if solver == "dense":
+            # the whole spectrum, which the Newton step reads; the leading q
+            # pairs are views of it
+            spectrum = linops.dense_spectrum(self.scov, scale)
+            pairs = linops.EigPairs(values=spectrum.values[: self.q],
+                                    vectors=spectrum.vectors[:, : self.q])
+        else:
+            pairs = linops.top_eigenpairs(self.scov, self.q, scale=scale, v0=warm)
         self.warm_vectors, self._warm_scale = pairs.vectors, scale
-        self._last = (key, pairs)
+        self._last = (key, pairs, spectrum)
         return pairs
 
-    def value_and_gradient(self, log_psi: np.ndarray):
-        """Qp and its gradient with respect to log psi."""
-        log_psi = np.asarray(log_psi, dtype=np.float64)
+    def _psi(self, log_psi: np.ndarray) -> np.ndarray:
+        # clipped, so that a uniqueness on a bound is evaluated at the value
+        # optimize_psi returns: exp(log PSI_MAX) exceeds PSI_MAX by an ulp
         psi = np.exp(log_psi)
+        return np.minimum(np.maximum(psi, PSI_MIN, out=psi), PSI_MAX, out=psi)
+
+    def value_and_gradient(self, log_psi: np.ndarray):
+        """Qp and its gradient with respect to log psi.
+
+        psi is exp(log_psi) clipped to [PSI_MIN, PSI_MAX], the value
+        optimize_psi returns; inside the box the clip moves psi by at most
+        an ulp, and outside it these are not the profile's value and
+        gradient.
+        """
+        log_psi = np.asarray(log_psi, dtype=np.float64)
+        psi = self._psi(log_psi)
         ratio = self.scov_diag / psi
         base = float(np.sum(log_psi) + np.sum(ratio))
         grad = 1.0 - ratio
@@ -151,6 +202,41 @@ class ProfileObjective:
         half = -0.5 * self.n_eff
         return half * base, half * grad
 
+    def hessian(self, log_psi: np.ndarray) -> np.ndarray:
+        """Hessian of -Qp * 2/n_eff with respect to log psi, for q > 0.
+
+        It reads the whole spectrum (theta_m, v_m) of the whitened scatter,
+        so it runs on the dense route only, and at the psi of the last
+        evaluation it makes no solve.  With w_jm = v_j * v_m (elementwise)
+        and "active" meaning j <= q and theta_j > 1,
+
+            H = diag(S_ii / psi_i) - sum_{j act} sum_m c_jm w_jm w_jm^T,
+
+        c_jj = theta_j, c_jm = (theta_j - 1)(theta_j + theta_m)/(theta_j -
+        theta_m) for m inactive, and (theta_j + theta_m)/2 for m active too,
+        where the singular terms of the pair cancel (Jennrich & Robinson
+        1969).  A tie theta_m = theta_j between an active and an inactive
+        pair, where the profile has no second derivative, gives NaN
+        entries.
+        """
+        psi = self._psi(np.asarray(log_psi, dtype=np.float64))
+        self.eigenpairs(psi)
+        theta, vectors = self._last[2].values, self._last[2].vectors
+        hess = np.diag(self.scov_diag / psi)
+        act = np.flatnonzero(theta[: self.q] > 1.0)
+        if act.size:
+            th = theta[act, None]
+            gap = th - theta
+            gap[:, act] = 1.0
+            # a tie gives NaN, without a warning
+            coef = (th - 1.0) * (th + theta) / np.where(gap == 0.0, np.nan, gap)
+            coef[:, act] = 0.5 * (th + theta[act])
+            coef[np.arange(act.size), act] = theta[act]
+            # columns w_jm, j active and m over the whole spectrum
+            w = (vectors[:, act, None] * vectors[:, None, :]).reshape(self.p, -1)
+            hess -= (w * coef.ravel()) @ w.T
+        return hess
+
 
 def profile_value_and_gradient(obj: ProfileObjective, log_psi: np.ndarray):
     """Module-level entry point mirroring ProfileObjective.value_and_gradient."""
@@ -160,36 +246,23 @@ def profile_value_and_gradient(obj: ProfileObjective, log_psi: np.ndarray):
 def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     """Maximize the profile objective over psi inside [PSI_MIN, PSI_MAX].
 
-    Runs L-BFGS-B on u = log psi from the (clipped) warm start, for at most
-    MAX_INNER_ITER iterations, and returns the best point it evaluated: the
-    first with the highest finite profile value, or the start when none is
-    finite.  L-BFGS-B sees f = -Qp * s and its gradient g, with s =
-    2/n_eff, which gives the objective about unit curvature near its
-    optimum, so the first trial step is about the right length whatever the
-    component's mass.
+    Minimizes F = -Qp * s, s = 2/n_eff, over u = log psi from the
+    (clipped) warm start, and returns the best point evaluated: the first
+    with the highest finite profile value, or the start when none is
+    finite.  On the dense route (linops.route(obj.scov, obj.q) == "dense")
+    a projected Newton on the exact Hessian runs (_newton); on every other
+    route L-BFGS-B runs (_lbfgsb).  Both stop when the max-norm of the
+    projected gradient of F is at most PGTOL * s (the Newton once its last
+    step was short), take at most MAX_INNER_ITER iterations on one budget
+    of 2 * MAX_INNER_ITER evaluations, and evaluate no point outside the
+    box.
 
-    The run leaves out scipy's box, whose set-up costs O(p) Python work per
-    call.  With g0 the scaled gradient at the start u0, it works on z with
-    u = u0 + c z and c = ||g0||, and is handed f / c^2 and g / c.  The
-    z-Hessian is then the u-Hessian, and scipy's unboxed first step,
-    min(1 / ||d||, 1e10) d, lands on u0 - g0, the unit step a boxed run
-    takes first.  Its stopping rules are the boxed run's: gtol = PGTOL s / c
-    is the same max-norm test on g, and ftol is rescaled so that scipy's
-    test dF <= ftol max(|F|, 1) on F = f / c^2 is, at the start's |f|, the
-    boxed run's df <= ftol max(|f|, 1) at scipy's default ftol.  No point outside the box is evaluated: a boxed
-    L-BFGS-B run takes over from the best point so far when a trial point
-    would leave the box (logged at DEBUG), and runs from the start when its
-    projected gradient differs from g0, which is when u0 - g0 leaves the
-    box.  The runs share one budget of 2 * MAX_INNER_ITER evaluations,
-    which scipy checks only between iterations, so a line search can
-    overrun it.
-
-    A start whose scaled projected gradient has max-norm at most PGTOL * s
-    is returned as it is, which is where L-BFGS-B would stop before its
-    first iteration.  On a non-finite start, a solver failure or an
-    eigensolver breakdown the best point so far stands, so the result never
-    has a lower profile value than the start, which preserves the ECM
-    ascent property; a failure is logged at DEBUG.
+    A start whose projected gradient meets that test is returned as it is,
+    which is where either optimizer would stop before its first iteration.
+    On a non-finite start, a solver failure or an eigensolver breakdown the
+    best point so far stands, so the result never has a lower profile value
+    than the start, which preserves the ECM ascent property; a failure is
+    logged at DEBUG.
     """
     if obj.q == 0:
         # separable closed form: log psi_j + d_j/psi_j peaks at psi_j = d_j,
@@ -200,11 +273,11 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
 
     best = {"u": u0, "f": None}
 
-    # -Qp's curvature is about n_eff/2: scaled by its inverse, L-BFGS-B's
-    # identity-Hessian first step does not overshoot
+    # -Qp's curvature is about n_eff/2: scaled by its inverse, F has about
+    # unit curvature, and L-BFGS-B's identity-Hessian first step does not
+    # overshoot
     scale = 2.0 / obj.n_eff
     gtol = PGTOL * scale
-    budget = 2 * MAX_INNER_ITER
 
     def negated(u):
         val, grad = obj.value_and_gradient(u)
@@ -216,49 +289,158 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
         grad *= -scale
         return f * scale, grad
 
-    def lbfgsb(fun, x0, bounds, **options):
-        minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                 options={"maxiter": MAX_INNER_ITER, "maxfun": budget, **options})
-
     try:
         f0, g0 = negated(u0)
-        # L-BFGS-B's projected gradient: each component is capped by the
-        # distance to the bound that a descent step moves toward
-        projected = np.where(
-            g0 < 0, np.maximum(u0 - _LOG_MAX, g0), np.minimum(u0 - _LOG_MIN, g0)
-        )
-        if np.isfinite(f0) and np.max(np.abs(projected)) > gtol:
-            boxed = not np.array_equal(projected, g0)
-            if not boxed:
-                c = float(np.linalg.norm(g0))
-
-                def similar(z):
-                    nonlocal budget
-                    u = u0 + c * z
-                    # written so that a NaN coordinate fails it too
-                    if not (_LOG_MIN <= u.min() and u.max() <= _LOG_MAX):
-                        raise _LeftBox
-                    budget -= 1
-                    f, g = negated(u)
-                    g /= c
-                    return f / (c * c), g
-
-                try:
-                    lbfgsb(similar, np.zeros(obj.p), None, gtol=gtol / c,
-                           ftol=_FTOL * max(abs(f0), 1.0) / max(abs(f0), c * c))
-                except _LeftBox:
-                    boxed = True
-                    _log.debug("optimize_psi goes on inside the box from its "
-                               "best point with %d of %d evaluations left",
-                               budget, 2 * MAX_INNER_ITER)
-            if boxed and budget > 0:
-                box = Bounds(np.full(obj.p, _LOG_MIN), np.full(obj.p, _LOG_MAX))
-                lbfgsb(negated, best["u"], box, gtol=gtol, ftol=_FTOL)
+        if np.isfinite(f0) and np.max(np.abs(_projected(u0, g0))) > gtol:
+            if linops.route(obj.scov, obj.q) == "dense":
+                _newton(obj, negated, u0, f0, g0, gtol)
+            else:
+                _lbfgsb(negated, best, u0, f0, g0, gtol)
     except (linops.NoConvergence, FloatingPointError) as exc:
         _log.debug(
             "optimize_psi keeps its best point after %s: %s", type(exc).__name__, exc
         )
     return np.clip(np.exp(best["u"]), PSI_MIN, PSI_MAX)
+
+
+def _projected(u, g):
+    """L-BFGS-B's projected gradient: each component is capped by the
+    distance to the bound that a descent step moves toward."""
+    return np.where(g < 0, np.maximum(u - _LOG_MAX, g), np.minimum(u - _LOG_MIN, g))
+
+
+def _newton(obj, negated, u, f, g, gtol):
+    """Projected Newton (Bertsekas 1982) on F = negated from (u, f, g).
+
+    Coordinates on a bound, or within eps = min(_EPS, ||pg||) of one, whose
+    gradient points out of the box are held: they step along -g.  The others
+    step along -B^{-1} g, with B the free block of the exact Hessian with
+    each eigenvalue replaced by its absolute value, floored at
+    _EIG_FLOOR * max |lambda|.  Armijo backtracking by halves runs along the
+    projected arc clip(u + alpha d), so no point outside the box is
+    evaluated.
+
+    The run stops on the projected-gradient test once its last step moved
+    no coordinate by more than _XTOL: along a Heywood coordinate the
+    profile flattens like psi_i, the gradient falls under the test while
+    each Newton step still moves log psi_i by about one, and the coordinate
+    goes on to the bound, as it does at any n_eff.  It also stops when the
+    full step's predicted decrease is within L-BFGS-B's relative tolerance
+    of F, after MAX_INNER_ITER iterations or 2 * MAX_INNER_ITER
+    evaluations, and when a line search fails; the last two are logged at
+    DEBUG.  The solve at the best point is left in obj's cache.
+    """
+    budget = 2 * MAX_INNER_ITER
+    step, stop = np.inf, None
+    # the solve at the first best point, which optimize_psi returns
+    kept, kept_f = obj._last, f
+    for _ in range(MAX_INNER_ITER):
+        pg = _projected(u, g)
+        if np.abs(pg).max() <= gtol and step <= _XTOL:
+            break
+        eps = min(_EPS, float(np.sqrt(pg @ pg)))
+        hold = ((u <= _LOG_MIN + eps) & (g > 0)) | ((u >= _LOG_MAX - eps) & (g < 0))
+        free = ~hold
+        d = -g
+        if free.any():
+            hess = obj.hessian(u)
+            if hold.any():
+                hess = hess[np.ix_(free, free)]
+            if np.isfinite(hess).all():
+                lam, vec = np.linalg.eigh(hess)
+                lam = np.abs(lam)
+                top = lam.max()
+                if top > 0:
+                    lam = np.maximum(lam, _EIG_FLOOR * top)
+                    d[free] = vec @ ((vec.T @ d[free]) / lam)
+        # Armijo along the projected arc: the predicted decrease is
+        # alpha g'B^{-1}g on the free coordinates and g'(u - u(alpha)) on
+        # the held ones
+        slope = -float(g[free] @ d[free])
+        alpha, moved = 1.0, None
+        trial = _clip_log(u + d)
+        if slope + float(g[hold] @ (u - trial)[hold]) <= _FTOL * max(abs(f), 1.0):
+            break
+        while budget > 0 and not np.array_equal(trial, u):
+            budget -= 1
+            ft, gt = negated(trial)
+            if ft < kept_f:
+                kept, kept_f = obj._last, ft
+            if ft <= f - _ARMIJO * (alpha * slope
+                                    + float(g[hold] @ (u - trial)[hold])):
+                moved = trial, ft, gt
+                break
+            alpha *= 0.5
+            trial = _clip_log(u + alpha * d)
+        if moved is None:
+            stop = "its budget" if budget == 0 else "a failed line search"
+            break
+        step = float(np.abs(trial - u).max())
+        u, f, g = moved
+    else:
+        stop = "its budget"
+    obj._last = kept
+    if stop is not None:
+        _log.debug("optimize_psi's Newton stops on %s with %d of %d "
+                   "evaluations left", stop, budget, 2 * MAX_INNER_ITER)
+
+
+def _clip_log(u):
+    """u clipped to [log PSI_MIN, log PSI_MAX], in place."""
+    return np.minimum(np.maximum(u, _LOG_MIN, out=u), _LOG_MAX, out=u)
+
+
+def _lbfgsb(negated, best, u0, f0, g0, gtol):
+    """L-BFGS-B on F = negated from (u0, f0, g0), unboxed while it can be.
+
+    The run leaves out scipy's box, whose set-up costs O(p) Python work per
+    call.  It works on z with u = u0 + c z and c = ||g0||, and is handed
+    F / c^2 and g / c.  The z-Hessian is then the u-Hessian, and scipy's
+    unboxed first step, min(1 / ||d||, 1e10) d, lands on u0 - g0, the unit
+    step a boxed run takes first.  Its stopping rules are the boxed run's:
+    gtol / c is the same max-norm test on g, and ftol is rescaled so that
+    scipy's test dF' <= ftol max(|F'|, 1) on F' = F / c^2 is, at the start's
+    |F|, the boxed run's dF <= ftol max(|F|, 1) at scipy's default ftol.  A
+    boxed L-BFGS-B run takes over from the best point so far when a trial
+    point would leave the box (logged at DEBUG), and runs from the start
+    when its projected gradient differs from g0, which is when u0 - g0
+    leaves the box.  The runs share one budget of 2 * MAX_INNER_ITER
+    evaluations, which scipy checks only between iterations, so a line
+    search can overrun it.
+    """
+    budget = 2 * MAX_INNER_ITER
+    p = u0.size
+
+    def lbfgsb(fun, x0, bounds, **options):
+        minimize(fun, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                 options={"maxiter": MAX_INNER_ITER, "maxfun": budget, **options})
+
+    boxed = not np.array_equal(_projected(u0, g0), g0)
+    if not boxed:
+        c = float(np.linalg.norm(g0))
+
+        def similar(z):
+            nonlocal budget
+            u = u0 + c * z
+            # written so that a NaN coordinate fails it too
+            if not (_LOG_MIN <= u.min() and u.max() <= _LOG_MAX):
+                raise _LeftBox
+            budget -= 1
+            f, g = negated(u)
+            g /= c
+            return f / (c * c), g
+
+        try:
+            lbfgsb(similar, np.zeros(p), None, gtol=gtol / c,
+                   ftol=_FTOL * max(abs(f0), 1.0) / max(abs(f0), c * c))
+        except _LeftBox:
+            boxed = True
+            _log.debug("optimize_psi goes on inside the box from its "
+                       "best point with %d of %d evaluations left",
+                       budget, 2 * MAX_INNER_ITER)
+    if boxed and budget > 0:
+        box = Bounds(np.full(p, _LOG_MIN), np.full(p, _LOG_MAX))
+        lbfgsb(negated, best["u"], box, gtol=gtol, ftol=_FTOL)
 
 
 def recover_loadings(obj: ProfileObjective, psi_hat: np.ndarray) -> np.ndarray:

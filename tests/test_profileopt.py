@@ -36,6 +36,20 @@ def fd_gradient(obj, log_psi, h=1e-5):
     return grad
 
 
+def _iterative(monkeypatch):
+    """Send every eigensolve past the dense route: optimize_psi then runs
+    L-BFGS-B instead of the projected Newton."""
+    monkeypatch.setattr(linops, "DENSE_THRESHOLD", 0)
+
+
+def _on_both_routes(monkeypatch):
+    """Run the loop body on the dense route (the projected Newton), then on
+    an iterative one (L-BFGS-B); yields the route's name."""
+    yield "dense"
+    _iterative(monkeypatch)
+    yield "iterative"
+
+
 # -------------------------------------------------------- value and gradient
 
 
@@ -158,8 +172,10 @@ def test_warm_start_is_carried_to_the_new_psi(rng, monkeypatch):
 
 
 def test_only_the_iterative_routes_carry_the_warm_start(rng, monkeypatch):
-    # the dense and Gram solves ignore v0, so the previous vectors go in as
-    # they are; the block and Lanczos solves get them carried to the new psi
+    # the Gram solve ignores v0, so the previous vectors go in as they are;
+    # the block and Lanczos solves get them carried to the new psi.  The
+    # dense route takes the whole spectrum from linops.dense_spectrum, which
+    # reads no start
     p, q = 80, 3
     starts = []
     original = linops.top_eigenpairs
@@ -169,9 +185,13 @@ def test_only_the_iterative_routes_carry_the_warm_start(rng, monkeypatch):
         return original(op, k, **kwargs)
 
     monkeypatch.setattr(linops, "top_eigenpairs", recording)
-    for rows, threshold, carried in ((200, 200, False), (14, 0, False),
-                                     (40, 0, True), (200, 0, True)):
-        monkeypatch.setattr(linops, "DENSE_THRESHOLD", threshold)
+    monkeypatch.setattr(linops, "DENSE_THRESHOLD", 200)
+    obj = ProfileObjective(_planted_scatter(rng, 200, p, q), 100.0, q)
+    obj.eigenpairs(rng.uniform(0.3, 2.0, p))
+    obj.eigenpairs(rng.uniform(0.3, 2.0, p))
+    assert starts == []
+    monkeypatch.setattr(linops, "DENSE_THRESHOLD", 0)
+    for rows, carried in ((14, False), (40, True), (200, True)):
         obj = ProfileObjective(_planted_scatter(rng, rows, p, q), 100.0, q)
         first = obj.eigenpairs(rng.uniform(0.3, 2.0, p))
         obj.eigenpairs(rng.uniform(0.3, 2.0, p))
@@ -264,10 +284,11 @@ def test_stationary_start_skips_lbfgsb(monkeypatch):
     # eigenvalue at most one, and the first pinned at the lower bound with
     # the gradient pointing out of the box: the projected gradient is zero
     def unreachable(*args, **kwargs):
-        raise AssertionError("L-BFGS-B ran from a stationary start")
+        raise AssertionError("an optimizer ran from a stationary start")
 
     monkeypatch.setattr(profileopt, "minimize", unreachable)
     obj = _objective(np.diag([1e-9, 1.0, 1.0, 1.0, 1.0]), q=1)
+    monkeypatch.setattr(obj, "hessian", unreachable)
     start = np.array([PSI_MIN, 1.0, 1.0, 1.0, 1.0])
     psi = optimize_psi(obj, start)
     # equal up to the log/exp round trip of the bound coordinate
@@ -284,13 +305,21 @@ def _box_instance(rng, largest=1e6):
     return _objective(scov, q), np.ones(p)
 
 
-def test_result_always_inside_box(rng):
+def test_result_always_inside_box(rng, monkeypatch):
     obj, psi0 = _box_instance(rng)
-    psi = optimize_psi(obj, psi0)
-    assert np.all(psi >= PSI_MIN) and np.all(psi <= PSI_MAX)
-    # up to the log/exp round trip of a bound coordinate
-    assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
-    assert np.any(np.isclose(psi, PSI_MAX, rtol=1e-12, atol=0.0))
+    scov = obj.scov
+    for route in _on_both_routes(monkeypatch):
+        psi = optimize_psi(ProfileObjective(scov, obj.n_eff, obj.q), psi0)
+        assert np.all(psi >= PSI_MIN) and np.all(psi <= PSI_MAX)
+        # up to the log/exp round trip of a bound coordinate
+        assert np.any(np.isclose(psi, PSI_MAX, rtol=1e-12, atol=0.0)), route
+        if route == "dense":
+            # the iterative route's L-BFGS-B stops on its relative
+            # tolerance before any uniqueness reaches PSI_MIN: with
+            # variances from 1e-12 to 1e12 the profile value carries
+            # rounding of about 1e-3 (tr(S/psi) and theta_1 are both about
+            # 1e13)
+            assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
 
 
 def _random_instances(rng, trials=8):
@@ -302,19 +331,24 @@ def _random_instances(rng, trials=8):
                rng.uniform(0.2, 2.0, p))
 
 
-def test_result_does_not_depend_on_the_sample_mass(rng):
-    # n_eff scales Qp and leaves its maximizer where it is; L-BFGS-B works on
-    # Qp * 2/n_eff, so from one start it reaches the same uniquenesses
-    for scov, q, psi0 in _random_instances(rng):
-        fitted = [np.log(optimize_psi(_objective(scov, q, n_eff=n_eff), psi0))
-                  for n_eff in (5.0, 500.0, 50000.0)]
-        for log_psi in fitted[1:]:
-            np.testing.assert_allclose(log_psi, fitted[0], rtol=0.0, atol=1e-3)
+def test_result_does_not_depend_on_the_sample_mass(rng, monkeypatch):
+    # n_eff scales Qp and leaves its maximizer where it is; both optimizers
+    # work on Qp * 2/n_eff, so from one start they reach the same
+    # uniquenesses, Heywood coordinates on the lower bound included
+    instances = list(_random_instances(rng))
+    for route in _on_both_routes(monkeypatch):
+        for scov, q, psi0 in instances:
+            fitted = [np.log(optimize_psi(_objective(scov, q, n_eff=n_eff), psi0))
+                      for n_eff in (5.0, 500.0, 50000.0)]
+            for log_psi in fitted[1:]:
+                np.testing.assert_allclose(log_psi, fitted[0], rtol=0.0,
+                                           atol=1e-3, err_msg=route)
 
 
 def test_first_trial_point_improves_on_the_start(rng, monkeypatch):
     # optimize_psi evaluates the start, L-BFGS-B evaluates it again and then
     # its first trial point, a step of unit curvature that does not overshoot
+    _iterative(monkeypatch)
     for scov, q, psi0 in _random_instances(rng):
         for n_eff in (5.0, 500.0, 50000.0):
             obj = _objective(scov, q, n_eff=n_eff)
@@ -348,48 +382,56 @@ def _first_best_psi(seen):
 
 
 def test_result_is_the_first_best_point_evaluated(rng, monkeypatch):
+    instances = []
     for trial in range(6):
         p = int(rng.integers(5, 20))
         q = int(rng.integers(1, 4))
-        scov = random_spd(p, rng, eig_low=0.2, eig_high=6.0)
-        psi0 = rng.uniform(0.2, 2.0, p)
-        # a full run, then one cut short by an eigensolver failure
-        for fail_after in (None, 3):
-            obj = _objective(scov, q)
-            seen = _record_evaluations(obj, monkeypatch, fail_after)
-            psi = optimize_psi(obj, psi0)
-            assert len(seen) >= 3
-            np.testing.assert_array_equal(psi, _first_best_psi(seen))
+        instances.append((random_spd(p, rng, eig_low=0.2, eig_high=6.0), q,
+                          rng.uniform(0.2, 2.0, p)))
+    for route in _on_both_routes(monkeypatch):
+        for scov, q, psi0 in instances:
+            # a full run, then one cut short by an eigensolver failure
+            for fail_after in (None, 3):
+                obj = _objective(scov, q)
+                seen = _record_evaluations(obj, monkeypatch, fail_after)
+                psi = optimize_psi(obj, psi0)
+                assert len(seen) >= 3, route
+                np.testing.assert_array_equal(psi, _first_best_psi(seen))
 
 
 def test_a_solver_failure_is_logged_at_debug_only(rng, monkeypatch, caplog):
     scov, q, psi0 = next(_random_instances(rng))
-    obj = _objective(scov, q)
-    _record_evaluations(obj, monkeypatch, fail_after=3)
-    with caplog.at_level(logging.INFO, logger="gmmfad"):
-        optimize_psi(obj, psi0)
-    assert caplog.records == []
-    obj = _objective(scov, q)
-    seen = _record_evaluations(obj, monkeypatch, fail_after=3)
-    with caplog.at_level(logging.DEBUG, logger="gmmfad.profileopt"):
-        psi = optimize_psi(obj, psi0)
-    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
-    assert "NoConvergence" in caplog.records[0].getMessage()
-    np.testing.assert_array_equal(psi, _first_best_psi(seen))
+    for route in _on_both_routes(monkeypatch):
+        caplog.clear()
+        obj = _objective(scov, q)
+        _record_evaluations(obj, monkeypatch, fail_after=3)
+        with caplog.at_level(logging.INFO, logger="gmmfad"):
+            optimize_psi(obj, psi0)
+        assert caplog.records == []
+        obj = _objective(scov, q)
+        seen = _record_evaluations(obj, monkeypatch, fail_after=3)
+        with caplog.at_level(logging.DEBUG, logger="gmmfad.profileopt"):
+            psi = optimize_psi(obj, psi0)
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG], route
+        assert "NoConvergence" in caplog.records[0].getMessage()
+        np.testing.assert_array_equal(psi, _first_best_psi(seen))
 
 
 def test_a_non_finite_start_is_returned_as_it_is(monkeypatch):
-    obj = _objective(np.diag([1.0, 2.0, 3.0]), q=1)
     def unreachable(*args, **kwargs):
-        raise AssertionError("L-BFGS-B ran from a non-finite start")
+        raise AssertionError("an optimizer ran from a non-finite start")
 
-    monkeypatch.setattr(obj, "value_and_gradient",
-                        lambda u: (np.nan, np.full(u.size, np.nan)))
     monkeypatch.setattr(profileopt, "minimize", unreachable)
     start = np.array([0.5, 1.0, 2.0])
-    np.testing.assert_array_equal(
-        optimize_psi(obj, start), np.clip(np.exp(np.log(start)), PSI_MIN, PSI_MAX)
-    )
+    for route in _on_both_routes(monkeypatch):
+        obj = _objective(np.diag([1.0, 2.0, 3.0]), q=1)
+        monkeypatch.setattr(obj, "value_and_gradient",
+                            lambda u: (np.nan, np.full(u.size, np.nan)))
+        monkeypatch.setattr(obj, "hessian", unreachable)
+        np.testing.assert_array_equal(
+            optimize_psi(obj, start),
+            np.clip(np.exp(np.log(start)), PSI_MIN, PSI_MAX), err_msg=route
+        )
 
 
 def test_a_worse_solver_result_gives_way_to_the_best_point_evaluated(
@@ -398,6 +440,7 @@ def test_a_worse_solver_result_gives_way_to_the_best_point_evaluated(
     # a worse point, both inside the box, through the scaled variable z it is
     # handed, and reports the worse: the result is the optimum, whatever the
     # solver reports
+    _iterative(monkeypatch)
     p, q = 8, 2
     scov = random_spd(p, rng, eig_low=0.3, eig_high=5.0)
     u_best = np.log(optimize_psi(_objective(scov, q), np.full(p, 0.7)))
@@ -457,6 +500,7 @@ def _interior_instances(rng, trials=8):
 
 
 def test_an_interior_solve_is_given_no_bounds(rng, monkeypatch):
+    _iterative(monkeypatch)
     calls = _record_minimize(monkeypatch)
     for scov, q, psi0 in _interior_instances(rng):
         optimize_psi(ProfileObjective(scov, 100.0, q), psi0)
@@ -465,24 +509,34 @@ def test_an_interior_solve_is_given_no_bounds(rng, monkeypatch):
 
 
 def test_no_point_outside_the_box_is_evaluated(rng, monkeypatch):
-    # a start whose unit step leaves the box goes straight to the boxed run;
-    # from one whose unit step stays inside, the unboxed run reaches a trial
-    # point outside the box and hands over
-    for largest, boxed in ((1e6, [True]), (1.0, [False, True])):
-        obj, psi0 = _box_instance(rng, largest)
-        calls = _record_minimize(monkeypatch)
-        seen = _record_evaluations(obj, monkeypatch)
-        psi = optimize_psi(obj, psi0)
-        assert [call["kwargs"]["bounds"] is not None for call in calls] == boxed
-        u = np.array([point for point, _ in seen])
-        assert np.all(u >= np.log(PSI_MIN)) and np.all(u <= np.log(PSI_MAX))
-        assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
+    # L-BFGS-B: a start whose unit step leaves the box goes straight to the
+    # boxed run; from one whose unit step stays inside, the unboxed run
+    # reaches a trial point outside the box and hands over.  The projected
+    # Newton evaluates points of its projected arc only
+    instances = [(_box_instance(rng, largest), largest, boxed)
+                 for largest, boxed in ((1e6, [True]), (1.0, [False, True]))]
+    for route in _on_both_routes(monkeypatch):
+        for (start_obj, psi0), largest, boxed in instances:
+            obj = ProfileObjective(start_obj.scov, start_obj.n_eff, start_obj.q)
+            calls = _record_minimize(monkeypatch)
+            seen = _record_evaluations(obj, monkeypatch)
+            psi = optimize_psi(obj, psi0)
+            bounded = [call["kwargs"]["bounds"] is not None for call in calls]
+            assert bounded == (boxed if route == "iterative" else []), route
+            u = np.array([point for point, _ in seen])
+            assert np.all(u >= np.log(PSI_MIN)) and np.all(u <= np.log(PSI_MAX))
+            # L-BFGS-B on the iterative route leaves every uniqueness of the
+            # largest=1e6 instance above PSI_MIN (see
+            # test_result_always_inside_box)
+            if route == "dense" or largest == 1.0:
+                assert np.any(np.isclose(psi, PSI_MIN, rtol=1e-12, atol=0.0))
 
 
 def test_first_trial_point_is_the_unit_step_along_the_scaled_gradient(
         rng, monkeypatch):
     # u0 - g0, the boxed run's first trial point, from a start far from the
     # optimum and from one so near it that ||g0|| is about 1e-6
+    _iterative(monkeypatch)
     for scov, q, psi0 in _interior_instances(rng, trials=4):
         obj = ProfileObjective(scov, 100.0, q)
 
@@ -506,7 +560,8 @@ def test_first_trial_point_is_the_unit_step_along_the_scaled_gradient(
         assert 1e-7 < np.linalg.norm(g0) < 1e-5, np.linalg.norm(g0)
 
 
-def test_the_box_fallback_is_logged_at_debug(rng, caplog):
+def test_the_box_fallback_is_logged_at_debug(rng, monkeypatch, caplog):
+    _iterative(monkeypatch)
     obj, psi0 = _box_instance(rng, largest=1.0)
     with caplog.at_level(logging.DEBUG, logger="gmmfad.profileopt"):
         optimize_psi(obj, psi0)
@@ -515,6 +570,7 @@ def test_the_box_fallback_is_logged_at_debug(rng, caplog):
 
 
 def test_the_box_fallback_gets_only_the_budget_left(rng, monkeypatch):
+    _iterative(monkeypatch)
     obj, psi0 = _box_instance(rng, largest=1.0)
     calls = _record_minimize(monkeypatch)
     optimize_psi(obj, psi0)
@@ -540,6 +596,78 @@ def test_installed_scipy_takes_the_first_steps_optimize_psi_relies_on():
                            bounds=bounds, options={"gtol": 0.0, "maxiter": 1})
             step = 1.0 if bounds else min(1.0 / np.linalg.norm(b), 1e10)
             np.testing.assert_allclose(seen[1], step * b, rtol=1e-12)
+
+
+# ------------------------------------------------------------ projected Newton
+
+
+def _hessian_by_differences(obj, log_psi, h=1e-5):
+    """Central differences of the gradient of -Qp * 2/n_eff."""
+    def grad(u):
+        return obj.value_and_gradient(u)[1] * (-2.0 / obj.n_eff)
+
+    return np.array([(grad(log_psi + h * e) - grad(log_psi - h * e)) / (2 * h)
+                     for e in np.eye(log_psi.size)])
+
+
+def test_hessian_matches_central_differences_of_the_gradient(rng):
+    cases = []
+    for _ in range(10):
+        p = int(rng.integers(3, 20))
+        q = int(rng.integers(1, min(5, p)))
+        cases.append((random_spd(p, rng, eig_low=0.2, eig_high=8.0), q,
+                      np.log(rng.uniform(0.2, 4.0, p))))
+    # no active pair: every whitened eigenvalue is below one
+    cases.append((0.5 * random_spd(8, rng, eig_low=0.2, eig_high=1.5), 2,
+                  np.zeros(8)))
+    # one planted factor with q = 3: theta_2 = theta_3 = 0.5 are inactive
+    lam = rng.standard_normal((12, 1))
+    cases.append((lam @ lam.T + 0.5 * np.eye(12), 3, np.zeros(12)))
+    active = []
+    for scov, q, log_psi in cases:
+        obj = _objective(scov, q, n_eff=float(rng.uniform(5, 500)))
+        active.append(int(np.sum(obj.eigenpairs(np.exp(log_psi)).values > 1.0)))
+        hess = obj.hessian(log_psi)
+        approx = _hessian_by_differences(obj, log_psi)
+        np.testing.assert_allclose(hess, hess.T, rtol=0.0,
+                                   atol=1e-12 * np.abs(hess).max())
+        rel = np.linalg.norm(hess - approx) / np.linalg.norm(approx)
+        assert rel < 1e-6, (q, active[-1], rel)
+    assert active[-2] == 0 and active[-1] == 1
+
+
+def test_recover_loadings_after_a_dense_solve_makes_no_eigh(rng, monkeypatch):
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    for scov, q, psi0 in _random_instances(rng):
+        obj = _objective(scov, q)
+        psi = optimize_psi(obj, psi0)
+        before = len(calls)
+        recover_loadings(obj, psi)
+        assert len(calls) == before
+
+
+def test_a_uniqueness_on_a_bound_is_not_solved_again(rng, monkeypatch):
+    # exp(log PSI_MAX) exceeds PSI_MAX by an ulp: the objective evaluates
+    # the clipped psi that optimize_psi returns, so recover_loadings at it
+    # finds the last solve in the cache
+    obj, psi0 = _box_instance(rng)
+    calls = count_calls(monkeypatch, np.linalg, "eigh")
+    for route in _on_both_routes(monkeypatch):
+        fitted = ProfileObjective(obj.scov, obj.n_eff, obj.q)
+        psi = optimize_psi(fitted, psi0)
+        assert np.any(psi == PSI_MAX), route
+        before = len(calls)
+        recover_loadings(fitted, psi)
+        assert len(calls) == before, route
+
+
+def test_the_newton_logs_a_stop_on_its_budget_at_debug(rng, monkeypatch, caplog):
+    obj, psi0 = _box_instance(rng)
+    monkeypatch.setattr(profileopt, "MAX_INNER_ITER", 2)
+    with caplog.at_level(logging.DEBUG, logger="gmmfad.profileopt"):
+        optimize_psi(obj, psi0)
+    assert [r.levelno for r in caplog.records] == [logging.DEBUG]
+    assert "Newton stops on its budget" in caplog.records[0].getMessage()
 
 
 # ------------------------------------------------------------ recover_loadings

@@ -23,7 +23,7 @@ from gmmfad.selection import (
 )
 from gmmfad.simgen import SimSpec, draw_truth, sample_dataset
 
-from .helpers import small_dataset
+from .helpers import count_calls, small_dataset
 
 
 def _cfg(monkeypatch, short_run_iters=1, **kw):
@@ -182,6 +182,18 @@ def test_a_rounding_fall_on_the_box_bound_does_not_fail_a_selection():
 
 
 # ---------------------------------------------------------------- per-cluster
+
+
+def test_a_selection_at_p_10_makes_no_minimize_call(monkeypatch):
+    # p = 10 is on the dense route, where every uniqueness solve is the
+    # projected Newton
+    data, _ = small_dataset(seed=0)
+    assert data.values.shape == (300, 10)
+    solves = count_calls(monkeypatch, profileopt, "optimize_psi")
+    minimize_calls = count_calls(monkeypatch, profileopt, "minimize")
+    grid = SearchGrid(k_values=(1, 2), q_max=2, fit_config=_cfg(monkeypatch))
+    select_per_cluster_q(data, grid)
+    assert len(solves) > 0 and minimize_calls == []
 
 
 def test_per_cluster_never_worse_than_common(monkeypatch):
