@@ -515,7 +515,7 @@ def main(argv=None) -> int:
     except FIT_FAILURES as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -47,13 +47,12 @@ Nothing in that path assembles a p x p matrix, so it scales to p far beyond
 n.  Per CM step and component the work is one pass over the data after the
 weighted mean (the centred squares, or at p <= linops.DENSE_THRESHOLD the
 dense scatter whose diagonal they are) plus one eigensolve per profile
-evaluation.  At p <= DENSE_THRESHOLD a solve is one ``eigh`` of the
-whitened dense scatter (linops.dense_spectrum), whose whole spectrum also
-gives the projected Newton its Hessian; above it (linops.top_eigenpairs),
-a scatter of at most 2q + 10 weighted rows takes one small Gram GEMM and
-one small ``eigh``, one of at most p / 2 rows a Lanczos, and any other a
-few block products (301 for 86 solves on perfbench's mid_np at feature
-seed 5).
+evaluation, each one linops.top_eigenpairs call.  At p <= DENSE_THRESHOLD
+a solve is one ``eigh`` of the whitened dense scatter, whose whole spectrum
+also gives the projected Newton its Hessian; above it a scatter of at most
+2q + 10 weighted rows takes one small Gram GEMM and one small ``eigh``, one
+of at most p / 2 rows a Lanczos, and any other a few block products (301
+for 86 solves on perfbench's mid_np at feature seed 5).
 
 The baseline engine is the standard two-cycle AECM for factor-analyzer
 mixtures (Ghahramani & Hinton 1996; McLachlan & Peel 2000, ch. 8): cycle one
@@ -147,7 +146,9 @@ class FitConfig:
     """Engine settings; defaults follow the calibration used throughout.
 
     The short runs of the start protocol take ``SHORT_RUN_ITERS`` steps of
-    the same engine step as the long runs.
+    the same engine step as the long runs.  The settings are checked on
+    construction (ValueError); ``validate_for`` checks what depends on the
+    data.
     """
 
     n_components: int
@@ -158,22 +159,27 @@ class FitConfig:
     n_finalists: int = 3
     seed: int = 0
 
+    def __post_init__(self):
+        # the settings that do not depend on the data, checked once here;
+        # written so that a NaN tol fails too
+        if self.n_components < 1:
+            raise ValueError("need at least one component")
+        if not self.tol >= 0 or self.max_iter < 1:
+            raise ValueError("tol must be >= 0 and max_iter >= 1")
+        if self.n_random_starts < 0 or self.n_finalists < 1:
+            raise ValueError("need n_random_starts >= 0 and n_finalists >= 1")
+        if min(self.factor_vector()) < 0:
+            raise ValueError("factor counts must be non-negative")
+
     def factor_vector(self) -> tuple[int, ...]:
         return expand_factor_spec(self.factor_spec, self.n_components)
 
     def validate_for(self, data: DataMatrix) -> None:
-        if self.n_components < 1:
-            raise ValueError("need at least one component")
+        """The checks that depend on the data: K <= n and the q bounds."""
         if self.n_components > data.n:
             raise ValueError("more components than observations")
-        if self.tol < 0 or self.max_iter < 1:
-            raise ValueError("tol must be >= 0 and max_iter >= 1")
-        if self.n_random_starts < 0 or self.n_finalists < 1:
-            raise ValueError("start protocol settings must be positive")
         cap = max_admissible_q(data.p)
         for k, q in enumerate(self.factor_vector()):
-            if q < 0:
-                raise ValueError("factor counts must be non-negative")
             if q > 0 and q > cap:
                 raise ValueError(
                     f"q={q} for component {k} exceeds the identifiability bound "

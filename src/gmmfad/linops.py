@@ -21,15 +21,18 @@ guard-checked ``to_dense()``.  The whitening is the solve's: given
 D = diag(scale), D = diag(psi^{-1/2}) for the uniqueness solver, and every
 route applies D on both sides of the operator's own product (``_product``,
 or the Gram and Lanczos kernels, which take the scale as an argument).
-Below ``dense_threshold`` the operator is materialized and handed to LAPACK
-(``dense_spectrum``, the one dense ``eigh``, which returns every pair);
-``dense_scatter`` is the one routine that builds a scatter matrix, for the
-operator and for the dense AECM baseline alike.  A scatter operator of
-p <= DENSE_THRESHOLD builds it in its constructor, when the active guard
-allows, and reads its diagonal off it, so its moments take one centred
-pass over the data, not two.  Above the threshold the solver is chosen by
-the support size n_s, since a scatter of n_s rows has rank at most n_s, and
-by the width m = min(p, 2q + 10) of an iterative solver's basis:
+``top_eigenpairs`` is the one entry: it picks the route (``route``),
+carries a warm start to the solve's whitening and returns the pairs with
+that whitening.  Below ``dense_threshold`` the operator is materialized and
+handed to LAPACK (``dense_spectrum``, the one dense ``eigh``), and the
+pairs carry every eigenpair as their ``spectrum``.  ``dense_scatter`` is
+the one routine that builds a scatter matrix, for the operator and for the
+dense AECM baseline alike.  A scatter operator of p <= DENSE_THRESHOLD
+builds it in its constructor, when the active guard allows, and reads its
+diagonal off it, so its moments take one centred pass over the data, not
+two.  Above the threshold the solver is chosen by the support size n_s,
+since a scatter of n_s rows has rank at most n_s, and by the width
+m = min(p, 2q + 10) of an iterative solver's basis:
 
 * a scatter operator with n_s <= m: an exact solve on the n_s x n_s Gram
   matrix (``_gram_eigpairs``, the snapshot method of Sirovich 1987; its
@@ -52,10 +55,11 @@ by the width m = min(p, 2q + 10) of an iterative solver's basis:
   column.
 
 The two iterative solvers start from one orthonormalized block
-(``_start_basis``: the warm-start subspace, which the uniqueness solver
-uses to make successive eigensolves nearly free, then seeded random
-columns) and share one Rayleigh-Ritz step with one residual test
-(``_ritz_pairs``): a pair is accepted when
+(``_start_basis``: the warm-start subspace, then seeded random columns).
+Handed the previous solve's ``EigPairs``, they start from its vectors
+carried to the new whitening, which makes the uniqueness solver's
+successive eigensolves nearly free.  They share one Rayleigh-Ritz step with
+one residual test (``_ritz_pairs``): a pair is accepted when
 ||A y_j - theta_j y_j|| <= tol * max(1, theta_j).  No solver fixes
 eigenvector signs.
 
@@ -265,10 +269,17 @@ class DenseSymOperator:
 
 @dataclass(frozen=True)
 class EigPairs:
-    """Leading eigenvalues (descending) and matching orthonormal vectors."""
+    """Leading eigenvalues (descending) and matching orthonormal vectors.
+
+    ``scale`` is the whitening D the solve was made under, which a later
+    solve needs to carry these vectors to its own; ``spectrum`` holds every
+    pair and is set on the dense route only, where it comes at no extra cost.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
+    scale: np.ndarray | None = None
+    spectrum: EigPairs | None = None
 
 
 def _product(op, scale, block):
@@ -301,19 +312,11 @@ def _grow_basis(op, scale, basis, images, ncols, next_dir, rng):
 def dense_spectrum(op, scale) -> EigPairs:
     """All p eigenpairs of D A D, D = diag(scale), descending: one LAPACK
     ``eigh`` of the materialized operator (guard-checked).  The dense route
-    of ``top_eigenpairs`` keeps the leading q of them; the uniqueness
-    solver's Newton step reads them all."""
+    of ``top_eigenpairs`` returns the leading q of them as views, with the
+    whole spectrum beside them."""
     # LAPACK returns the eigenvalues ascending
     vals, vecs = np.linalg.eigh(scale[:, None] * op.to_dense() * scale[None, :])
-    return EigPairs(values=vals[::-1], vectors=vecs[:, ::-1])
-
-
-def _dense_eigpairs(op, scale, q: int) -> EigPairs:
-    full = dense_spectrum(op, scale)
-    return EigPairs(
-        values=np.ascontiguousarray(full.values[:q]),
-        vectors=np.ascontiguousarray(full.vectors[:, :q]),
-    )
+    return EigPairs(values=vals[::-1], vectors=vecs[:, ::-1], scale=scale)
 
 
 def _start_basis(v0, p: int, width: int, rng) -> np.ndarray:
@@ -368,7 +371,7 @@ def _block_eigpairs(op, scale, q, tol, v0, rng) -> EigPairs:
         images = _product(op, scale, basis)
         theta, s, ritz, resid, ok = _ritz_pairs(basis, images, q, tol)
         if bool(np.all(ok)):
-            return EigPairs(values=np.ascontiguousarray(theta[:q]), vectors=ritz)
+            return EigPairs(np.ascontiguousarray(theta[:q]), ritz, scale)
         del ritz
         basis = np.linalg.qr(images @ s)[0]
     raise NoConvergence(
@@ -406,7 +409,7 @@ def _gram_eigpairs(op, scale, q) -> EigPairs:
         rng = np.random.Generator(np.random.Philox(SEED))
         fill = _start_basis(vectors, op.p, q, rng)[:, rank:]
         vectors = np.hstack([vectors, fill])
-    return EigPairs(values=values, vectors=vectors)
+    return EigPairs(values=values, vectors=vectors, scale=scale)
 
 
 def _lanczos_eigpairs(op, scale, q, tol, v0, rng) -> EigPairs:
@@ -432,7 +435,7 @@ def _lanczos_eigpairs(op, scale, q, tol, v0, rng) -> EigPairs:
         # but is formed whole since reorthogonalization is full
         theta, s, ritz, resid, ok = _ritz_pairs(basis, images, q, tol)
         if bool(np.all(ok)):
-            return EigPairs(values=np.ascontiguousarray(theta[:q]), vectors=ritz)
+            return EigPairs(np.ascontiguousarray(theta[:q]), ritz, scale)
 
         # thick restart: the leading Ritz pairs, orthonormal as they are,
         # replace the basis and their images, and growth continues along
@@ -448,10 +451,6 @@ def _lanczos_eigpairs(op, scale, q, tol, v0, rng) -> EigPairs:
         n_restarts=MAX_RESTARTS,
         residuals=np.linalg.norm(resid, axis=0),
     )
-
-
-# the routes of top_eigenpairs that start from its ``v0``
-WARM_STARTED = frozenset({"lanczos", "block"})
 
 
 def route(op, q: int, dense_threshold: int | None = None) -> str:
@@ -475,7 +474,7 @@ def top_eigenpairs(
     scale: np.ndarray | None = None,
     tol: float = 1e-8,
     dense_threshold: int | None = None,
-    v0: np.ndarray | None = None,
+    v0: np.ndarray | EigPairs | None = None,
 ) -> EigPairs:
     """Leading q eigenpairs of D A D, A = ``op`` symmetric PSD, D = diag(scale).
 
@@ -494,12 +493,16 @@ def top_eigenpairs(
     solvers stop when every requested pair has
     ||A y_j - theta_j y_j|| <= tol * max(1, theta_j); the floor of tol
     protects near-null directions of rank-deficient scatters.  ``v0`` may
-    be a single start vector or a p x j warm-start subspace (typically the
-    previous solve's vectors, or whitened loadings); both iterative solvers
-    orthonormalize it with one QR, the Lanczos keeping at most m - 1 of its
-    columns and the block solver padding it with random columns.  It need
-    not be orthonormal or have full rank.  Values come back descending, and
-    the vectors as an orthonormal basis with no sign convention.
+    be a single start vector, a p x j warm-start subspace (such as whitened
+    loadings), or a previous solve's ``EigPairs``, whose vectors are carried
+    from its ``scale`` to this one (each row times scale / v0.scale) before
+    they start the solve; the dense and Gram routes read no start and build
+    none.  Both iterative solvers orthonormalize the start with one QR, the
+    Lanczos keeping at most m - 1 of its columns and the block solver
+    padding it with random columns; it need not be orthonormal or have full
+    rank.  Values come back descending, and the vectors as an orthonormal
+    basis with no sign convention, with the whitening D as ``scale``.  On
+    the dense route they are views of every pair, returned as ``spectrum``.
 
     Raises NoConvergence when MAX_RESTARTS restarts (block iterations) do
     not reach the tolerance, which the Gram solve never does, InvalidRank
@@ -516,9 +519,14 @@ def top_eigenpairs(
         raise ValueError(f"scale must have length p = {p}")
     solver = route(op, q, dense_threshold)
     if solver == "dense":
-        return _dense_eigpairs(op, scale, q)
+        full = dense_spectrum(op, scale)
+        return EigPairs(full.values[:q], full.vectors[:, :q], scale, full)
     if solver == "gram":
         return _gram_eigpairs(op, scale, q)
+    if isinstance(v0, EigPairs):
+        # the previous vectors, whitened under v0.scale, carried to this
+        # scale: the loadings they stand for, whitened anew
+        v0 = v0.vectors * (scale / v0.scale)[:, None]
     rng = np.random.Generator(np.random.Philox(SEED))
     if solver == "lanczos":
         return _lanczos_eigpairs(op, scale, q, tol, v0, rng)

@@ -29,9 +29,9 @@ F = -Qp * 2/n_eff: -Qp's curvature in u is about n_eff/2 (in the diagonal
 term log psi_i + S_ii/psi_i it is exactly n_eff/2 at psi_i = S_ii), so F
 has about unit curvature whatever the component's mass.
 
-The solver that computes the eigenpairs of G picks the optimizer.  At
-p <= linops.DENSE_THRESHOLD every evaluation takes the whole spectrum
-(theta_m, v_m) of G from one dense eigh, and second-order perturbation
+The eigensolve picks the optimizer.  At p <= linops.DENSE_THRESHOLD it
+returns the whole spectrum (theta_m, v_m) of G from one dense eigh with the
+leading pairs, and second-order perturbation
 gives F's exact Hessian in u at no further solve, as in the Newton-Raphson
 for ML factor analysis of Jennrich & Robinson (1969):
 
@@ -50,17 +50,18 @@ similarity-scaled copy of u whose first step and stopping rules are those
 of the boxed run, and hands over to a boxed run only when a trial point
 would leave the box (see _lbfgsb).
 
-Eigenpairs of G come from the shared linops solver, handed S with the
-whitening psi^{-1/2} as its ``scale``.  A scatter of no more weighted rows
+Every eigensolve is one linops.top_eigenpairs call, handed S with the
+whitening psi^{-1/2} as its ``scale`` and the previous evaluation's pairs
+as its start; linops picks the route.  A scatter of no more weighted rows
 than the iterative basis width min(p, 2q + 10), as in typical n << p fits,
 is solved exactly on its small Gram matrix: one GEMM and one small eigh
-per evaluation.  The iterative solvers start from the previous
-evaluation's Ritz vectors carried to the new psi, each row scaled by
-sqrt(psi_prev / psi): the loadings they stand for, whitened at the new psi
-instead of the old, just as cm_step builds the first start from the
-current loadings.  Successive solves during a line search thus start near
-their answer.  The objective drops its previous vectors and pair before
-each solve, so no extra p x q array is held during it.  A psi
+per evaluation.  The iterative solvers start from the previous Ritz
+vectors carried to the new psi, each row scaled by sqrt(psi_prev / psi):
+the loadings they stand for, whitened at the new psi instead of the old,
+just as cm_step builds the first start from the current loadings.
+Successive solves during a line search thus start near their answer.  The
+previous pair, the start, is held until the solve returns (a p x q array
+and a p-vector beside the solve's own), and not kept past it.  A psi
 bit-identical to the previous one is not solved again, so the start, which
 optimize_psi and L-BFGS-B both evaluate, costs one solve, and
 recover_loadings at the result costs none.  The objective evaluates psi
@@ -108,18 +109,18 @@ class ProfileObjective:
 
     Holds the scatter operator, its diagonal, the effective sample mass
     n_eff (the component's responsibility sum), the factor count q, and the
-    previous solve's eigenvectors with their whitening.  Every eigensolve
-    hands linops the scatter with scale = psi^{-1/2}, which whitens it
-    inside the solve.  On the dense route (p <= linops.DENSE_THRESHOLD) it
-    is linops.dense_spectrum, whose whole spectrum ``hessian`` reads; on
-    the others it is linops.top_eigenpairs, warm-started from the previous
-    vectors times sqrt(psi_prev / psi), where ``warm_vectors`` given to the
-    constructor start the first solve as they are.  The last solve is kept
-    with its psi, so asking again at a bit-identical psi returns it without
-    solving.  Before each solve the previous vectors and pair are dropped:
-    a solve that raises leaves neither behind, and a pair already returned
-    is never changed.  The vectors come back with no sign convention;
-    recover_loadings fixes the signs of the loadings it hands out.
+    last solve with its psi.  Every eigensolve is one linops.top_eigenpairs
+    call with scale = psi^{-1/2}, which whitens the scatter inside the
+    solve, and the last solve's pairs as ``v0``, which the iterative routes
+    carry to the new psi; ``warm_vectors`` given to the constructor start
+    the first solve as they are.  On the dense route
+    (p <= linops.DENSE_THRESHOLD) the pairs carry the whole spectrum, which
+    ``hessian`` reads.  Asking again at a bit-identical psi returns the last
+    solve without solving.  Before each solve the previous pair and the
+    warm vectors are dropped: a solve that raises leaves neither behind, and
+    a pair already returned is never changed.  The vectors come back with
+    no sign convention; recover_loadings fixes the signs of the loadings it
+    hands out.
     """
 
     def __init__(
@@ -136,39 +137,20 @@ class ProfileObjective:
         self.p = p
         self.scov_diag = np.maximum(np.asarray(scov.diag(), dtype=np.float64), 0.0)
         self.warm_vectors = warm_vectors
-        # the whitening psi^{-1/2} of the warm vectors, when known
-        self._warm_scale = None
-        # (psi bytes, EigPairs, spectrum) of the last solve; the spectrum,
-        # every pair, is kept on the dense route only
-        self._last = (None, None, None)
+        # (psi bytes, EigPairs) of the last solve
+        self._last = (None, None)
 
     def eigenpairs(self, psi: np.ndarray) -> linops.EigPairs:
         """Leading q eigenpairs of Psi^{-1/2} S Psi^{-1/2} at this psi."""
         key = psi.tobytes()
         if key == self._last[0]:
             return self._last[1]
-        scale = 1.0 / np.sqrt(psi)
-        solver = linops.route(self.scov, self.q)
-        warm = self.warm_vectors
-        if self._warm_scale is not None and solver in linops.WARM_STARTED:
-            # the vectors whitened at the previous psi, carried to this one;
-            # the dense and Gram solves read no warm start
-            warm = warm * (scale / self._warm_scale)[:, None]
-        # no previous vectors or pair outlive the solve's start, and none is
-        # left behind if it raises
-        self.warm_vectors, self._warm_scale = None, None
-        self._last = (None, None, None)
-        spectrum = None
-        if solver == "dense":
-            # the whole spectrum, which the Newton step reads; the leading q
-            # pairs are views of it
-            spectrum = linops.dense_spectrum(self.scov, scale)
-            pairs = linops.EigPairs(values=spectrum.values[: self.q],
-                                    vectors=spectrum.vectors[:, : self.q])
-        else:
-            pairs = linops.top_eigenpairs(self.scov, self.q, scale=scale, v0=warm)
-        self.warm_vectors, self._warm_scale = pairs.vectors, scale
-        self._last = (key, pairs, spectrum)
+        start = self.warm_vectors if self._last[1] is None else self._last[1]
+        # a solve that raises leaves neither a pair nor a start behind
+        self.warm_vectors, self._last = None, (None, None)
+        pairs = linops.top_eigenpairs(self.scov, self.q, scale=1.0 / np.sqrt(psi),
+                                      v0=start)
+        self._last = (key, pairs)
         return pairs
 
     def _psi(self, log_psi: np.ndarray) -> np.ndarray:
@@ -220,8 +202,8 @@ class ProfileObjective:
         entries.
         """
         psi = self._psi(np.asarray(log_psi, dtype=np.float64))
-        self.eigenpairs(psi)
-        theta, vectors = self._last[2].values, self._last[2].vectors
+        spectrum = self.eigenpairs(psi).spectrum
+        theta, vectors = spectrum.values, spectrum.vectors
         hess = np.diag(self.scov_diag / psi)
         act = np.flatnonzero(theta[: self.q] > 1.0)
         if act.size:
@@ -249,9 +231,9 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     Minimizes F = -Qp * s, s = 2/n_eff, over u = log psi from the
     (clipped) warm start, and returns the best point evaluated: the first
     with the highest finite profile value, or the start when none is
-    finite.  On the dense route (linops.route(obj.scov, obj.q) == "dense")
-    a projected Newton on the exact Hessian runs (_newton); on every other
-    route L-BFGS-B runs (_lbfgsb).  Both stop when the max-norm of the
+    finite.  When the start's eigensolve returned the whole spectrum (the
+    dense route) a projected Newton on the exact Hessian runs (_newton);
+    otherwise L-BFGS-B runs (_lbfgsb).  Both stop when the max-norm of the
     projected gradient of F is at most PGTOL * s (the Newton once its last
     step was short), take at most MAX_INNER_ITER iterations on one budget
     of 2 * MAX_INNER_ITER evaluations, and evaluate no point outside the
@@ -292,7 +274,8 @@ def optimize_psi(obj: ProfileObjective, psi_init: np.ndarray) -> np.ndarray:
     try:
         f0, g0 = negated(u0)
         if np.isfinite(f0) and np.max(np.abs(_projected(u0, g0))) > gtol:
-            if linops.route(obj.scov, obj.q) == "dense":
+            # the start's solve: the dense route returns every pair
+            if obj._last[1].spectrum is not None:
                 _newton(obj, negated, u0, f0, g0, gtol)
             else:
                 _lbfgsb(negated, best, u0, f0, g0, gtol)

@@ -445,6 +445,54 @@ def test_missing_data_file_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("option", ["data", "labels", "pred", "truth", "fit",
+                                    "out-dir"])
+def test_an_unusable_path_exits_2(tmp_path, capsys, option):
+    # an input path that is a directory, or an --out-dir that is a file
+    data_csv, labels_csv = _simulate(
+        tmp_path, "sim", n=20, p=4, k=2, q=1, separation=2.0, seed=1
+    )
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    out = tmp_path / "o"
+    paths = {"data": data_csv, "labels": labels_csv, "pred": labels_csv,
+             "truth": labels_csv, "fit": labels_csv, "out-dir": out}
+    if option == "out-dir":
+        out.write_text("")
+    else:
+        paths[option] = folder
+    if option in ("data", "labels"):
+        argv = ["fit", "--data", str(paths["data"]), "--labels",
+                str(paths["labels"]), "--k", "2", "--q", "1"] + _FAST_FIT
+    elif option == "fit":
+        argv = ["report", "--fit", str(paths["fit"])]
+    else:
+        argv = ["eval", "--pred", str(paths["pred"]), "--truth",
+                str(paths["truth"])]
+    assert main(argv + ["--out-dir", str(paths["out-dir"])]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.is_file() if option == "out-dir" else not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "select"])
+@pytest.mark.parametrize("flag", [["--starts", "-1"], ["--finalists", "0"],
+                                  ["--max-iter", "0"], ["--tol", "-1"],
+                                  ["--tol", "nan"]])
+def test_a_bad_protocol_setting_exits_2(tmp_path, capsys, command, flag):
+    # select used to record every cell as failed and exit 3
+    data_csv, _ = _simulate(
+        tmp_path, "sim", n=40, p=5, k=2, q=1, separation=2.0, seed=2
+    )
+    shape = (["--k", "2", "--q", "1"] if command == "fit"
+             else ["--k-range", "1..2", "--q-max", "1"])
+    out = tmp_path / "o"
+    rc = main([command, "--data", str(data_csv)] + shape + flag
+              + ["--out-dir", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_ragged_csv_exits_2(tmp_path):
     path = tmp_path / "ragged.csv"
     _write_lines(path, ["1.0,2.0", "3.0,4.0,5.0", "6.0,7.0"])

@@ -497,7 +497,6 @@ def test_route_names_the_solver_top_eigenpairs_runs(rng):
                                 (_scatter(rng, 300, 120), 0, "block"),
                                 (explicit, 0, "block")):
         assert linops.route(op, 3, threshold) == want
-    assert linops.WARM_STARTED == {"lanczos", "block"}
 
 
 def test_invalid_rank_rejected(rng):

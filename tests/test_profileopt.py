@@ -1,4 +1,6 @@
 import logging
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,30 +174,82 @@ def test_warm_start_is_carried_to_the_new_psi(rng, monkeypatch):
 
 
 def test_only_the_iterative_routes_carry_the_warm_start(rng, monkeypatch):
-    # the Gram solve ignores v0, so the previous vectors go in as they are;
-    # the block and Lanczos solves get them carried to the new psi.  The
-    # dense route takes the whole spectrum from linops.dense_spectrum, which
-    # reads no start
+    # the block and Lanczos solvers are handed the previous vectors carried
+    # to the new psi; the dense and Gram solves read no start
     p, q = 80, 3
     starts = []
-    original = linops.top_eigenpairs
 
-    def recording(op, k, **kwargs):
-        starts.append(kwargs["v0"])
-        return original(op, k, **kwargs)
+    def recording(name):
+        original = getattr(linops, name)
 
-    monkeypatch.setattr(linops, "top_eigenpairs", recording)
-    monkeypatch.setattr(linops, "DENSE_THRESHOLD", 200)
-    obj = ProfileObjective(_planted_scatter(rng, 200, p, q), 100.0, q)
-    obj.eigenpairs(rng.uniform(0.3, 2.0, p))
-    obj.eigenpairs(rng.uniform(0.3, 2.0, p))
-    assert starts == []
-    monkeypatch.setattr(linops, "DENSE_THRESHOLD", 0)
-    for rows, carried in ((14, False), (40, True), (200, True)):
+        def solver(op, scale, k, tol, v0, gen):
+            starts.append((name, v0))
+            return original(op, scale, k, tol, v0, gen)
+
+        monkeypatch.setattr(linops, name, solver)
+
+    recording("_block_eigpairs")
+    recording("_lanczos_eigpairs")
+    for threshold, rows, carried_by in ((200, 200, None), (0, 14, None),
+                                        (0, 40, "_lanczos_eigpairs"),
+                                        (0, 200, "_block_eigpairs")):
+        monkeypatch.setattr(linops, "DENSE_THRESHOLD", threshold)
         obj = ProfileObjective(_planted_scatter(rng, rows, p, q), 100.0, q)
-        first = obj.eigenpairs(rng.uniform(0.3, 2.0, p))
-        obj.eigenpairs(rng.uniform(0.3, 2.0, p))
-        assert (starts[-1] is not first.vectors) == carried
+        psi1, psi2 = rng.uniform(0.3, 2.0, p), rng.uniform(0.3, 2.0, p)
+        first = obj.eigenpairs(psi1)
+        np.testing.assert_array_equal(first.scale, 1.0 / np.sqrt(psi1))
+        starts.clear()
+        obj.eigenpairs(psi2)
+        if carried_by is None:
+            assert starts == []
+            # nor is a start built: a pair with no whitening cannot be carried
+            linops.top_eigenpairs(obj.scov, q, v0=replace(first, scale=None))
+            continue
+        [(name, v0)] = starts
+        assert name == carried_by
+        want = first.vectors * ((1.0 / np.sqrt(psi2)) / first.scale)[:, None]
+        np.testing.assert_array_equal(v0, want)
+
+
+def test_each_profile_solve_is_one_top_eigenpairs_call(rng, monkeypatch):
+    # on both routes every solve goes through linops.top_eigenpairs, and
+    # only it picks the route or takes the dense spectrum
+    p, q = 20, 2
+    callers = []
+
+    def from_caller(name):
+        original = getattr(linops, name)
+
+        def wrapper(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linops, name, wrapper)
+
+    from_caller("route")
+    from_caller("dense_spectrum")
+    solves = count_calls(monkeypatch, linops, "top_eigenpairs")
+    evaluated = []
+    original = ProfileObjective.value_and_gradient
+
+    def value_and_gradient(self, log_psi):
+        evaluated.append(np.asarray(log_psi, dtype=np.float64).tobytes())
+        return original(self, log_psi)
+
+    monkeypatch.setattr(ProfileObjective, "value_and_gradient",
+                        value_and_gradient)
+    scov = _planted_scatter(rng, 200, p, q)
+    for route in _on_both_routes(monkeypatch):
+        for log in (callers, solves, evaluated):
+            log.clear()
+        obj = ProfileObjective(scov, 100.0, q)
+        recover_loadings(obj, optimize_psi(obj, np.full(p, 0.5)))
+        # a solve per evaluation at a new psi, and none for the loadings
+        new = [a != b for a, b in zip([None] + evaluated, evaluated)]
+        assert len(solves) == sum(new) > 1
+        if route == "dense":
+            assert len(solves) == len(evaluated)
+        assert callers and set(callers) == {"top_eigenpairs"}
 
 
 def test_a_new_psi_leaves_no_stale_state(rng, monkeypatch):
